@@ -9,9 +9,13 @@ and each runs in a fresh interpreter (``perfbench/launch.py``), because a
 CLI user pays start-up and cold caches on every call.
 
 ``--trace 0`` repeats passes over the workload's calls for ``--seconds`` (at
-least one pass) and reports the end-to-end metrics.  ``--trace 1`` makes one
-untraced and one traced pass and reports the per-layer metrics; their
-difference in wall time is the tracing overhead.  Every call's output is
+least one pass) and reports the end-to-end metrics.  The host this runs on
+shares its cores, and its speed drifts by up to 2x over seconds to minutes,
+so a fixed program (``reference.py``) is timed after every call, for a set
+share of the call's time, and the end-to-end times are scaled to a nominal
+host speed by the mean of those samples; the raw times are printed beside
+them.  ``--trace 1`` makes one untraced and one traced pass and reports the
+per-layer metrics; their difference in wall time is the tracing overhead.  Every call's output is
 checked; a failed check counts in ``failed`` and makes ``correct`` false.
 """
 
@@ -31,6 +35,7 @@ import threading
 import time
 from pathlib import Path
 
+import reference
 import stats
 import tracer
 import workloads
@@ -41,8 +46,12 @@ ROOT = HERE.parent
 WORK = HERE / ".work" / f"run{os.getpid()}"
 # Each run must end well inside 180 s; a call still running then is killed.
 RUN_BUDGET_S = 170.0
-SETUP_CALLS = 7
+# No-op calls at the start of a run (after one uncounted) and after each pass.
+SETUP_CALLS = 5
+SETUP_CALLS_PER_PASS = 2
 MB = 1024.0  # ru_maxrss is in KiB on Linux
+# Reference time sampled after each call, as a share of the call's wall time.
+REF_SHARE = 0.25
 
 
 def _provenance(seed: int) -> dict:
@@ -126,10 +135,19 @@ def _problems(call: workloads.Call, res: dict) -> list:
     return out
 
 
-def _pass(runner: Runner, wl: workloads.Workload, mode: str) -> dict:
+def _pass(runner: Runner, wl: workloads.Workload, mode: str, refs=None) -> dict:
     """One pass over the workload's calls; outputs are checked after the
-    last call, so checking never counts as the program's time."""
-    results = [runner.cli(call, mode) for call in wl.calls]
+    last call, so checking never counts as the program's time.  With a
+    ``refs`` list, reference samples are timed into it after each call,
+    at least one and together ``REF_SHARE`` of the call's wall time."""
+    results = []
+    for call in wl.calls:
+        res = runner.cli(call, mode)
+        results.append(res)
+        spent = 0.0
+        while refs is not None and (not spent or spent < REF_SHARE * res["wall"]):
+            refs.append(reference.sample())
+            spent += refs[-1]
     for call, res in zip(wl.calls, results):
         res["problems"] = _problems(call, res)
     return {"wall": sum(r["wall"] for r in results), "calls": results}
@@ -145,31 +163,34 @@ def _report_failures(wl: workloads.Workload, passes) -> int:
     return failed
 
 
-def _setup_s(runner: Runner) -> float:
-    """Median wall time of a no-op CLI call; the first call, which may
-    compile bytecode, is not counted."""
+def _noop_calls(runner: Runner, count: int) -> list:
+    """Wall times of ``count`` no-op CLI calls (``--version``)."""
     argv = [sys.executable, "-m", "topocert", "--version"]
     times = []
-    for i in range(SETUP_CALLS + 1):
+    for _ in range(count):
         res = runner.spawn(argv, "setup")
         if res["code"] != 0:
             raise RuntimeError(f"topocert --version failed: {res['stderr'][-300:]}")
-        if i:
-            times.append(res["wall"])
-    return statistics.median(times)
+        times.append(res["wall"])
+    return times
 
 
 def end_to_end(runner: Runner, wl: workloads.Workload, seconds: float):
     """Passes for ``seconds`` (at least one).  Each call's latency is its
-    median over the passes and ``wall_s`` is the sum of those, so with three
-    or more passes a burst of host noise in one of them moves no metric."""
-    setup = _setup_s(runner)
+    mean over the passes at the nominal host speed, and ``wall_s`` is the
+    sum of those.  ``setup_s`` is the median no-op call at the same scale;
+    the first one, which may compile bytecode, is not counted."""
+    _noop_calls(runner, 1)
+    refs = []
+    noops = _noop_calls(runner, SETUP_CALLS)
     passes = []
     t0 = time.monotonic()
     while not passes or time.monotonic() - t0 < seconds:
-        passes.append(_pass(runner, wl, "count"))
-    lat = [statistics.median([p["calls"][i]["wall"] for p in passes])
-           for i in range(len(wl.calls))]
+        passes.append(_pass(runner, wl, "count", refs))
+        noops += _noop_calls(runner, SETUP_CALLS_PER_PASS)
+    walls = [[r["wall"] for r in p["calls"]] for p in passes]
+    lat, scale = stats.scaled_latencies(walls, refs, reference.NOMINAL_S)
+    setup = statistics.median(noops) * scale
     tail_v, tail_p, beyond = stats.tail(lat)
     wall = sum(lat)
     metrics = {
@@ -180,10 +201,15 @@ def end_to_end(runner: Runner, wl: workloads.Workload, seconds: float):
         "call_tail_s": (tail_v, "s"),
         "peak_rss_mb": (max(r["rss_mb"] for p in passes for r in p["calls"]), "MB"),
     }
-    walls = ", ".join(f"{p['wall']:.4f}" for p in passes)
-    notes = [f"passes: {len(passes)}, pass walls: {walls} s",
+    pass_walls = ", ".join(f"{p['wall']:.4f}" for p in passes)
+    notes = [f"passes: {len(passes)}, raw pass walls: {pass_walls} s",
+             f"host speed: reference mean {statistics.fmean(refs):.4f} s over {len(refs)} "
+             f"samples (min {min(refs):.4f}, max {max(refs):.4f}); times are scaled by "
+             f"{reference.NOMINAL_S} / mean = {scale:.4f}",
+             f"raw: wall_s {wall / scale:.4f} s, setup_s {setup / scale:.4f} s",
              f"items per pass: {wl.items} {wl.item_kind}",
-             f"call latencies: median over passes of each of {len(lat)} calls",
+             f"call latencies: mean over passes of each of {len(lat)} calls",
+             f"setup_s: median of {len(noops)} no-op calls",
              f"call_tail_s is p{tail_p:g} of {len(lat)} calls ({beyond} beyond it)"]
     return metrics, passes, notes
 

@@ -42,6 +42,22 @@ def tail(samples: Sequence[float]) -> Tuple[float, float, int]:
     return ordered[nearest_rank(len(ordered), pct) - 1], pct, beyond
 
 
+def scaled_latencies(walls: Sequence[Sequence[float]], refs: Sequence[float],
+                     nominal: float) -> Tuple[List[float], float]:
+    """(per-call latency, scale) at a nominal host speed.
+
+    ``walls[p][i]`` is call i's wall time in pass p and ``refs`` are the
+    reference samples timed through the same passes.  Each call's mean over
+    the passes is multiplied by ``nominal / mean(refs)``: the host's speed
+    over the run, taken from the same stretch of time as the calls.
+    """
+    if not walls or not refs:
+        raise ValueError("scaling needs at least one pass and one reference sample")
+    scale = nominal / (sum(refs) / len(refs))
+    calls = len(walls[0])
+    return [scale * sum(w[i] for w in walls) / len(walls) for i in range(calls)], scale
+
+
 def ratio(num: float, den: float) -> float:
     """num / den, and 0.0 when the base is empty (the base is printed
     beside every ratio, so a zero base is visible)."""

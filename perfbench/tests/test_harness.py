@@ -131,3 +131,20 @@ print(json.dumps({{
                          timeout=60, check=True).stdout
     assert json.loads(out) == {"absent": ["hasse.gone"], "same": True, "wrapped": True,
                                "dedup_shared": True}
+
+
+def test_latencies_are_pass_means_scaled_by_the_reference_mean():
+    walls = [[1.0, 3.0], [2.0, 5.0]]      # two passes of two calls
+    refs = [0.1, 0.3, 0.2, 0.2]            # mean 0.2: the host ran at half speed
+    lat, scale = stats.scaled_latencies(walls, refs, 0.1)
+    assert scale == pytest.approx(0.5)
+    assert lat == pytest.approx([0.75, 2.0])
+    with pytest.raises(ValueError):
+        stats.scaled_latencies(walls, [], 0.1)
+
+
+def test_reference_work_is_fixed():
+    import reference
+
+    assert reference.work() == reference.work() > 0
+    assert reference.sample() > 0

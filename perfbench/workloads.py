@@ -1,11 +1,16 @@
 """Seeded inputs and the CLI calls of each workload.
 
 The seed fixes every generated file; the program only ever sees those files
-(plus the repo's fixtures named below).  Every generated input is checked
-with the independent oracles in ``tests/oracles.py`` before any timing:
-``subset_scan_covers`` gives the expected cover count of each finite space,
-and ``sampled_interval_classes`` / ``sampled_plane_classes`` confirm that
-each witness cover really covers.
+(plus the repo's fixtures named below).  Every seed asks for the same amount
+of work: what sets the cost of a call (a finite space's topology, a domain's
+endpoints) comes from a fixed stream, and the seed draws the presentation
+(point names, the order of opens, where a domain sits) and the witness
+covers, which are many per file so that their cost averages out.
+
+Every generated input is checked with the independent oracles in
+``tests/oracles.py`` before any timing: ``subset_scan_covers`` gives the
+expected cover count of each finite space, and ``sampled_interval_classes``
+/ ``sampled_plane_classes`` confirm that each witness cover really covers.
 """
 
 from __future__ import annotations
@@ -29,13 +34,13 @@ TYPE_COUNTS = {1: 1, 2: 2, 3: 12, 4: 114, 5: 1640}
 
 # Why each workload is in the benchmark (also in BENCHMARK.json).
 WHY = {
-    "types": "exhaustive interval-type enumeration (pg on the line and the "
-             "segment, n=4): slot generation, the Fraction cell walk and "
+    "types": "exhaustive interval-type enumeration (pg on the line and a "
+             "unit segment, n=4): slot generation, the Fraction cell walk and "
              "canonical_key dedup do over 95% of the work",
-    "spaces": "pg at all sizes on seeded 6-point spaces with 12-14 opens and "
-              "chain_4: enumerate_covers, hasse, graphalgebra/snf and "
-              "canonical_cert with the cache mostly hitting; no arrangements",
-    "witness": "about 50 short pg/compare/certify calls on seeded rational "
+    "spaces": "pg at all sizes on 6-point spaces with 12-14 opens, relabelled "
+              "per seed, and chain_4: enumerate_covers, hasse, graphalgebra/snf "
+              "and canonical_cert with the cache mostly hitting; no arrangements",
+    "witness": "about 40 short pg/compare/certify calls on seeded rational "
                "witness covers with ties against cheap exhaustive sides: real "
                "cell walks, cache misses, certificates, jsonio, start-up",
 }
@@ -269,9 +274,11 @@ def _witness_file(rng, kind: str, sizes, per_size: int):
     covers for each size."""
     from topocert.arrangements import Circle, FullLine, Segment
 
+    # Each domain's own endpoints are fixed in cost (an integer start, a set
+    # span); the covers' endpoints are arbitrary rationals.
     if kind == "segment":
-        lo = _rational(rng, -40, 40)
-        hi = lo + Fraction(rng.randint(5, 60), rng.choice((1, 3, 7)))
+        lo = Fraction(rng.randint(-40, 40))
+        hi = lo + Fraction(50, 7)
         domain, domain_doc = Segment(lo, hi), {"kind": "segment", "lo": str(lo), "hi": str(hi)}
 
         def draw(n):
@@ -283,7 +290,7 @@ def _witness_file(rng, kind: str, sizes, per_size: int):
         def draw(n):
             return _line_members(rng, _pool(n + 1, lambda: _rational(rng, -200, 200)), n)
     else:
-        circ = Fraction(rng.randint(3, 40), rng.choice((1, 2, 7)))
+        circ = Fraction(25, 2)
         domain, domain_doc = Circle(circ), {"kind": "circle", "circumference": str(circ)}
 
         def draw(n):
@@ -321,9 +328,12 @@ def _pg_argv(path: str, level: str, n: Optional[int] = None) -> List[str]:
 
 
 def types(seed: int, work: Path) -> Workload:
+    # The slot values lo + k/(m+1) cost the same on every unit segment with
+    # an integer start; a random rational span changed the call's time by
+    # up to 2x from seed to seed.
     rng = random.Random(f"types:{seed}")
-    lo = _rational(rng, -30, 30)
-    hi = lo + Fraction(rng.randint(1, 90), rng.choice((1, 4, 9)))
+    lo = rng.randint(-30, 30)
+    hi = lo + 1
     line = _write(work, "line_domain.json", {"domain": {"kind": "line"}})
     seg = _write(work, "segment_domain.json",
                  {"domain": {"kind": "segment", "lo": str(lo), "hi": str(hi)}})
@@ -337,17 +347,19 @@ def types(seed: int, work: Path) -> Workload:
                     [f"segment [{lo},{hi})"])
 
 
-# Cover counts steered into a narrow band per open count, so every seed asks
-# for about the same work; bands sit around the sampled medians.
+# Cover-count band per open count of the spaces the fixed stream draws.
 SPACE_BANDS = {12: (3100, 3300), 13: (5930, 6300), 14: (13530, 14370)}
 
 
 def spaces(seed: int, work: Path) -> Workload:
+    # Spaces with equal cover counts still differed by 1.6x in time, so the
+    # topologies come from a fixed stream and the seed relabels them.
+    shapes = random.Random("spaces")
     rng = random.Random(f"spaces:{seed}")
     calls, notes = [], []
     files = []
     for k, band in SPACE_BANDS.items():
-        opens = _sample_space(rng, 6, k, band)
+        opens = _sample_space(shapes, 6, k, band)
         doc = _space_doc(rng, 6, opens)
         files.append((_write(work, f"space_{k}.json", doc), doc))
     chain = ROOT / "fixtures" / "chain_4.json"
@@ -363,10 +375,11 @@ def spaces(seed: int, work: Path) -> Workload:
 
 
 WITNESS_SIZES = (3, 4, 5, 6, 7)
-WITNESS_PER_SIZE = 120
+WITNESS_PER_SIZE = 60
 
 
 def witness(seed: int, work: Path) -> Workload:
+    shapes = random.Random("witness")
     rng = random.Random(f"witness:{seed}")
     fixtures = ROOT / "fixtures"
 
@@ -380,7 +393,7 @@ def witness(seed: int, work: Path) -> Workload:
         space = _finite_space(doc)
         sides[name] = (path, lambda n, s=space: _oracle_covers(s, n))
     for i in range(2):
-        opens = _sample_space(rng, 5, rng.randint(7, 9))
+        opens = _sample_space(shapes, 5, shapes.randint(7, 9))
         doc = _space_doc(rng, 5, opens)
         space = _finite_space(doc)
         sides[f"space{i}"] = (_write(work, f"wspace_{i}.json", doc),
@@ -442,17 +455,15 @@ def witness(seed: int, work: Path) -> Workload:
                  "circle": "segment_domain.json"}
     for kind, (path, forms) in files.items():
         pg(path, forms)
-        for n in (3, 5, 7):
+        for n in (3, 7):
             pg(path, forms, n)
         # a segment (line) cover's type is among the segment's (line's) types
         same = kind != "circle"
         compare(path, forms, domain_of[kind], 3, subset=same)
         certify(path, forms, domain_of[kind], 3, find=False if same else None)
         certify(path, forms, "three_point_model.json", 3)
-        certify(path, forms, "three_point_model.json", 4)
         # the Sierpinski space has two nonempty opens, so no 3-member cover
         certify(path, forms, "sierpinski.json", 3, find=True)
-        compare(path, forms, "space0", 4)
         certify(path, forms, "space0", 4)
         certify(path, forms, "space1", 5)
     certify(*files["circle"], "line_domain.json", 3)
