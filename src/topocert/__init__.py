@@ -56,21 +56,18 @@ from .errors import (
 from .fingerprints import (
     Fingerprint,
     FingerprintSet,
-    StructureMultiset,
     empty_space_fingerprints,
     fingerprint_of,
     fingerprints_of_domain,
     fingerprints_of_space,
     sets_match,
     singleton_fingerprint,
-    structure_multiset,
 )
 from .graphalgebra import (
     BlockDecomposition,
     KPair,
     PrimPoset,
     block_decomposition,
-    hereditary_saturated_sets,
     k_theory,
     maximal_tails,
     prim_space,
@@ -90,6 +87,5 @@ from .spaces import (
     enumerate_covers,
     generate_topology,
     make_cover,
-    push_forward_cover,
     validate_topology,
 )

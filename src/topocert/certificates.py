@@ -5,11 +5,15 @@ absent from the exhaustively enumerated cover family of the other side, for
 some fixed cover size.  Since homeomorphic spaces realize identical
 fingerprint sets at every size, such an absence rules the homeomorphism out.
 Certificates carry enough data to be replayed from scratch.
+
+A comparison side is a ``SpaceSide``, ``DomainSide`` or ``WitnessSide``.
+Each knows whether it is exhaustive and how to fingerprint its covers of a
+given size, so the search and its replay never look at which kind it is.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Tuple, Union
 
 from . import __version__ as _version
@@ -17,7 +21,6 @@ from .arrangements import (
     DEFAULT_COVER_SIZE_CAP,
     AxisAlignedSpec,
     FullLine,
-    IntervalSpec,
     Segment,
     hclasses_axis2d,
     hclasses_of_intervals,
@@ -30,6 +33,7 @@ from .fingerprints import (
     fingerprints_of_domain,
     fingerprints_of_space,
 )
+from .jsonio import axis_spec_json, interval_spec_json
 from .spaces import FiniteSpace
 
 
@@ -39,6 +43,15 @@ class SpaceSide:
 
     name: str
     space: FiniteSpace
+    exhaustive = True
+
+    def fingerprints(self, n: Optional[int], level: str, cap_cover: int,
+                     cap_vertices: int):
+        """(fingerprint set, family text) over the covers with ``n`` members
+        (every size when ``n`` is None)."""
+        fs = fingerprints_of_space(self.space, n, level, cap_vertices)
+        size = "" if n is None else f"{n}-member "
+        return fs, f"all {size}covers of a {len(self.space.points)}-point space"
 
 
 @dataclass(frozen=True)
@@ -47,6 +60,23 @@ class DomainSide:
 
     name: str
     domain: Union[Segment, FullLine]
+    exhaustive = True
+
+    def fingerprints(self, n: int, level: str, cap_cover: int,
+                     cap_vertices: int):
+        """(fingerprint set, family text) over the n-interval cover types;
+        a domain has covers of every size, so ``n`` is required."""
+        if n is None:
+            raise ValueError("a domain side needs a cover size")
+        fs = fingerprints_of_domain(self.domain, n, level, cap_cover, cap_vertices)
+        return fs, (f"all combinatorial types of {n}-interval covers "
+                    f"of the {self.domain.describe()}")
+
+
+def _partition_of(spec):
+    if isinstance(spec, AxisAlignedSpec):
+        return hclasses_axis2d(spec)
+    return hclasses_of_intervals(spec)
 
 
 @dataclass(frozen=True)
@@ -55,6 +85,31 @@ class WitnessSide:
 
     name: str
     covers: tuple  # of IntervalSpec | AxisAlignedSpec
+    exhaustive = False
+
+    def _sized(self, n: Optional[int]) -> list:
+        return [s for s in self.covers if n is None or len(s.members) == n]
+
+    def fingerprints(self, n: Optional[int], level: str, cap_cover: int,
+                     cap_vertices: int):
+        """(fingerprint set, family text) over the witness covers with ``n``
+        members (all of them when ``n`` is None)."""
+        specs = self._sized(n)
+        fps = [fingerprint_of(_partition_of(s), cap_vertices) for s in specs]
+        return (collect_fingerprints(fps, level, n),
+                f"{len(specs)} witness cover(s)")
+
+    def cover_for(self, key: tuple, n: Optional[int], level: str,
+                  cap_vertices: int) -> Optional[dict]:
+        """JSON of the first witness cover whose fingerprint projects to
+        ``key``.  Covers are fingerprinted again, one at a time, and only
+        until the match, so a search that finds nothing pays nothing here."""
+        for spec in self._sized(n):
+            if fingerprint_of(_partition_of(spec), cap_vertices).project(level) == key:
+                if isinstance(spec, AxisAlignedSpec):
+                    return axis_spec_json(spec)
+                return interval_spec_json(spec)
+        return None
 
 
 Side = Union[SpaceSide, DomainSide, WitnessSide]
@@ -74,55 +129,7 @@ class Certificate:
     version: str
 
     def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "level": self.level,
-            "n": self.n,
-            "witness_side": self.witness_side,
-            "witness_fingerprint": self.witness_fingerprint,
-            "witness_cover": self.witness_cover,
-            "exhaustive_side": self.exhaustive_side,
-            "listings": self.listings,
-            "caps": self.caps,
-            "version": self.version,
-        }
-
-
-def _witness_cover_json(spec) -> dict:
-    # local import: jsonio depends on this module's types
-    from .jsonio import axis_spec_json, interval_spec_json
-
-    if isinstance(spec, AxisAlignedSpec):
-        return axis_spec_json(spec)
-    return interval_spec_json(spec)
-
-
-def _cover_size(spec) -> int:
-    return len(spec.members)
-
-
-def _side_fingerprints(side: Side, n: int, level: str, cap_cover: int,
-                       cap_vertices: int):
-    """(FingerprintSet, exhaustive?, family description, witness specs)."""
-    if isinstance(side, SpaceSide):
-        fs = fingerprints_of_space(side.space, n, level, cap_vertices)
-        family = f"all {n}-member covers of a {len(side.space.points)}-point space"
-        return fs, True, family, None
-    if isinstance(side, DomainSide):
-        fs = fingerprints_of_domain(side.domain, n, level, cap_cover, cap_vertices)
-        family = f"all combinatorial types of {n}-interval covers of the {side.domain.describe()}"
-        return fs, True, family, None
-    specs = [s for s in side.covers if _cover_size(s) == n]
-    fps = []
-    for spec in specs:
-        partition = (
-            hclasses_axis2d(spec)
-            if isinstance(spec, AxisAlignedSpec)
-            else hclasses_of_intervals(spec)
-        )
-        fps.append(fingerprint_of(partition, cap_vertices))
-    fs = collect_fingerprints(fps, level, n)
-    return fs, False, f"{len(specs)} witness cover(s)", specs
+        return asdict(self)
 
 
 def nonhomeo_certificate(side_a: Side, side_b: Side, n_range: Tuple[int, int],
@@ -137,49 +144,35 @@ def nonhomeo_certificate(side_a: Side, side_b: Side, n_range: Tuple[int, int],
     supply the distinguishing fingerprint.  Returns None when nothing in the
     range separates the sides.
     """
-    if isinstance(side_a, WitnessSide) and isinstance(side_b, WitnessSide):
+    if not (side_a.exhaustive or side_b.exhaustive):
         raise NotExhaustible(side_b.name)
     lo, hi = n_range
     if lo < 1 or hi < lo:
         raise ValueError("n_range must be 1 <= lo <= hi")
     caps = {"cap_cover": cap_cover, "cap_vertices": cap_vertices}
     for n in range(lo, hi + 1):
-        fa, ea, fam_a, specs_a = _side_fingerprints(
-            side_a, n, level, cap_cover, cap_vertices)
-        fb, eb, fam_b, specs_b = _side_fingerprints(
-            side_b, n, level, cap_cover, cap_vertices)
-        for (fs_w, name_w, specs_w), (fs_e, ex_e, name_e, fam_e) in (
-            ((fa, side_a.name, specs_a), (fb, eb, side_b.name, fam_b)),
-            ((fb, side_b.name, specs_b), (fa, ea, side_a.name, fam_a)),
+        fa, fam_a = side_a.fingerprints(n, level, cap_cover, cap_vertices)
+        fb, fam_b = side_b.fingerprints(n, level, cap_cover, cap_vertices)
+        for (side_w, fs_w), (side_e, fs_e, fam_e) in (
+            ((side_a, fa), (side_b, fb, fam_b)),
+            ((side_b, fb), (side_a, fa, fam_a)),
         ):
-            if not ex_e:
+            if not side_e.exhaustive:
                 continue
             present = set(fs_e.elements)
             for idx, key in enumerate(fs_w.elements):
                 if key in present:
                     continue
-                witness_cover = None
-                if specs_w is not None:
-                    # recover which witness cover produced this key
-                    for spec in specs_w:
-                        partition = (
-                            hclasses_axis2d(spec)
-                            if isinstance(spec, AxisAlignedSpec)
-                            else hclasses_of_intervals(spec)
-                        )
-                        fp = fingerprint_of(partition, cap_vertices)
-                        if fp.project(level) == key:
-                            witness_cover = _witness_cover_json(spec)
-                            break
                 return Certificate(
                     verdict="not_homeomorphic",
                     level=level,
                     n=n,
-                    witness_side=name_w,
+                    witness_side=side_w.name,
                     witness_fingerprint=fs_w.details[idx],
-                    witness_cover=witness_cover,
+                    witness_cover=None if side_w.exhaustive else
+                    side_w.cover_for(key, n, level, cap_vertices),
                     exhaustive_side={
-                        "name": name_e,
+                        "name": side_e.name,
                         "family": fam_e,
                         "fingerprint_count": len(fs_e.elements),
                     },
@@ -195,23 +188,18 @@ def nonhomeo_certificate(side_a: Side, side_b: Side, n_range: Tuple[int, int],
 
 def verify_certificate(cert: Certificate, side_a: Side, side_b: Side) -> bool:
     """Replay the certificate's enumerations and confirm the verdict."""
-    caps = cert.caps
-    fa, ea, _, _ = _side_fingerprints(
-        side_a, cert.n, cert.level, caps["cap_cover"], caps["cap_vertices"])
-    fb, eb, _, _ = _side_fingerprints(
-        side_b, cert.n, cert.level, caps["cap_cover"], caps["cap_vertices"])
-    by_name = {side_a.name: (fa, ea), side_b.name: (fb, eb)}
-    if cert.witness_side not in by_name:
+    if cert.witness_side == side_a.name:
+        side_w, side_e = side_a, side_b
+    elif cert.witness_side == side_b.name:
+        side_w, side_e = side_b, side_a
+    else:
         return False
-    fs_w, _ = by_name[cert.witness_side]
-    other = side_b.name if cert.witness_side == side_a.name else side_a.name
-    fs_e, ex_e = by_name[other]
-    if not ex_e:
+    if not side_e.exhaustive:
         return False
+    fs_w, _ = side_w.fingerprints(cert.n, cert.level, **cert.caps)
+    fs_e, _ = side_e.fingerprints(cert.n, cert.level, **cert.caps)
     witness_keys = [
         k for k, d in zip(fs_w.elements, fs_w.details)
         if d == cert.witness_fingerprint
     ]
-    if len(witness_keys) != 1:
-        return False
-    return witness_keys[0] not in set(fs_e.elements)
+    return len(witness_keys) == 1 and witness_keys[0] not in set(fs_e.elements)

@@ -40,14 +40,9 @@ from .errors import (
     TopocertError,
     TopologyError,
 )
-from .fingerprints import (
-    LEVELS,
-    collect_fingerprints,
-    fingerprint_of,
-    fingerprints_of_domain,
-    fingerprints_of_space,
-    sets_match,
-)
+from .fingerprints import LEVELS, sets_match
+# unused here; the benchmark's tracer and its tests expect this binding
+from .fingerprints import fingerprint_of  # noqa: F401
 from .graphalgebra import block_decomposition, k_theory, prim_space
 from .hasse import hasse_digraph, hpartition_of_cover
 from .jsonio import (
@@ -56,9 +51,10 @@ from .jsonio import (
     graph_json,
     load_input,
     partition_json,
+    read_json,
     space_json,
 )
-from .spaces import enumerate_covers
+from .spaces import enumerate_covers, generate_topology, validate_topology
 
 _EXIT_NEGATIVE = 2
 _ERROR_CODES = {
@@ -96,7 +92,7 @@ def _env_cap(name: str, fallback: int) -> int:
     try:
         return int(raw)
     except ValueError:
-        return fallback
+        raise ParseError(name, f"not an integer: {raw!r}") from None
 
 
 def _emit(config: RunConfig, text: str) -> None:
@@ -116,27 +112,27 @@ def _emit_error(exc: TopocertError) -> int:
     return 1
 
 
-def _partition_of_input(loaded):
+def _partition_of_input(path: str, loaded):
     if loaded.kind == "space":
         if loaded.cover is None:
-            raise ParseError("<input>", 'this command needs a "cover" in the space file')
+            raise ParseError(path, 'this command needs a "cover" in the space file')
         return hpartition_of_cover(loaded.cover)
     if loaded.kind == "intervals":
         if len(loaded.interval_specs) != 1:
-            raise ParseError("<input>", "this command needs exactly one cover")
+            raise ParseError(path, "this command needs exactly one cover")
         return hclasses_of_intervals(loaded.interval_specs[0])
     if loaded.kind == "axis2d":
         return hclasses_axis2d(loaded.axis_spec)
-    raise ParseError("<input>", f"cannot derive a cover from a {loaded.kind} input")
+    raise ParseError(path, f"cannot derive a cover from a {loaded.kind} input")
 
 
-def _graph_of_input(loaded, config: RunConfig):
+def _graph_of_input(path: str, loaded):
     if loaded.kind == "graph":
         return loaded.graph
-    return hasse_digraph(_partition_of_input(loaded))
+    return hasse_digraph(_partition_of_input(path, loaded))
 
 
-def _side_of_input(name: str, loaded):
+def _side_of_input(name: str, path: str, loaded):
     if loaded.kind == "space":
         return SpaceSide(name=name, space=loaded.space)
     if loaded.kind == "domain":
@@ -145,35 +141,17 @@ def _side_of_input(name: str, loaded):
         return WitnessSide(name=name, covers=loaded.interval_specs)
     if loaded.kind == "axis2d":
         return WitnessSide(name=name, covers=(loaded.axis_spec,))
-    raise ParseError("<input>", f"a {loaded.kind} input cannot be a comparison side")
+    raise ParseError(path, f"cannot fingerprint a {loaded.kind} input")
 
 
-def _fingerprint_set(loaded, config: RunConfig):
-    """(set, exhaustive) for pg/compare on one input."""
-    if loaded.kind == "space":
-        return fingerprints_of_space(
-            loaded.space, config.n, config.level, config.cap_vertices), True
-    if loaded.kind == "domain":
-        if config.n is None:
-            raise ParseError("<input>", "domain inputs need --n")
-        return fingerprints_of_domain(
-            loaded.domain, config.n, config.level,
-            config.cap_cover, config.cap_vertices), True
-    if loaded.kind == "intervals":
-        specs = [
-            s for s in loaded.interval_specs
-            if config.n is None or len(s.members) == config.n
-        ]
-        fps = [fingerprint_of(hclasses_of_intervals(s), config.cap_vertices)
-               for s in specs]
-        return collect_fingerprints(fps, config.level, config.n), False
-    if loaded.kind == "axis2d":
-        spec = loaded.axis_spec
-        fps = []
-        if config.n is None or len(spec.members) == config.n:
-            fps.append(fingerprint_of(hclasses_axis2d(spec), config.cap_vertices))
-        return collect_fingerprints(fps, config.level, config.n), False
-    raise ParseError("<input>", f"cannot fingerprint a {loaded.kind} input")
+def _fingerprints_of_file(path: str, loaded, config: RunConfig):
+    """(set, exhaustive) of one pg/compare input at ``config.n``."""
+    if config.n is None and loaded.kind == "domain":
+        raise ParseError(path, "domain inputs need --n")
+    side = _side_of_input(path, path, loaded)
+    fs, _ = side.fingerprints(config.n, config.level, config.cap_cover,
+                              config.cap_vertices)
+    return fs, side.exhaustive
 
 
 def run(config: RunConfig) -> int:
@@ -193,41 +171,40 @@ def _dispatch(config: RunConfig) -> int:
         return _cmd_validate(config)
     loaded = load_input(config.input)
     if cmd == "hclasses":
-        _emit(config, _render(config, partition_json(_partition_of_input(loaded))))
+        _emit(config, _render(config, partition_json(
+            _partition_of_input(config.input, loaded))))
         return 0
     if cmd == "graph":
-        g = _graph_of_input(loaded, config)
+        g = _graph_of_input(config.input, loaded)
         if config.fmt == "dot":
             _emit(config, to_dot(g))
         else:
             _emit(config, dumps(graph_json(g)))
         return 0
     if cmd == "cstar":
-        g = _graph_of_input(loaded, config)
+        g = _graph_of_input(config.input, loaded)
         _emit(config, _render(config, block_decomposition(g).to_json()))
         return 0
     if cmd == "ktheory":
-        g = _graph_of_input(loaded, config)
+        g = _graph_of_input(config.input, loaded)
         _emit(config, _render(config, k_theory(g).to_json()))
         return 0
     if cmd == "prim":
-        g = _graph_of_input(loaded, config)
+        g = _graph_of_input(config.input, loaded)
         _emit(config, _render(config, prim_space(g, config.cap_vertices).to_json()))
         return 0
     if cmd == "pg":
-        fs, exhaustive = _fingerprint_set(loaded, config)
-        doc = fs.to_json()
-        doc["exhaustive"] = exhaustive
-        _emit(config, _render(config, doc))
+        fs, exhaustive = _fingerprints_of_file(config.input, loaded, config)
+        _emit(config, _render(config, {**fs.to_json(), "exhaustive": exhaustive}))
         return 0
     if cmd == "compare":
         loaded_b = load_input(config.input_b)
-        fs_a, ex_a = _fingerprint_set(loaded, config)
-        fs_b, ex_b = _fingerprint_set(loaded_b, config)
+        fs_a, ex_a = _fingerprints_of_file(config.input, loaded, config)
+        fs_b, ex_b = _fingerprints_of_file(config.input_b, loaded_b, config)
         match = sets_match(fs_a, fs_b)
         doc = {
             "match": match,
-            "exhaustive": bool(ex_a and ex_b),
+            "exhaustive": ex_a and ex_b,
             "a": fs_a.to_json(),
             "b": fs_b.to_json(),
         }
@@ -235,10 +212,10 @@ def _dispatch(config: RunConfig) -> int:
         return 0 if match else _EXIT_NEGATIVE
     if cmd == "certify":
         loaded_b = load_input(config.input_b)
-        side_a = _side_of_input("a", loaded)
-        side_b = _side_of_input("b", loaded_b)
+        side_a = _side_of_input("a", config.input, loaded)
+        side_b = _side_of_input("b", config.input_b, loaded_b)
         n_range = config.n_range or (
-            (config.n, config.n) if config.n else (1, config.cap_cover)
+            (config.n, config.n) if config.n is not None else (1, config.cap_cover)
         )
         cert = nonhomeo_certificate(
             side_a, side_b, n_range, config.level,
@@ -256,17 +233,9 @@ def _dispatch(config: RunConfig) -> int:
 
 
 def _cmd_validate(config: RunConfig) -> int:
-    import json
-
-    try:
-        with open(config.input, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(config.input, str(exc))
+    doc = read_json(config.input)
     if not isinstance(doc, dict) or "points" not in doc:
         raise ParseError(config.input, "validate expects a space file")
-    from .spaces import generate_topology, validate_topology
-
     try:
         if "opens" in doc:
             space = validate_topology(doc["points"], doc["opens"])
@@ -364,7 +333,11 @@ def _parse_n_range(raw: Optional[str]) -> Optional[Tuple[int, int]]:
 
 
 def main(argv=None) -> None:
-    args = build_parser().parse_args(argv)
+    try:
+        parser = build_parser()
+    except TopocertError as exc:
+        sys.exit(_emit_error(exc))
+    args = parser.parse_args(argv)
     try:
         config = RunConfig(
             command=args.command,

@@ -188,33 +188,3 @@ def sets_match(a: FingerprintSet, b: FingerprintSet) -> bool:
     if a.n != b.n:
         raise LevelMismatch(f"size scopes differ: {a.n} vs {b.n}")
     return set(a.elements) == set(b.elements)
-
-
-@dataclass(frozen=True)
-class StructureMultiset:
-    """One invariant entry per admissible cover (multiplicities kept)."""
-
-    kind: str  # "cstar" | "k"
-    entries: tuple  # sorted encodings
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "count": len(self.entries),
-                "entries": [list(e) if isinstance(e, tuple) else e
-                            for e in self.entries]}
-
-
-def structure_multiset(space: FiniteSpace, kind: str,
-                       cap_vertices: int = DEFAULT_VERTEX_CAP
-                       ) -> StructureMultiset:
-    """Multiset over all covers of the block decomposition ("cstar") or the
-    K-pair ("k")."""
-    if kind not in ("cstar", "k"):
-        raise ValueError('kind must be "cstar" or "k"')
-    entries = []
-    for cover in enumerate_covers(space, None):
-        fp = fingerprint_of(cover, cap_vertices)
-        if kind == "cstar":
-            entries.append(fp.blocks.blocks)
-        else:
-            entries.append(fp.project("ktheory"))
-    return StructureMultiset(kind=kind, entries=tuple(sorted(entries)))

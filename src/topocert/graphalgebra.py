@@ -23,9 +23,6 @@ from .digraphs import (
 from .errors import CapExceeded, NotAcyclic
 from .snf import diagonal, smith_normal_form
 
-# Hereditary/saturated enumeration is over all vertex subsets.
-HEREDITARY_ENUM_CAP = 16
-
 
 @dataclass(frozen=True)
 class BlockDecomposition:
@@ -162,41 +159,3 @@ def prim_space(g: DiGraph, cap: int = 64) -> PrimPoset:
         if i != j and tails[i] > tails[j]
     )
     return PrimPoset(points=tuple(tails), order=order)
-
-
-def hereditary_saturated_sets(g: DiGraph,
-                              cap: int = HEREDITARY_ENUM_CAP) -> tuple:
-    """All hereditary saturated vertex sets with their inclusion order.
-
-    Hereditary: edge heads of members are members.  Saturated: a non-sink all
-    of whose edge heads are members is a member.  Returns (sets, pairs) where
-    pairs (i, j) means sets[i] is a proper subset of sets[j].
-    """
-    if g.n > cap:
-        raise CapExceeded("graph vertices for ideal-lattice enumeration",
-                          cap, g.n)
-    out_masks = [0] * g.n
-    for u, v in g.edges:
-        out_masks[u] |= 1 << v
-    non_sinks = [v for v in range(g.n) if out_masks[v]]
-    found = []
-    for mask in range(1 << g.n):
-        ok = True
-        for v in range(g.n):
-            if mask >> v & 1:
-                if out_masks[v] & ~mask:
-                    ok = False  # not hereditary
-                    break
-            elif v in non_sinks and not (out_masks[v] & ~mask):
-                ok = False  # not saturated
-                break
-        if ok:
-            found.append(frozenset(v for v in range(g.n) if mask >> v & 1))
-    found.sort(key=lambda s: (len(s), tuple(sorted(s))))
-    pairs = [
-        (i, j)
-        for i in range(len(found))
-        for j in range(len(found))
-        if i != j and found[i] < found[j]
-    ]
-    return found, pairs

@@ -117,14 +117,19 @@ class LoadedInput:
         self.graph = graph
 
 
-def load_input(path: str) -> LoadedInput:
+def read_json(path: str):
+    """The JSON document in ``path``; ParseError if unreadable or invalid."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ParseError(path, f"cannot read file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(path, f"invalid JSON: {exc}") from exc
+
+
+def load_input(path: str) -> LoadedInput:
+    doc = read_json(path)
     try:
         return _interpret(doc)
     except ParseError:

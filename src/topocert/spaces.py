@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     CapExceeded,
@@ -19,7 +19,6 @@ from .errors import (
     MissingEmpty,
     MissingWhole,
     NotACover,
-    NotAHomeomorphism,
     NotClosedUnderIntersection,
     NotClosedUnderUnion,
     UnknownPoint,
@@ -63,9 +62,6 @@ class FiniteSpace:
         for p in subset:
             m |= self.point_bit[p]
         return m
-
-    def is_open(self, subset: Iterable) -> bool:
-        return self.mask_of(frozenset(subset)) in set(self.open_masks)
 
 
 @dataclass(frozen=True)
@@ -214,30 +210,3 @@ def enumerate_covers(space: FiniteSpace, n: Optional[int] = None) -> Iterator[Co
                 union |= masks[i]
             if union == full:
                 yield Cover(space=space, members=tuple(ne[i] for i in combo))
-
-
-def push_forward_cover(cover: Cover, mapping: Mapping, target: FiniteSpace) -> Cover:
-    """Image of a cover under a homeomorphism ``mapping`` onto ``target``.
-
-    The map must be a bijection of point sets carrying opens to opens in both
-    directions; otherwise NotAHomeomorphism reports a witness open.
-    """
-    src = cover.space
-    if set(mapping.keys()) != set(src.points):
-        raise ValueError("mapping must be defined on exactly the source points")
-    values = list(mapping.values())
-    if len(set(values)) != len(values) or set(values) != set(target.points):
-        raise ValueError("mapping must be a bijection onto the target points")
-    target_masks = set(target.open_masks)
-    src_masks = set(src.open_masks)
-    for u in src.opens:
-        image = frozenset(mapping[p] for p in u)
-        if target.mask_of(image) not in target_masks:
-            raise NotAHomeomorphism("image", u)
-    inverse = {v: k for k, v in mapping.items()}
-    for v in target.opens:
-        pre = frozenset(inverse[p] for p in v)
-        if src.mask_of(pre) not in src_masks:
-            raise NotAHomeomorphism("preimage", v)
-    members = tuple(frozenset(mapping[p] for p in m) for m in cover.members)
-    return Cover(space=target, members=members)

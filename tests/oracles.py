@@ -9,8 +9,8 @@ fraction-free elimination, and h-classes by dense rational sampling.
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from topocert import Circle, DiGraph, FullLine, Segment
-from topocert.spaces import FiniteSpace
+from topocert import Circle, DiGraph, FullLine, NotAHomeomorphism, Segment
+from topocert.spaces import Cover, FiniteSpace
 
 
 def brute_force_isomorphic(g1: DiGraph, g2: DiGraph) -> bool:
@@ -119,6 +119,33 @@ def subset_scan_covers(space: FiniteSpace, n=None):
                 found.append(frozenset(combo))
     return found
 
+
+
+def push_forward_cover(cover: Cover, mapping, target: FiniteSpace) -> Cover:
+    """Image of a cover under a homeomorphism ``mapping`` onto ``target``.
+
+    The map must be a bijection of point sets carrying opens to opens in both
+    directions; otherwise NotAHomeomorphism reports a witness open.
+    """
+    src = cover.space
+    if set(mapping.keys()) != set(src.points):
+        raise ValueError("mapping must be defined on exactly the source points")
+    values = list(mapping.values())
+    if len(set(values)) != len(values) or set(values) != set(target.points):
+        raise ValueError("mapping must be a bijection onto the target points")
+    target_masks = set(target.open_masks)
+    src_masks = set(src.open_masks)
+    for u in src.opens:
+        image = frozenset(mapping[p] for p in u)
+        if target.mask_of(image) not in target_masks:
+            raise NotAHomeomorphism("image", u)
+    inverse = {v: k for k, v in mapping.items()}
+    for v in target.opens:
+        pre = frozenset(inverse[p] for p in v)
+        if src.mask_of(pre) not in src_masks:
+            raise NotAHomeomorphism("preimage", v)
+    members = tuple(frozenset(mapping[p] for p in m) for m in cover.members)
+    return Cover(space=target, members=members)
 
 # -- dense sampling oracles for arrangements ----------------------------------
 

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +10,9 @@ from topocert import (
     Segment,
     SpaceSide,
     WitnessSide,
+    fingerprint_of,
+    hclasses_axis2d,
+    hclasses_of_intervals,
     nonhomeo_certificate,
     validate_topology,
     verify_certificate,
@@ -31,6 +35,11 @@ def plane_side():
 def line_witness_side():
     loaded = load_input(str(FIXTURES / "line_witness_covers.json"))
     return WitnessSide(name="line", covers=loaded.interval_specs)
+
+
+def three_point_side():
+    loaded = load_input(str(FIXTURES / "three_point_model.json"))
+    return SpaceSide(name="model", space=loaded.space)
 
 
 SEGMENT = DomainSide(name="segment", domain=Segment(F(0), F(1)))
@@ -126,3 +135,43 @@ class TestSearchBehavior:
         assert doc["caps"] == {"cap_cover": 5, "cap_vertices": 40}
         assert doc["version"]
         assert set(doc["listings"]) == {"segment", "circle"}
+
+
+class TestSides:
+    def test_exhaustive_flags(self):
+        s = validate_topology(["a"], [[], ["a"]])
+        assert SpaceSide(name="s", space=s).exhaustive
+        assert SEGMENT.exhaustive and LINE.exhaustive
+        assert not circle_side().exhaustive
+
+    def test_domain_side_needs_a_size(self):
+        with pytest.raises(ValueError):
+            SEGMENT.fingerprints(None, "graph", 5, 40)
+
+    def test_witness_side_all_sizes(self):
+        fs, family = line_witness_side().fingerprints(None, "graph", 5, 40)
+        assert fs.n is None and family == "2 witness cover(s)"
+
+    def test_cover_for_absent_key(self):
+        assert circle_side().cover_for(("no", "key"), 4, "graph", 40) is None
+
+
+@pytest.mark.parametrize("witness, exhaustive, n, level", [
+    (circle_side(), SEGMENT, 4, "graph"),
+    (plane_side(), LINE, 4, "graph"),
+    (line_witness_side(), three_point_side(), 7, "graph"),
+    (line_witness_side(), three_point_side(), 7, "cstar"),
+    (line_witness_side(), three_point_side(), 7, "ktheory"),
+], ids=["circle", "plane", "line-graph", "line-cstar", "line-ktheory"])
+def test_witness_cover_reproduces_witness_fingerprint(
+        tmp_path, witness, exhaustive, n, level):
+    # the certificate finds its witness cover by fingerprinting the witness
+    # covers again; that cover must give back the reported fingerprint
+    cert = nonhomeo_certificate(witness, exhaustive, (n, n), level)
+    assert cert is not None and cert.witness_side == witness.name
+    path = tmp_path / "witness.json"
+    path.write_text(json.dumps(cert.witness_cover))
+    loaded = load_input(str(path))
+    partition = (hclasses_axis2d(loaded.axis_spec) if loaded.kind == "axis2d"
+                 else hclasses_of_intervals(loaded.interval_specs[0]))
+    assert fingerprint_of(partition).to_json() == cert.witness_fingerprint

@@ -121,6 +121,13 @@ class TestCompareAndCertify:
         assert doc["verdict"] == "not_homeomorphic"
         assert doc["witness_side"] == "b"
 
+    def test_certify_rejects_n_zero(self, capsys):
+        code, out, err = run_cmd(capsys, command="certify",
+                                 input=fx("segment_domain.json"),
+                                 input_b=fx("circle_cover.json"), n=0)
+        assert code == 1 and out == ""
+        assert "n_range" in json.loads(err)["error"]["message"]
+
     def test_certify_nothing_found_exits_2(self, capsys):
         code, out, _ = run_cmd(capsys, command="certify",
                                input=fx("chain_3.json"),
@@ -195,6 +202,17 @@ class TestErrorMapping:
     def test_missing_file(self, capsys):
         code, _, err = run_cmd(capsys, command="validate", input="no/such/file.json")
         assert code == 3
+        assert json.loads(err)["error"]["detail"].startswith("cannot read file:")
+
+    def test_errors_name_the_file_at_fault(self, capsys):
+        domain = fx("segment_domain.json")
+        for kw in (dict(command="pg", input=domain),
+                   dict(command="compare", input=fx("chain_3.json"), input_b=domain),
+                   dict(command="hclasses", input=fx("chain_3.json")),
+                   dict(command="graph", input=domain)):
+            code, _, err = run_cmd(capsys, **kw)
+            assert code == 3
+            assert json.loads(err)["error"]["path"] == kw.get("input_b", kw["input"])
 
 
 class TestDeterminism:
@@ -233,6 +251,19 @@ class TestDeterminism:
             capture_output=True, env=env)
         assert out.returncode == 4
         assert json.loads(out.stderr)["error"]["kind"] == "CapExceeded"
+
+    def test_malformed_env_cap_is_a_parse_error(self):
+        import os
+
+        for name in ("TOPOCERT_CAP_COVER", "TOPOCERT_CAP_VERTICES"):
+            env = dict(os.environ, **{name: "five"})
+            out = subprocess.run(
+                [sys.executable, "-m", "topocert", "enumerate",
+                 "--input", fx("segment_domain.json"), "--n", "2"],
+                capture_output=True, env=env)
+            assert out.returncode == 3 and out.stdout == b""
+            err = json.loads(out.stderr)["error"]
+            assert err["kind"] == "ParseError" and err["path"] == name
 
     def test_text_format(self, capsys):
         code, out, _ = run_cmd(capsys, command="cstar",

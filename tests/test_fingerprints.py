@@ -16,7 +16,6 @@ from topocert import (
     make_cover,
     sets_match,
     singleton_fingerprint,
-    structure_multiset,
     validate_topology,
 )
 
@@ -159,28 +158,3 @@ class TestDomainSets:
         b = fingerprints_of_domain(FullLine(), 4, "graph")
         assert sets_match(a, b)
 
-
-class TestStructureMultiset:
-    def test_trivial(self):
-        ms = structure_multiset(TRIVIAL, "cstar")
-        assert ms.entries == ((1,),)
-
-    def test_chain2(self):
-        ms = structure_multiset(chain_space(2), "cstar")
-        assert ms.entries == ((1,), (2,))
-
-    def test_relabeled_spaces_equal(self):
-        rng = random.Random(5)
-        for _ in range(15):
-            s = random_space(rng, max_points=4, max_opens=8)
-            perm = list(s.points)
-            rng.shuffle(perm)
-            mapping = dict(zip(s.points, perm))
-            t = validate_topology(
-                s.points, [{mapping[p] for p in u} for u in s.opens])
-            for kind in ("cstar", "k"):
-                assert structure_multiset(s, kind) == structure_multiset(t, kind)
-
-    def test_kind_validation(self):
-        with pytest.raises(ValueError):
-            structure_multiset(TRIVIAL, "bogus")

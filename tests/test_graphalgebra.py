@@ -3,11 +3,9 @@ import random
 import pytest
 
 from topocert import (
-    CapExceeded,
     DiGraph,
     NotAcyclic,
     block_decomposition,
-    hereditary_saturated_sets,
     k_theory,
     maximal_tails,
     prim_space,
@@ -180,39 +178,3 @@ class TestInvarianceUnderIso:
             assert k_theory(g) == k_theory(h)
             assert prim_space(g).cert == prim_space(h).cert
 
-
-class TestHereditarySaturated:
-    def test_single_vertex(self):
-        sets, _ = hereditary_saturated_sets(antichain(1))
-        assert sets == [frozenset(), frozenset({0})]
-
-    def test_single_edge(self):
-        # {1} alone is hereditary but not saturated: vertex 0 sends its only
-        # edge into it, so saturation forces 0 in as well.  The two sets
-        # match the two ideals of the single 2x2 block this graph carries.
-        sets, pairs = hereditary_saturated_sets(
-            DiGraph(n=2, edges=frozenset({(0, 1)})))
-        assert sets == [frozenset(), frozenset({0, 1})]
-        assert pairs == [(0, 1)]
-
-    def test_three_isolated_full_lattice(self):
-        sets, _ = hereditary_saturated_sets(antichain(3))
-        assert len(sets) == 8
-
-    def test_brute_force_definition(self):
-        rng = random.Random(17)
-        for _ in range(40):
-            g = random_dag(rng, rng.randint(1, 6))
-            sets, _ = hereditary_saturated_sets(g)
-            for h in sets:
-                for v in h:
-                    assert g.out_sets[v] <= h
-            # saturation: no missing forced vertex
-            for h in sets:
-                for v in range(g.n):
-                    if v not in h and g.out_sets[v] and g.out_sets[v] <= h:
-                        raise AssertionError("saturation violated")
-
-    def test_cap(self):
-        with pytest.raises(CapExceeded):
-            hereditary_saturated_sets(antichain(17))

@@ -12,11 +12,10 @@ from topocert import (
     generate_topology,
     hpartition_of_cover,
     make_cover,
-    push_forward_cover,
     validate_topology,
 )
 
-from oracles import random_space, subset_scan_covers
+from oracles import push_forward_cover, random_space, subset_scan_covers
 
 
 class TestValidateTopology:
