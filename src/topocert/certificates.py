@@ -99,13 +99,13 @@ class WitnessSide:
         return (collect_fingerprints(fps, level, n),
                 f"{len(specs)} witness cover(s)")
 
-    def cover_for(self, key: tuple, n: Optional[int], level: str,
+    def cover_for(self, detail: dict, n: Optional[int],
                   cap_vertices: int) -> Optional[dict]:
-        """JSON of the first witness cover whose fingerprint projects to
-        ``key``.  Covers are fingerprinted again, one at a time, and only
+        """JSON of the first witness cover whose fingerprint reports exactly
+        ``detail``.  Covers are fingerprinted again, one at a time, and only
         until the match, so a search that finds nothing pays nothing here."""
         for spec in self._sized(n):
-            if fingerprint_of(_partition_of(spec), cap_vertices).project(level) == key:
+            if fingerprint_of(_partition_of(spec), cap_vertices).to_json() == detail:
                 if isinstance(spec, AxisAlignedSpec):
                     return axis_spec_json(spec)
                 return interval_spec_json(spec)
@@ -170,7 +170,7 @@ def nonhomeo_certificate(side_a: Side, side_b: Side, n_range: Tuple[int, int],
                     witness_side=side_w.name,
                     witness_fingerprint=fs_w.details[idx],
                     witness_cover=None if side_w.exhaustive else
-                    side_w.cover_for(key, n, level, cap_vertices),
+                    side_w.cover_for(fs_w.details[idx], n, cap_vertices),
                     exhaustive_side={
                         "name": side_e.name,
                         "family": fam_e,

@@ -130,19 +130,26 @@ class FingerprintSet:
 
 def collect_fingerprints(fps: Iterable[Fingerprint], level: str,
                          n: Optional[int]) -> FingerprintSet:
+    """Distinct keys at ``level``; each key's detail is the realizing
+    fingerprint with the smallest content, so it depends only on the set of
+    fingerprints and never on the order they arrive in."""
     if level not in LEVELS:
         raise LevelMismatch(f"unknown level {level!r}")
     chosen = {}
     for fp in fps:
         key = fp.project(level)
-        if key not in chosen:
-            chosen[key] = fp.to_json()
+        k = fp.kpair
+        # everything to_json reports, as one sortable tuple
+        content = (fp.graph_cert.blob, fp.blocks.blocks,
+                   (k.k0_rank, k.k0_torsion, k.k1_rank), tuple(sorted(fp.prim.order)))
+        if key not in chosen or content < chosen[key][0]:
+            chosen[key] = (content, fp)
     keys = sorted(chosen)
     return FingerprintSet(
         level=level,
         n=n,
         elements=tuple(keys),
-        details=tuple(chosen[k] for k in keys),
+        details=tuple(chosen[k][1].to_json() for k in keys),
     )
 
 

@@ -153,7 +153,7 @@ class TestSides:
         assert fs.n is None and family == "2 witness cover(s)"
 
     def test_cover_for_absent_key(self):
-        assert circle_side().cover_for(("no", "key"), 4, "graph", 40) is None
+        assert circle_side().cover_for({"no": "detail"}, 4, 40) is None
 
 
 @pytest.mark.parametrize("witness, exhaustive, n, level", [

@@ -9,6 +9,7 @@ from topocert import (
     Segment,
     empty_space_fingerprints,
     enumerate_covers,
+    enumerate_interval_cover_types,
     fingerprint_of,
     fingerprints_of_domain,
     fingerprints_of_space,
@@ -18,6 +19,8 @@ from topocert import (
     singleton_fingerprint,
     validate_topology,
 )
+
+from topocert.fingerprints import LEVELS, collect_fingerprints
 
 from oracles import random_space
 
@@ -158,3 +161,15 @@ class TestDomainSets:
         b = fingerprints_of_domain(FullLine(), 4, "graph")
         assert sets_match(a, b)
 
+
+    def test_details_do_not_depend_on_stream_order(self):
+        # several covers share a cstar or ktheory key with different details;
+        # the reported detail must not be whichever arrives first
+        fps = [fingerprint_of(p)
+               for p in enumerate_interval_cover_types(FullLine(), 4)]
+        shuffled = fps[:]
+        random.Random(8).shuffle(shuffled)
+        for level in LEVELS:
+            want = collect_fingerprints(fps, level, 4).to_json()
+            assert collect_fingerprints(fps[::-1], level, 4).to_json() == want
+            assert collect_fingerprints(shuffled, level, 4).to_json() == want
