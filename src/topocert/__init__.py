@@ -43,7 +43,6 @@ from .errors import (
     MissingEmpty,
     MissingWhole,
     NotACover,
-    NotAHomeomorphism,
     NotAcyclic,
     NotClosedUnderIntersection,
     NotClosedUnderUnion,
@@ -78,7 +77,6 @@ from .hasse import (
     hasse_digraph,
     hpartition_of_cover,
     make_hpartition,
-    same_type,
 )
 from .snf import smith_normal_form
 from .spaces import (

@@ -342,62 +342,18 @@ def hclasses_axis2d(spec: AxisAlignedSpec) -> HPartition:
 
 # -- exhaustive combinatorial types of interval covers ------------------------
 
-def _segment_choices(m: int) -> List[tuple]:
-    """Member descriptors over slots 0..m+1 (0 = left boundary, m+1 = right).
+def _slot_choices(m: int, closed: bool) -> List[tuple]:
+    """Members as slot triples (a, b, closed_lo) over slots 0..m+1, each
+    with a bitmask of the interior slots 1..m it uses.
 
-    ("L", h): [segment.lo, value(h));  ("O", a, b): (value(a), value(b)).
-    The attached bitmask records which interior slots 1..m the member uses.
+    Slot 0 is the left end of the domain and m+1 the right end.  Open pairs
+    (a, b) serve both domains; ``closed`` adds the [slot 0, b) members first.
     """
     top = m + 1
-    out = []
-    for h in range(1, top + 1):
-        out.append((("L", h), _slot_mask((h,), m)))
-    for a in range(0, top):
-        for b in range(a + 1, top + 1):
-            out.append((("O", a, b), _slot_mask((a, b), m)))
-    return out
-
-
-def _line_choices(m: int) -> List[tuple]:
-    """("W",) whole line; ("RL", b) (-inf, b); ("RR", a) (a, inf); ("O", a, b)."""
-    out = [(("W",), 0)]
-    for b in range(1, m + 1):
-        out.append((("RL", b), _slot_mask((b,), m)))
-    for a in range(1, m + 1):
-        out.append((("RR", a), _slot_mask((a,), m)))
-    for a in range(1, m + 1):
-        for b in range(a + 1, m + 1):
-            out.append((("O", a, b), _slot_mask((a, b), m)))
-    return out
-
-
-def _slot_mask(slots, m: int) -> int:
-    mask = 0
-    for s in slots:
-        if 1 <= s <= m:
-            mask |= 1 << (s - 1)
-    return mask
-
-
-def _segment_member(domain: Segment, desc: tuple, m: int) -> Interval:
-    span = domain.hi - domain.lo
-
-    def value(slot: int) -> Fraction:
-        return domain.lo + span * Fraction(slot, m + 1)
-
-    if desc[0] == "L":
-        return Interval(lo=domain.lo, hi=value(desc[1]), closed_lo=True)
-    return Interval(lo=value(desc[1]), hi=value(desc[2]))
-
-
-def _line_member(desc: tuple) -> Interval:
-    if desc[0] == "W":
-        return Interval(lo=None, hi=None)
-    if desc[0] == "RL":
-        return Interval(lo=None, hi=Fraction(desc[1]))
-    if desc[0] == "RR":
-        return Interval(lo=Fraction(desc[1]), hi=None)
-    return Interval(lo=Fraction(desc[1]), hi=Fraction(desc[2]))
+    triples = [(0, b, True) for b in range(1, top + 1)] if closed else []
+    triples += [(a, b, False) for a in range(top) for b in range(a + 1, top + 1)]
+    return [((a, b, c), sum(1 << (s - 1) for s in (a, b) if 1 <= s <= m))
+            for a, b, c in triples]
 
 
 def enumerate_interval_cover_types(domain, n: int,
@@ -418,24 +374,30 @@ def enumerate_interval_cover_types(domain, n: int,
     if n > cap:
         raise CapExceeded("interval cover size", cap, n)
     if isinstance(domain, Segment):
-        choices, build = _segment_choices, lambda d, m: _segment_member(domain, d, m)
+        span = domain.hi - domain.lo
+
+        def value(s: int, m: int) -> Fraction:
+            return domain.lo + span * Fraction(s, m + 1)
     elif isinstance(domain, FullLine):
-        choices, build = _line_choices, lambda d, m: _line_member(d)
+        def value(s: int, m: int) -> Optional[Fraction]:
+            return None if s in (0, m + 1) else Fraction(s)  # ends unbounded
     else:
         raise InvalidArrangement(
             "cover-type enumeration supports segment and line domains"
         )
+    closed = isinstance(domain, Segment)
     seen = set()
     for m in range(0, 2 * n + 1):
         full = (1 << m) - 1
-        pool = choices(m)
+        pool = _slot_choices(m, closed)
         for combo in combinations(pool, n):
             used = 0
             for _, mask in combo:
                 used |= mask
             if used != full:
                 continue  # an unused interior slot reproduces a smaller m
-            members = tuple(build(desc, m) for desc, _ in combo)
+            members = tuple(Interval(value(a, m), value(b, m), c)
+                            for (a, b, c), _ in combo)
             spec = IntervalSpec(domain=domain, members=members)
             try:
                 partition = hclasses_of_intervals(spec)

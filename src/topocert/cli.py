@@ -6,7 +6,7 @@ a JSON error object on stderr with a stable exit code:
 
   0  success
   2  negative result (invalid topology / sets differ / nothing certifiable)
-  3  ParseError   4 CapExceeded   5 NotACover   6 NotAHomeomorphism
+  3  ParseError   4 CapExceeded   5 NotACover
   1  any other error
 """
 
@@ -35,7 +35,6 @@ from .digraphs import DEFAULT_VERTEX_CAP, to_dot
 from .errors import (
     CapExceeded,
     NotACover,
-    NotAHomeomorphism,
     ParseError,
     TopocertError,
     TopologyError,
@@ -61,7 +60,6 @@ _ERROR_CODES = {
     ParseError: 3,
     CapExceeded: 4,
     NotACover: 5,
-    NotAHomeomorphism: 6,
 }
 
 
@@ -90,9 +88,12 @@ def _env_cap(name: str, fallback: int) -> int:
     if raw is None:
         return fallback
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
-        raise ParseError(name, f"not an integer: {raw!r}") from None
+        value = 0
+    if value < 1:
+        raise ParseError(name, f"not a positive integer: {raw!r}")
+    return value
 
 
 def _emit(config: RunConfig, text: str) -> None:
@@ -287,8 +288,16 @@ def _text_render(doc: dict, indent: str = "") -> str:
     return "\n".join(lines) + "\n"
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a JSON error (exit 1) instead of
+    argparse's usage text and exit 2, which means a negative result here."""
+
+    def error(self, message):
+        sys.exit(_emit_error(TopocertError(message)))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="topocert",
         description="Open-cover invariants and non-homeomorphism certificates.",
     )

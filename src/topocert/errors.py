@@ -116,23 +116,6 @@ class InvalidArrangement(TopocertError):
     kind = "InvalidArrangement"
 
 
-class NotAHomeomorphism(TopocertError):
-    """A point bijection fails to carry opens to opens."""
-
-    kind = "NotAHomeomorphism"
-
-    def __init__(self, direction: str, witness):
-        self.direction = direction
-        self.witness = witness
-        super().__init__(
-            f"not a homeomorphism: {direction} of open {sorted(map(str, witness))}"
-            " is not open"
-        )
-
-    def payload(self):
-        return {"direction": self.direction, "witness": sorted(map(str, self.witness))}
-
-
 class NotAcyclic(TopocertError):
     """An operation that needs an acyclic digraph received a cyclic one."""
 

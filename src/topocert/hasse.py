@@ -9,10 +9,9 @@ nothing stay edgeless.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations
 from typing import Iterable
 
-from .digraphs import DiGraph
+from .digraphs import CanonicalCert, DiGraph, canonical_cert
 from .spaces import Cover
 
 
@@ -84,23 +83,18 @@ def hasse_digraph(partition: HPartition) -> DiGraph:
     return DiGraph(n=k, edges=frozenset(edges), labels=cls)
 
 
-def canonical_key(partition: HPartition) -> tuple:
-    """Label-independent identity of a partition.
+def canonical_key(partition: HPartition) -> CanonicalCert:
+    """Label-independent identity of a partition, used to deduplicate
+    combinatorial cover types.
 
-    Minimum, over all permutations of member indices, of the sorted relabeled
-    class list.  Used to deduplicate combinatorial cover types.
+    The canonical certificate of the member->class incidence digraph:
+    members 0..n-1, then one vertex per class, and an edge i->n+j when member
+    i lies in class j.  Members are exactly the vertices of in-degree 0, so
+    two keys are equal exactly when the partitions agree up to relabeling
+    the members.  A digraph above the default vertex cap raises CapExceeded.
     """
     n = partition.member_count
-    best = None
-    for perm in permutations(range(n)):
-        relabeled = sorted(
-            tuple(sorted(perm[i] for i in c)) for c in partition.classes
-        )
-        key = tuple(relabeled)
-        if best is None or key < best:
-            best = key
-    return (n, best)
-
-
-def same_type(p1: HPartition, p2: HPartition) -> bool:
-    return canonical_key(p1) == canonical_key(p2)
+    edges = frozenset(
+        (i, n + j) for j, c in enumerate(partition.classes) for i in c
+    )
+    return canonical_cert(DiGraph(n=n + len(partition.classes), edges=edges))

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
+from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -26,6 +27,7 @@ from .errors import (
 
 # Exhaustive all-size cover enumeration walks 2^k subsets of the k nonempty
 # opens; past this many opens the walk is refused rather than left to run.
+# A one-size walk may scan as many subsets as the all-size walk at the cap.
 ENUMERABLE_OPENS_CAP = 16
 
 
@@ -197,6 +199,10 @@ def enumerate_covers(space: FiniteSpace, n: Optional[int] = None) -> Iterator[Co
     if n is not None:
         if n < 1:
             raise ValueError("cover size must be positive")
+        subsets, limit = comb(len(ne), n), 2 ** ENUMERABLE_OPENS_CAP - 1
+        if subsets > limit:
+            raise CapExceeded(f"{n}-member subsets of the opens to scan",
+                              limit, subsets)
         sizes: Iterable[int] = [n] if n <= len(ne) else []
     else:
         if len(ne) > ENUMERABLE_OPENS_CAP:

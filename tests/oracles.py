@@ -9,7 +9,14 @@ fraction-free elimination, and h-classes by dense rational sampling.
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from topocert import Circle, DiGraph, FullLine, NotAHomeomorphism, Segment
+from topocert import (
+    Circle,
+    DiGraph,
+    FullLine,
+    Segment,
+    TopocertError,
+    make_hpartition,
+)
 from topocert.spaces import Cover, FiniteSpace
 
 
@@ -120,6 +127,19 @@ def subset_scan_covers(space: FiniteSpace, n=None):
     return found
 
 
+class NotAHomeomorphism(TopocertError):
+    """A point bijection fails to carry opens to opens."""
+
+    kind = "NotAHomeomorphism"
+
+    def __init__(self, direction: str, witness):
+        self.direction = direction
+        self.witness = witness
+        super().__init__(
+            f"not a homeomorphism: {direction} of open {sorted(map(str, witness))}"
+            " is not open"
+        )
+
 
 def push_forward_cover(cover: Cover, mapping, target: FiniteSpace) -> Cover:
     """Image of a cover under a homeomorphism ``mapping`` onto ``target``.
@@ -146,6 +166,16 @@ def push_forward_cover(cover: Cover, mapping, target: FiniteSpace) -> Cover:
             raise NotAHomeomorphism("preimage", v)
     members = tuple(frozenset(mapping[p] for p in m) for m in cover.members)
     return Cover(space=target, members=members)
+
+def brute_force_type_key(partition) -> tuple:
+    """Partition identity up to relabeling the members: the least sorted
+    class list over all n! member permutations."""
+    n = partition.member_count
+    return (n, min(
+        tuple(sorted(tuple(sorted(perm[i] for i in c)) for c in partition.classes))
+        for perm in permutations(range(n))
+    ))
+
 
 # -- dense sampling oracles for arrangements ----------------------------------
 
@@ -266,6 +296,20 @@ def random_dag(rng, n: int, p: float = 0.35) -> DiGraph:
             if rng.random() < p:
                 edges.add((order[i], order[j]))
     return DiGraph(n=n, edges=frozenset(edges))
+
+
+def random_partition(rng, max_members: int = 4):
+    """Random partition on at most ``max_members`` members, together with a
+    copy whose members are shuffled (same type, different labels)."""
+    n = rng.randint(1, max_members)
+    masks = rng.sample(range(1, 2 ** n), rng.randint(1, min(6, 2 ** n - 1)))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return tuple(
+        make_hpartition([frozenset(p[i] for i in range(n) if m >> i & 1)
+                         for m in masks], n)
+        for p in (range(n), perm)
+    )
 
 
 def random_space(rng, max_points: int = 5, max_opens: int = 8):

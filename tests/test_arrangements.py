@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
 
@@ -21,7 +22,11 @@ from topocert import (
     make_interval_spec,
 )
 
-from oracles import sampled_interval_classes, sampled_plane_classes
+from oracles import (
+    brute_force_type_key,
+    sampled_interval_classes,
+    sampled_plane_classes,
+)
 
 SEG = Segment(F(0), F(1))
 
@@ -251,3 +256,74 @@ class TestEnumerateTypes:
         for t in enumerate_interval_cover_types(SEG, 3):
             assert all(t.classes)
             assert len(set(t.classes)) == len(t.classes)
+
+
+@lru_cache(maxsize=None)
+def types_of(domain, n):
+    return tuple(enumerate_interval_cover_types(domain, n))
+
+
+def random_cover(rng, domain, n):
+    """n members whose ends come from a few random rationals (and, on a
+    segment, its two ends; on the line, unbounded), so tied and shared
+    endpoints, boundary-touching members, closed_lo members and rays are
+    all common."""
+    if isinstance(domain, Segment):
+        span = domain.hi - domain.lo
+        pool = [domain.lo, domain.hi] + [
+            domain.lo + span * F(rng.randint(1, 29), 30)
+            for _ in range(rng.randint(0, 3))]
+    else:
+        pool = [None] + [F(rng.randint(-9, 9), rng.randint(1, 4))
+                         for _ in range(rng.randint(1, 4))]
+    members = []
+    for _ in range(n):
+        lo, hi = rng.choice(pool), rng.choice(pool)
+        if lo is not None and hi is not None and lo > hi:
+            lo, hi = hi, lo
+        closed = (isinstance(domain, Segment) and lo == domain.lo
+                  and rng.random() < 0.5)
+        members.append(Interval(lo, hi, closed))
+    return make_interval_spec(domain, members)
+
+
+class TestExhaustiveness:
+    DOMAINS = (Segment(F(-1, 3), F(5, 2)), FullLine())
+
+    def test_key_agrees_with_brute_force_on_both_streams(self):
+        # pooled over both domains, so equal types across the two streams
+        # must get equal keys as well
+        new_to_ref, ref_to_new = {}, {}
+        for domain in self.DOMAINS:
+            for n in range(1, 5):
+                for t in types_of(domain, n):
+                    new, ref = canonical_key(t), brute_force_type_key(t)
+                    assert new_to_ref.setdefault(new, ref) == ref
+                    assert ref_to_new.setdefault(ref, new) == new
+        assert len(new_to_ref) == 1 + 2 + 12 + 114
+
+    def test_random_covers_have_enumerated_types(self):
+        # the direction every DomainSide certificate rests on: whatever
+        # cover is drawn, its type is in the exhaustive stream
+        rng = random.Random(2)
+        seen = {"tie": 0, "closed_lo": 0, "boundary": 0, "ray": 0}
+        for domain in self.DOMAINS:
+            for n in range(1, 5):
+                keys = {canonical_key(t) for t in types_of(domain, n)}
+                count = 0
+                while count < 200:
+                    try:
+                        spec = random_cover(rng, domain, n)
+                        part = hclasses_of_intervals(spec)
+                    except (NotACover, InvalidArrangement, EmptyMember):
+                        continue
+                    count += 1
+                    assert canonical_key(part) in keys
+                    ends = [v for m in spec.members for v in (m.lo, m.hi)]
+                    finite = [v for v in ends if v is not None]
+                    seen["tie"] += len(set(finite)) < len(finite)
+                    seen["ray"] += None in ends
+                    seen["closed_lo"] += any(m.closed_lo for m in spec.members)
+                    seen["boundary"] += isinstance(domain, Segment) and any(
+                        v in (domain.lo, domain.hi) for v in finite)
+        assert all(seen.values()), seen

@@ -256,14 +256,28 @@ class TestDeterminism:
         import os
 
         for name in ("TOPOCERT_CAP_COVER", "TOPOCERT_CAP_VERTICES"):
-            env = dict(os.environ, **{name: "five"})
-            out = subprocess.run(
-                [sys.executable, "-m", "topocert", "enumerate",
-                 "--input", fx("segment_domain.json"), "--n", "2"],
-                capture_output=True, env=env)
-            assert out.returncode == 3 and out.stdout == b""
-            err = json.loads(out.stderr)["error"]
-            assert err["kind"] == "ParseError" and err["path"] == name
+            for raw in ("five", "0", "-3"):
+                env = dict(os.environ, **{name: raw})
+                out = subprocess.run(
+                    [sys.executable, "-m", "topocert", "enumerate",
+                     "--input", fx("segment_domain.json"), "--n", "2"],
+                    capture_output=True, env=env)
+                assert out.returncode == 3 and out.stdout == b""
+                err = json.loads(out.stderr)["error"]
+                assert err["kind"] == "ParseError" and err["path"] == name
+
+    def test_bad_command_line_is_a_json_error_not_a_negative_result(self):
+        # argparse's own exit code 2 would read as "sets differ"
+        chain = fx("chain_4.json")
+        for argv in (["pg", "--input", chain, "--n", "abc"],
+                     ["pg", "--input", chain, "--cap-cover", "x"],
+                     ["pg", "--input", chain, "--level", "nope"],
+                     ["pg"],
+                     ["bogus"]):
+            out = subprocess.run([sys.executable, "-m", "topocert", *argv],
+                                 capture_output=True)
+            assert out.returncode == 1 and out.stdout == b""
+            assert json.loads(out.stderr)["error"]["kind"] == "Error"
 
     def test_text_format(self, capsys):
         code, out, _ = run_cmd(capsys, command="cstar",

@@ -1,9 +1,12 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from topocert import (
+    CapExceeded,
     canonical_cert,
+    canonical_key,
     enumerate_covers,
     generate_topology,
     hasse_digraph,
@@ -11,11 +14,15 @@ from topocert import (
     make_cover,
     make_hpartition,
     relabel,
-    same_type,
     validate_topology,
 )
 
-from oracles import random_space, transitive_reduction
+from oracles import (
+    brute_force_type_key,
+    random_partition,
+    random_space,
+    transitive_reduction,
+)
 
 
 def chain_space(k):
@@ -139,9 +146,27 @@ class TestCanonicalKey:
     def test_member_relabel_same_type(self):
         p1 = make_hpartition([frozenset({0}), frozenset({0, 1})], member_count=2)
         p2 = make_hpartition([frozenset({1}), frozenset({0, 1})], member_count=2)
-        assert same_type(p1, p2)
+        assert canonical_key(p1) == canonical_key(p2)
 
     def test_different_types_differ(self):
         p1 = make_hpartition([frozenset({0}), frozenset({0, 1})], member_count=2)
         p2 = make_hpartition([frozenset({0}), frozenset({1})], member_count=2)
-        assert not same_type(p1, p2)
+        assert canonical_key(p1) != canonical_key(p2)
+
+    def test_agrees_with_brute_force_key_on_random_partitions(self):
+        # the two keys induce the same equality: each maps onto the other
+        rng = random.Random(71)
+        new_to_ref, ref_to_new = {}, {}
+        for _ in range(1500):
+            for p in random_partition(rng):
+                new, ref = canonical_key(p), brute_force_type_key(p)
+                assert new_to_ref.setdefault(new, ref) == ref
+                assert ref_to_new.setdefault(ref, new) == new
+        assert len(new_to_ref) > 100
+
+    def test_too_many_vertices_is_capped(self):
+        # 6 members and 35 classes make 41 incidence vertices, over the
+        # default cap of 40
+        classes = [frozenset(c) for k in (1, 2, 3) for c in combinations(range(6), k)]
+        with pytest.raises(CapExceeded):
+            canonical_key(make_hpartition(classes[:35], member_count=6))

@@ -3,10 +3,10 @@ import random
 import pytest
 
 from topocert import (
+    CapExceeded,
     DuplicatePoint,
     MissingEmpty,
     MissingWhole,
-    NotAHomeomorphism,
     NotClosedUnderUnion,
     enumerate_covers,
     generate_topology,
@@ -15,7 +15,12 @@ from topocert import (
     validate_topology,
 )
 
-from oracles import push_forward_cover, random_space, subset_scan_covers
+from oracles import (
+    NotAHomeomorphism,
+    push_forward_cover,
+    random_space,
+    subset_scan_covers,
+)
 
 
 class TestValidateTopology:
@@ -94,6 +99,17 @@ class TestEnumerateCovers:
     def test_no_covers_larger_than_opens(self):
         s = generate_topology(["neg", "zero", "pos"], [["neg"], ["pos"], ["zero"]])
         assert list(enumerate_covers(s, 8)) == []
+
+    def test_one_size_walk_is_capped_like_the_all_size_walk(self):
+        # 63 nonempty opens: C(63, 4) subsets exceed the 2^16 - 1 that the
+        # all-size walk may scan at its cap, C(63, 3) do not
+        pts = [str(i) for i in range(6)]
+        s = generate_topology(pts, [[p] for p in pts])
+        for n in (4, 8):
+            with pytest.raises(CapExceeded):
+                next(enumerate_covers(s, n))
+        assert len(list(enumerate_covers(s, 2))) == 363
+        assert next(enumerate_covers(s, 3)).members
 
     def test_size_one_is_whole_space(self):
         rng = random.Random(3)
