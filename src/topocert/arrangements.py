@@ -3,8 +3,9 @@
 Three families stand in for the classical spaces whose point sets are
 infinite: intervals on a half-open segment, arcs on a circle, and
 axis-aligned strict-inequality regions in the plane.  Density classes are
-computed by walking the finitely many cells the endpoints induce, so only
-the order of endpoints matters and there are no floating-point ties.
+read off one exact sample point per cell that the endpoints cut the domain
+into, so only the order of endpoints matters and there are no floating-point
+ties.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional
 
 from .errors import CapExceeded, EmptyMember, InvalidArrangement, NotACover
 from .hasse import HPartition, canonical_key, make_hpartition
@@ -148,75 +149,46 @@ def _contains(domain, member: Interval, x: Fraction) -> bool:
     return True
 
 
-def _cells(spec: IntervalSpec) -> List[Tuple[str, Fraction]]:
-    """(description, sample point) per cell, in walk order.
-
-    Cells are the endpoint singletons plus the open stretches between them;
-    membership is constant on each because no endpoint lies inside.
+def _samples(cuts) -> List[Fraction]:
+    """One point in each cell of the line cut at ``cuts``: every cut, the
+    midpoint of each pair of neighbouring cuts, and one point beyond either
+    end; ``[0]`` when there are no cuts.  Membership in a member whose ends
+    are among the cuts is constant on every cell.
     """
-    domain = spec.domain
-    vals = set()
-    for m in spec.members:
-        for v in (m.lo, m.hi):
-            if v is None:
-                continue
-            if isinstance(domain, Segment):
-                if domain.lo <= v < domain.hi:
-                    vals.add(v)
-            else:
-                vals.add(v)
-    cells: List[Tuple[str, Fraction]] = []
-    if isinstance(domain, Segment):
-        vals.add(domain.lo)
-        vs = sorted(vals)
-        for i, v in enumerate(vs):
-            cells.append((f"{{{v}}}", v))
-            nxt = vs[i + 1] if i + 1 < len(vs) else domain.hi
-            if v < nxt:
-                cells.append((f"({v},{nxt})", (v + nxt) / 2))
-    elif isinstance(domain, FullLine):
-        vs = sorted(vals)
-        if not vs:
-            return [("(-inf,inf)", Fraction(0))]
-        cells.append((f"(-inf,{vs[0]})", vs[0] - 1))
-        for i, v in enumerate(vs):
-            cells.append((f"{{{v}}}", v))
-            if i + 1 < len(vs):
-                nxt = vs[i + 1]
-                cells.append((f"({v},{nxt})", (v + nxt) / 2))
-        cells.append((f"({vs[-1]},inf)", vs[-1] + 1))
-    else:  # Circle
-        c = domain.circumference
-        vs = sorted(vals)
-        for i, v in enumerate(vs):
-            cells.append((f"{{{v}}}", v))
-            if i + 1 < len(vs):
-                nxt = vs[i + 1]
-                cells.append((f"({v},{nxt})", (v + nxt) / 2))
-        # wrap-around stretch from the last endpoint back to the first
-        wrap_mid = ((vs[-1] + vs[0] + c) / 2) % c
-        cells.append((f"({vs[-1]},{vs[0]}+wrap)", wrap_mid))
-    return cells
+    vs = sorted(set(cuts))
+    if not vs:
+        return [Fraction(0)]
+    out = [vs[0] - 1]
+    for a, b in zip(vs, vs[1:]):
+        out += (a, (a + b) / 2)
+    out += (vs[-1], vs[-1] + 1)
+    return out
 
 
 def hclasses_of_intervals(spec: IntervalSpec) -> HPartition:
-    """Density classes of an interval/arc cover via the cell walk."""
-    for idx, m in enumerate(spec.members):
-        _validate_interval(spec.domain, m, idx)
-    classes = []
-    seen = set()
-    for desc, sample in _cells(spec):
-        h = frozenset(
-            i for i, m in enumerate(spec.members)
-            if _contains(spec.domain, m, sample)
-        )
+    """Density classes of an interval/arc cover from one point per cell."""
+    domain, members = spec.domain, spec.members
+    for idx, m in enumerate(members):
+        _validate_interval(domain, m, idx)
+    ends = [v for m in members for v in (m.lo, m.hi) if v is not None]
+    if isinstance(domain, Segment):
+        # validated ends lie in [lo, hi]: keep the cells of [lo, hi)
+        points = _samples(ends + [domain.lo, domain.hi])[1:-2]
+    elif isinstance(domain, Circle):
+        # the cells before the first cut and after the last are one arc
+        c = domain.circumference
+        points = _samples(ends)[:-1]
+        points[0] = ((points[-1] + points[1] + c) / 2) % c
+    else:
+        points = _samples(ends)
+    classes = set()
+    for x in points:
+        h = frozenset(i for i, m in enumerate(members) if _contains(domain, m, x))
         if not h:
-            raise NotACover(f"cell {desc}")
-        if h not in seen:
-            seen.add(h)
-            classes.append(h)
-    src = f"{spec.domain.describe()} cover(n={len(spec.members)})"
-    return make_hpartition(classes, len(spec.members), src)
+            raise NotACover(f"point {x}")
+        classes.add(h)
+    src = f"{domain.describe()} cover(n={len(members)})"
+    return make_hpartition(classes, len(members), src)
 
 
 # -- axis-aligned plane covers ------------------------------------------------
@@ -250,93 +222,23 @@ def make_axis_spec(members) -> AxisAlignedSpec:
     return AxisAlignedSpec(members=tuple(ms))
 
 
-def _axis_cells(thresholds: List[Fraction]) -> List[tuple]:
-    """1D cells of the threshold grid as ("lt"|"eq"|"between"|"gt", values)."""
-    ts = sorted(set(thresholds))
-    if not ts:
-        return [("all",)]
-    cells: List[tuple] = [("lt", ts[0])]
-    for i, t in enumerate(ts):
-        cells.append(("eq", t))
-        if i + 1 < len(ts):
-            cells.append(("between", t, ts[i + 1]))
-    cells.append(("gt", ts[-1]))
-    return cells
-
-
-def _cell_satisfies(cell: tuple, op: str, c: Fraction) -> bool:
-    """Whether a whole 1D grid cell satisfies ``var op c``.
-
-    Constraint thresholds are grid thresholds, so satisfaction is constant
-    on every cell.
-    """
-    kind = cell[0]
-    if kind == "all":
-        return False  # no thresholds means no constraints on this axis
-    if op == "<":
-        if kind == "lt":
-            return cell[1] <= c
-        if kind == "eq":
-            return cell[1] < c
-        if kind == "between":
-            return cell[2] <= c
-        return False
-    if kind == "gt":
-        return cell[1] >= c
-    if kind == "eq":
-        return cell[1] > c
-    if kind == "between":
-        return cell[1] >= c
-    return False
-
-
-def _cell_desc(var: str, cell: tuple) -> str:
-    kind = cell[0]
-    if kind == "all":
-        return f"{var} free"
-    if kind == "lt":
-        return f"{var}<{cell[1]}"
-    if kind == "eq":
-        return f"{var}={cell[1]}"
-    if kind == "between":
-        return f"{cell[1]}<{var}<{cell[2]}"
-    return f"{var}>{cell[1]}"
-
-
 def hclasses_axis2d(spec: AxisAlignedSpec) -> HPartition:
-    """Density classes of an axis-aligned plane cover via the threshold grid.
-
-    The plane is refined into the grid of all constraint thresholds (open
-    boxes, threshold lines and their crossings); membership is evaluated
-    symbolically per cell and the distinct member sets are collected.
-    """
+    """Density classes of an axis-aligned plane cover from one point per
+    cell of the grid the constraint thresholds cut the plane into."""
     spec = make_axis_spec(spec.members)  # re-validate, normalizes nothing
-    per_var = {v: [] for v in _AXIS_VARS}
-    for conj in spec.members:
-        for con in conj:
-            per_var[con.var].append(con.c)
-    xcells = _axis_cells(per_var["x"])
-    ycells = _axis_cells(per_var["y"])
-    classes = []
-    seen = set()
-    for xc in xcells:
-        for yc in ycells:
-            h = set()
-            for i, conj in enumerate(spec.members):
-                ok = True
-                for con in conj:
-                    cell = xc if con.var == "x" else yc
-                    if not _cell_satisfies(cell, con.op, con.c):
-                        ok = False
-                        break
-                if ok:
-                    h.add(i)
+    cuts = {v: [con.c for conj in spec.members for con in conj if con.var == v]
+            for v in _AXIS_VARS}
+    classes = set()
+    for x in _samples(cuts["x"]):
+        for y in _samples(cuts["y"]):
+            at = {"x": x, "y": y}
+            h = frozenset(
+                i for i, conj in enumerate(spec.members)
+                if all(at[con.var] < con.c if con.op == "<" else at[con.var] > con.c
+                       for con in conj))
             if not h:
-                raise NotACover(f"cell {_cell_desc('x', xc)}, {_cell_desc('y', yc)}")
-            fh = frozenset(h)
-            if fh not in seen:
-                seen.add(fh)
-                classes.append(fh)
+                raise NotACover(f"point ({x}, {y})")
+            classes.add(h)
     return make_hpartition(classes, len(spec.members), f"plane cover(n={len(spec.members)})")
 
 

@@ -49,11 +49,11 @@ from .jsonio import (
     dumps,
     graph_json,
     load_input,
+    load_space,
     partition_json,
-    read_json,
     space_json,
 )
-from .spaces import enumerate_covers, generate_topology, validate_topology
+from .spaces import enumerate_covers
 
 _EXIT_NEGATIVE = 2
 _ERROR_CODES = {
@@ -127,10 +127,14 @@ def _partition_of_input(path: str, loaded):
     raise ParseError(path, f"cannot derive a cover from a {loaded.kind} input")
 
 
-def _graph_of_input(path: str, loaded):
+def _graph_of_input(config: RunConfig, loaded):
     if loaded.kind == "graph":
+        # a graph file's n is not bounded by its size
+        if loaded.graph.n > config.cap_vertices:
+            raise CapExceeded("graph input vertices", config.cap_vertices,
+                              loaded.graph.n)
         return loaded.graph
-    return hasse_digraph(_partition_of_input(path, loaded))
+    return hasse_digraph(_partition_of_input(config.input, loaded))
 
 
 def _side_of_input(name: str, path: str, loaded):
@@ -176,22 +180,22 @@ def _dispatch(config: RunConfig) -> int:
             _partition_of_input(config.input, loaded))))
         return 0
     if cmd == "graph":
-        g = _graph_of_input(config.input, loaded)
+        g = _graph_of_input(config, loaded)
         if config.fmt == "dot":
             _emit(config, to_dot(g))
         else:
             _emit(config, dumps(graph_json(g)))
         return 0
     if cmd == "cstar":
-        g = _graph_of_input(config.input, loaded)
+        g = _graph_of_input(config, loaded)
         _emit(config, _render(config, block_decomposition(g).to_json()))
         return 0
     if cmd == "ktheory":
-        g = _graph_of_input(config.input, loaded)
+        g = _graph_of_input(config, loaded)
         _emit(config, _render(config, k_theory(g).to_json()))
         return 0
     if cmd == "prim":
-        g = _graph_of_input(config.input, loaded)
+        g = _graph_of_input(config, loaded)
         _emit(config, _render(config, prim_space(g, config.cap_vertices).to_json()))
         return 0
     if cmd == "pg":
@@ -234,16 +238,8 @@ def _dispatch(config: RunConfig) -> int:
 
 
 def _cmd_validate(config: RunConfig) -> int:
-    doc = read_json(config.input)
-    if not isinstance(doc, dict) or "points" not in doc:
-        raise ParseError(config.input, "validate expects a space file")
     try:
-        if "opens" in doc:
-            space = validate_topology(doc["points"], doc["opens"])
-        elif "subbasis" in doc:
-            space = generate_topology(doc["points"], doc["subbasis"])
-        else:
-            raise ParseError(config.input, 'space files need "opens" or "subbasis"')
+        space = load_space(config.input)
     except TopologyError as exc:
         _emit(config, dumps({
             "valid": False,

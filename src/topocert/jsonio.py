@@ -23,7 +23,7 @@ from .arrangements import (
     make_interval_spec,
 )
 from .digraphs import DiGraph
-from .errors import ParseError, TopocertError
+from .errors import ParseError, TopocertError, TopologyError
 from .hasse import HPartition
 from .spaces import Cover, FiniteSpace, make_cover, generate_topology, validate_topology
 
@@ -41,11 +41,7 @@ def parse_fraction(value) -> Fraction:
     raise ValueError(f"not a rational: {value!r}")
 
 
-def frac_str(f: Fraction) -> str:
-    return str(f)
-
-
-def _parse_end(value, which: str) -> Optional[Fraction]:
+def _parse_end(value) -> Optional[Fraction]:
     if value is None:
         return None
     if isinstance(value, str) and value.strip().lstrip("+-") == "inf":
@@ -69,8 +65,8 @@ def _load_interval_members(domain, members_doc) -> IntervalSpec:
     for m in members_doc:
         members.append(
             Interval(
-                lo=_parse_end(m.get("lo"), "lo"),
-                hi=_parse_end(m.get("hi"), "hi"),
+                lo=_parse_end(m.get("lo")),
+                hi=_parse_end(m.get("hi")),
                 closed_lo=bool(m.get("closed_lo", False)),
             )
         )
@@ -117,39 +113,53 @@ class LoadedInput:
         self.graph = graph
 
 
-def read_json(path: str):
-    """The JSON document in ``path``; ParseError if unreadable or invalid."""
+def _read(path: str, interpret, passes=ParseError):
+    """``interpret`` of the JSON document in ``path``.  Every failure but
+    the ``passes`` errors becomes a ParseError naming the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except OSError as exc:
         raise ParseError(path, f"cannot read file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or nesting
         raise ParseError(path, f"invalid JSON: {exc}") from exc
-
-
-def load_input(path: str) -> LoadedInput:
-    doc = read_json(path)
     try:
-        return _interpret(doc)
-    except ParseError:
+        return interpret(doc)
+    except passes:
         raise
     except TopocertError as exc:
         raise ParseError(path, f"{exc.kind}: {exc}") from exc
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(path, str(exc)) from exc
+
+
+def load_input(path: str) -> LoadedInput:
+    return _read(path, _interpret)
+
+
+def load_space(path: str) -> FiniteSpace:
+    """The space in a space file; a failed topology axiom is raised as the
+    TopologyError itself, so that it can be reported as a negative result."""
+    def space_file(doc):
+        if not isinstance(doc, dict) or "points" not in doc:
+            raise ValueError("validate expects a space file")
+        return _space(doc)
+    return _read(path, space_file, (ParseError, TopologyError))
+
+
+def _space(doc) -> FiniteSpace:
+    if "opens" in doc:
+        return validate_topology(doc["points"], doc["opens"])
+    if "subbasis" in doc:
+        return generate_topology(doc["points"], doc["subbasis"])
+    raise ValueError('space files need "opens" or "subbasis"')
 
 
 def _interpret(doc) -> LoadedInput:
     if not isinstance(doc, dict):
         raise ValueError("top-level JSON value must be an object")
     if "points" in doc:
-        if "opens" in doc:
-            space = validate_topology(doc["points"], doc["opens"])
-        elif "subbasis" in doc:
-            space = generate_topology(doc["points"], doc["subbasis"])
-        else:
-            raise ValueError('space files need "opens" or "subbasis"')
+        space = _space(doc)
         cover = None
         if "cover" in doc:
             cover = make_cover(space, [frozenset(m) for m in doc["cover"]])
@@ -158,12 +168,12 @@ def _interpret(doc) -> LoadedInput:
         domain = _load_domain(doc["domain"])
         if "members" in doc:
             spec = _load_interval_members(domain, doc["members"])
-            return LoadedInput("intervals", interval_specs=[spec], domain=domain)
+            return LoadedInput("intervals", interval_specs=[spec])
         if "covers" in doc:
             specs = [_load_interval_members(domain, ms) for ms in doc["covers"]]
             if not specs:
                 raise ValueError('"covers" must not be empty')
-            return LoadedInput("intervals", interval_specs=specs, domain=domain)
+            return LoadedInput("intervals", interval_specs=specs)
         return LoadedInput("domain", domain=domain)
     if "members" in doc and _looks_axis2d(doc["members"]):
         return LoadedInput("axis2d", axis_spec=_load_axis_members(doc["members"]))
@@ -208,9 +218,9 @@ def graph_json(g: DiGraph) -> dict:
     return doc
 
 
-def interval_json(domain, m: Interval) -> dict:
+def interval_json(m: Interval) -> dict:
     def end(v):
-        return None if v is None else frac_str(v)
+        return None if v is None else str(v)
 
     doc = {"lo": end(m.lo), "hi": end(m.hi)}
     if m.closed_lo:
@@ -220,23 +230,23 @@ def interval_json(domain, m: Interval) -> dict:
 
 def domain_json(domain) -> dict:
     if isinstance(domain, Segment):
-        return {"kind": "segment", "lo": frac_str(domain.lo), "hi": frac_str(domain.hi)}
+        return {"kind": "segment", "lo": str(domain.lo), "hi": str(domain.hi)}
     if isinstance(domain, FullLine):
         return {"kind": "line"}
-    return {"kind": "circle", "circumference": frac_str(domain.circumference)}
+    return {"kind": "circle", "circumference": str(domain.circumference)}
 
 
 def interval_spec_json(spec: IntervalSpec) -> dict:
     return {
         "domain": domain_json(spec.domain),
-        "members": [interval_json(spec.domain, m) for m in spec.members],
+        "members": [interval_json(m) for m in spec.members],
     }
 
 
 def axis_spec_json(spec: AxisAlignedSpec) -> dict:
     return {
         "members": [
-            [{"var": c.var, "op": c.op, "c": frac_str(c.c)} for c in conj]
+            [{"var": c.var, "op": c.op, "c": str(c.c)} for c in conj]
             for conj in spec.members
         ]
     }

@@ -179,7 +179,7 @@ def brute_force_type_key(partition) -> tuple:
 
 # -- dense sampling oracles for arrangements ----------------------------------
 
-def _raw_contains(domain, member, x: Fraction) -> bool:
+def interval_contains(domain, member, x: Fraction) -> bool:
     lo, hi, closed_lo = member.lo, member.hi, member.closed_lo
     if isinstance(domain, Circle):
         if lo < hi:
@@ -232,10 +232,29 @@ def sampled_interval_classes(spec) -> set:
     classes = set()
     for x in samples:
         h = frozenset(
-            i for i, m in enumerate(spec.members) if _raw_contains(domain, m, x)
+            i for i, m in enumerate(spec.members) if interval_contains(domain, m, x)
         )
         classes.add(h)
     return classes
+
+
+def in_domain(domain, x: Fraction) -> bool:
+    if isinstance(domain, Segment):
+        return domain.lo <= x < domain.hi
+    if isinstance(domain, Circle):
+        return 0 <= x < domain.circumference
+    return True
+
+
+def region_contains(conj, x: Fraction, y: Fraction) -> bool:
+    """Whether (x, y) satisfies every strict constraint of a plane member."""
+    for con in conj:
+        val = x if con.var == "x" else y
+        if con.op == "<" and not val < con.c:
+            return False
+        if con.op == ">" and not val > con.c:
+            return False
+    return True
 
 
 def sampled_plane_classes(spec) -> set:
@@ -257,20 +276,8 @@ def sampled_plane_classes(spec) -> set:
     classes = set()
     for x in xs:
         for y in ys:
-            h = set()
-            for i, conj in enumerate(spec.members):
-                ok = True
-                for con in conj:
-                    val = x if con.var == "x" else y
-                    if con.op == "<" and not val < con.c:
-                        ok = False
-                        break
-                    if con.op == ">" and not val > con.c:
-                        ok = False
-                        break
-                if ok:
-                    h.add(i)
-            classes.add(frozenset(h))
+            classes.add(frozenset(i for i, conj in enumerate(spec.members)
+                                  if region_contains(conj, x, y)))
     return classes
 
 

@@ -24,6 +24,9 @@ from topocert import (
 
 from oracles import (
     brute_force_type_key,
+    in_domain,
+    interval_contains,
+    region_contains,
     sampled_interval_classes,
     sampled_plane_classes,
 )
@@ -121,6 +124,29 @@ class TestIntervalClasses:
                 continue
             count += 1
             assert set(part.classes) == sampled_interval_classes(spec)
+        # line covers with rays and tied ends, circle covers with wrapping
+        # arcs and shared ends
+        seen = {"ray": 0, "tie": 0, "wrap": 0, "shared": 0}
+        for domain in (FullLine(), Circle(F(3, 2))):
+            count = 0
+            while count < 60:
+                spec = random_line_or_circle_cover(rng, domain)
+                try:
+                    part = hclasses_of_intervals(spec)
+                except NotACover:
+                    continue
+                count += 1
+                assert set(part.classes) == sampled_interval_classes(spec)
+                ends = [v for m in spec.members for v in (m.lo, m.hi)]
+                finite = [v for v in ends if v is not None]
+                shared = len(set(finite)) < len(finite)
+                if isinstance(domain, FullLine):
+                    seen["ray"] += None in ends
+                    seen["tie"] += shared
+                else:
+                    seen["wrap"] += any(m.lo > m.hi for m in spec.members)
+                    seen["shared"] += shared
+        assert all(seen.values()), seen
 
     def test_circle_class_walk_rotation_invariant(self):
         # relabeling arcs by rotation yields the same partition type
@@ -129,6 +155,64 @@ class TestIntervalClasses:
             Circle(F(1)), base.members[1:] + base.members[:1])
         assert canonical_key(hclasses_of_intervals(base)) == canonical_key(
             hclasses_of_intervals(rotated))
+
+
+    def test_not_a_cover_names_an_uncovered_point(self):
+        rng = random.Random(31)
+        for domain in (SEG, FullLine(), Circle(F(3, 2))):
+            count = 0
+            while count < 40:
+                if domain is SEG:
+                    members = []
+                    for _ in range(rng.randint(1, 3)):
+                        a, b = sorted(rng.sample(range(0, 9), 2))
+                        members.append(Interval(F(a, 8), F(b, 8), a == 0
+                                                and rng.random() < 0.5))
+                    try:
+                        spec = make_interval_spec(domain, members)
+                    except InvalidArrangement:
+                        continue
+                else:
+                    spec = random_line_or_circle_cover(rng, domain)
+                try:
+                    hclasses_of_intervals(spec)
+                except NotACover as exc:
+                    x = witness_point(exc)
+                    assert in_domain(domain, x), exc.witness
+                    assert not any(interval_contains(domain, m, x)
+                                   for m in spec.members), exc.witness
+                    count += 1
+
+
+def random_line_or_circle_cover(rng, domain):
+    """1..4 members whose ends come from a few random rationals, so tied
+    ends are common; line members may be rays, arcs may wrap."""
+    if isinstance(domain, Circle):
+        c = domain.circumference
+        pool = [c * F(k, 12) for k in rng.sample(range(12), rng.randint(2, 4))]
+    else:
+        pool = [None] + [F(rng.randint(-9, 9), rng.randint(1, 3))
+                         for _ in range(rng.randint(1, 4))]
+    while True:
+        members = []
+        for _ in range(rng.randint(1, 4)):
+            lo, hi = rng.choice(pool), rng.choice(pool)
+            if isinstance(domain, FullLine) and None not in (lo, hi) and lo > hi:
+                lo, hi = hi, lo
+            members.append(Interval(lo, hi))
+        try:
+            return make_interval_spec(domain, members)
+        except (InvalidArrangement, EmptyMember):
+            continue
+
+
+def witness_point(exc):
+    """The point a NotACover witness names: "point 1/2" or "point (0, 3)"."""
+    kind, text = exc.witness.split(" ", 1)
+    assert kind == "point", exc.witness
+    if text.startswith("("):
+        return tuple(F(v) for v in text.strip("()").split(", "))
+    return F(text)
 
 
 class TestPlaneClasses:
@@ -187,6 +271,24 @@ class TestPlaneClasses:
                 continue
             count += 1
             assert set(part.classes) == sampled_plane_classes(spec)
+
+    def test_not_a_cover_names_an_uncovered_point(self):
+        rng = random.Random(8)
+        count = 0
+        while count < 40:
+            members = []
+            for _ in range(rng.randint(1, 3)):
+                members.append(tuple(
+                    Constraint(var, rng.choice("<>"), F(rng.randint(-3, 3)))
+                    for var in ("x", "y") if rng.random() < 0.7))
+            try:
+                hclasses_axis2d(make_axis_spec(members))
+            except EmptyMember:
+                continue
+            except NotACover as exc:
+                x, y = witness_point(exc)
+                assert not any(region_contains(conj, x, y) for conj in members)
+                count += 1
 
 
 class TestEnumerateTypes:

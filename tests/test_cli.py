@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+
+from hypothesis import given, settings, strategies as st
 
 from topocert.cli import RunConfig, run
 
@@ -188,16 +192,39 @@ class TestErrorMapping:
             '{"members": [[{"var": "z", "op": "<", "c": "1"}]]}',
             '{"n": 2, "edges": [[0, 5]]}',
             '{"n": "two", "edges": []}',
+            '{"domain": "line"}',
+            '{"domain": {"kind": "line"}, "members": [5]}',
+            '{"points": [[1]], "opens": []}',
+            '{"points": ["a"], "opens": 5}',
+            "[" * 100_000,
+            b'{"points": ["\xff"], "opens": []}',
         ]
         for i, text in enumerate(corpus):
             p = tmp_path / f"bad{i}.json"
-            p.write_text(text)
-            for command in ("hclasses", "graph", "pg"):
+            if isinstance(text, bytes):
+                p.write_bytes(text)
+            else:
+                p.write_text(text)
+            for command in ("validate", "hclasses", "graph", "pg"):
                 code = run(RunConfig(command=command, input=str(p)))
                 captured = capsys.readouterr()
                 assert code != 0
                 err_doc = json.loads(captured.err or captured.out)
                 assert "error" in err_doc
+
+    def test_graph_input_above_the_vertex_cap(self, tmp_path, capsys):
+        # a graph file's n costs no bytes, so it is capped before any work
+        big = tmp_path / "big.json"
+        big.write_text('{"n": 41, "edges": []}')
+        for command in ("graph", "cstar", "ktheory", "prim"):
+            code, out, err = run_cmd(capsys, command=command, input=str(big))
+            assert code == 4 and out == ""
+            doc = json.loads(err)["error"]
+            assert doc["kind"] == "CapExceeded"
+            assert (doc["limit"], doc["requested"]) == (40, 41)
+            code, _, _ = run_cmd(capsys, command=command, input=str(big),
+                                 cap_vertices=41)
+            assert code == 0
 
     def test_missing_file(self, capsys):
         code, _, err = run_cmd(capsys, command="validate", input="no/such/file.json")
@@ -213,6 +240,73 @@ class TestErrorMapping:
             code, _, err = run_cmd(capsys, **kw)
             assert code == 3
             assert json.loads(err)["error"]["path"] == kw.get("input_b", kw["input"])
+
+
+# JSON documents shaped like each input kind: the right keys, values of the
+# right shape or now and then of some other JSON type, ints with |x| <= 60
+# (mostly small, so that drawn covers often cover), lists of at most 6 items
+_ints = st.one_of(st.integers(0, 4), st.integers(-60, 60))
+_junk = st.one_of(st.none(), st.booleans(), _ints, st.text(max_size=3),
+                  st.just([]), st.just({}))
+
+
+def _or_junk(strategy):
+    return st.integers(0, 7).flatmap(lambda k: strategy if k else _junk)
+
+
+def _lists(elem, unique=False):
+    return _or_junk(st.lists(elem, max_size=6, unique=unique))
+
+
+_rational = _or_junk(st.one_of(
+    _ints, _ints.map(str),
+    st.tuples(_ints, _ints).map(lambda t: f"{t[0]}/{t[1]}"),
+    st.sampled_from(["inf", "-inf", "1.5", "x"])))
+_point = st.one_of(_ints, st.sampled_from("abcdef"))
+_space_doc = st.one_of(*(
+    st.fixed_dictionaries({"points": _lists(_point, unique=True),
+                           key: _lists(_lists(_point))},
+                          optional={"cover": _lists(_lists(_point))})
+    for key in ("opens", "subbasis")))
+_domain = _or_junk(st.one_of(
+    st.fixed_dictionaries({"kind": st.just("segment"), "lo": _rational,
+                           "hi": _rational}),
+    st.fixed_dictionaries({"kind": st.sampled_from(["line", "plane"])}),
+    st.fixed_dictionaries({"kind": st.just("circle"), "circumference": _rational})))
+_interval = _or_junk(st.fixed_dictionaries(
+    {}, optional={"lo": _rational, "hi": _rational, "closed_lo": _junk}))
+_interval_doc = st.fixed_dictionaries(
+    {"domain": _domain},
+    optional={"members": _lists(_interval), "covers": _lists(_lists(_interval))})
+_constraint = _or_junk(st.fixed_dictionaries({
+    "var": st.sampled_from(["x", "y", "z"]), "op": st.sampled_from(["<", ">", "="]),
+    "c": _rational}))
+_plane_doc = st.fixed_dictionaries({"members": _lists(_lists(_constraint))})
+_graph_doc = st.fixed_dictionaries(
+    {"n": _or_junk(_ints),
+     "edges": _lists(st.one_of(st.tuples(_ints, _ints).map(list), _lists(_ints)))},
+    optional={"labels": _lists(_lists(_ints))})
+_SINGLE_INPUT = ("validate", "hclasses", "graph", "cstar", "ktheory", "prim",
+                 "pg", "enumerate")
+
+
+class TestGeneratedInputs:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(doc=st.one_of(_space_doc, _interval_doc, _plane_doc, _graph_doc),
+           n=st.sampled_from([None, 1, 2, 3]))
+    def test_every_command_exits_with_a_documented_code(self, tmp_path_factory,
+                                                        doc, n):
+        path = tmp_path_factory.getbasetemp() / "generated.json"
+        path.write_text(json.dumps(doc))
+        for command in _SINGLE_INPUT:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(RunConfig(command=command, input=str(path), n=n))
+            assert code in (0, 1, 2, 3, 4, 5), (command, doc)
+            if code not in (0, 2):
+                assert out.getvalue() == "", (command, doc)
+                error = json.loads(err.getvalue())
+                assert list(error) == ["error"] and "kind" in error["error"]
 
 
 class TestDeterminism:
