@@ -1,0 +1,96 @@
+"""Golden CLI outputs: the exit code and the sha256 of stdout and stderr of
+each call in ``CALLS``, recorded in ``golden_outputs.json``.
+
+Every call runs ``topocert.cli.main`` in process from the repository root
+with relative ``fixtures/...`` paths, so that file names in error messages
+do not depend on where the checkout lives.  After a change that alters an
+output on purpose, regenerate the file from the repository root with:
+
+    PYTHONPATH=src:tests python3 -c "import test_golden; test_golden.regenerate()"
+
+and say in the change which calls moved and why.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+from pathlib import Path
+
+import pytest
+
+from topocert.cli import main
+
+ROOT = Path(__file__).parent.parent
+GOLDEN = Path(__file__).parent / "golden_outputs.json"
+
+_README_CERTIFY = [
+    "certify --input fixtures/segment_domain.json"
+    " --input-b fixtures/circle_cover.json --n-range 4..4",
+    "certify --input fixtures/line_domain.json"
+    " --input-b fixtures/plane_cover.json --n-range 4..4",
+    "certify --input fixtures/line_witness_covers.json"
+    " --input-b fixtures/three_point_model.json --n-range 7..7 --level cstar",
+]
+_COVERS = ["segment_cover_first", "segment_cover_second", "segment_cover_third",
+           "circle_cover", "plane_cover"]
+_SPACES = ["chain_2", "chain_3", "chain_4", "sierpinski", "three_point_model",
+           "trivial_space"]
+
+CALLS = (
+    _README_CERTIFY
+    + [f"pg --input fixtures/chain_4.json --level {level}"
+       for level in ("graph", "cstar", "ktheory")]
+    + [f"enumerate --input fixtures/{domain}.json --n {n}"
+       for domain in ("segment_domain", "line_domain") for n in range(1, 5)]
+    + [f"{command} --input fixtures/{cover}.json"
+       for cover in _COVERS
+       for command in ("hclasses", "graph", "graph --format dot", "cstar",
+                       "ktheory", "prim")]
+    + [f"validate --input fixtures/{space}.json" for space in _SPACES]
+    + ["hclasses --input fixtures/segment_gap.json",  # NotACover, exit 5
+       "graph --input fixtures/no_such_file.json"]  # ParseError, exit 3
+)
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def run_call(call: str) -> dict:
+    """Exit code and output digests of one call, run from the repo root."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main(call.split())
+            code = 0
+        except SystemExit as exc:
+            code = exc.code
+    return {"exit": code, "stdout": _digest(out.getvalue()),
+            "stderr": _digest(err.getvalue())}
+
+
+def regenerate() -> None:
+    for name in ("TOPOCERT_CAP_COVER", "TOPOCERT_CAP_VERTICES"):
+        os.environ.pop(name, None)
+    os.chdir(ROOT)
+    doc = {call: run_call(call) for call in CALLS}
+    GOLDEN.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+def test_golden_file_lists_exactly_the_calls(golden):
+    assert sorted(golden) == sorted(CALLS)
+
+
+@pytest.mark.parametrize("call", CALLS)
+def test_output_is_unchanged(call, golden, monkeypatch):
+    monkeypatch.delenv("TOPOCERT_CAP_COVER", raising=False)
+    monkeypatch.delenv("TOPOCERT_CAP_VERTICES", raising=False)
+    monkeypatch.chdir(ROOT)
+    assert run_call(call) == golden[call]
