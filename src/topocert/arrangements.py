@@ -244,18 +244,29 @@ def hclasses_axis2d(spec: AxisAlignedSpec) -> HPartition:
 
 # -- exhaustive combinatorial types of interval covers ------------------------
 
-def _slot_choices(m: int, closed: bool) -> List[tuple]:
-    """Members as slot triples (a, b, closed_lo) over slots 0..m+1, each
-    with a bitmask of the interior slots 1..m it uses.
+def _slot_members(domain, m: int) -> List[tuple]:
+    """Every member over slots 0..m+1 as (Interval, bitmask of the interior
+    slots 1..m it uses), built once per slot count.
 
     Slot 0 is the left end of the domain and m+1 the right end.  Open pairs
-    (a, b) serve both domains; ``closed`` adds the [slot 0, b) members first.
+    of slots serve both domains; the segment lists its [slot 0, b) members
+    first.  The line's end slots are unbounded.
     """
-    top = m + 1
-    triples = [(0, b, True) for b in range(1, top + 1)] if closed else []
-    triples += [(a, b, False) for a in range(top) for b in range(a + 1, top + 1)]
-    return [((a, b, c), sum(1 << (s - 1) for s in (a, b) if 1 <= s <= m))
-            for a, b, c in triples]
+    if isinstance(domain, Segment):
+        span = domain.hi - domain.lo
+        values = [domain.lo + span * Fraction(s, m + 1) for s in range(m + 2)]
+        slots = [(0, b, True) for b in range(1, m + 2)]
+    elif isinstance(domain, FullLine):
+        values = [None] + [Fraction(s) for s in range(1, m + 1)] + [None]
+        slots = []
+    else:
+        raise InvalidArrangement(
+            "cover-type enumeration supports segment and line domains"
+        )
+    slots += [(a, b, False) for a in range(m + 1) for b in range(a + 1, m + 2)]
+    return [(Interval(values[a], values[b], c),
+             sum(1 << (s - 1) for s in (a, b) if 1 <= s <= m))
+            for a, b, c in slots]
 
 
 def enumerate_interval_cover_types(domain, n: int,
@@ -275,32 +286,17 @@ def enumerate_interval_cover_types(domain, n: int,
         raise ValueError("cover size must be positive")
     if n > cap:
         raise CapExceeded("interval cover size", cap, n)
-    if isinstance(domain, Segment):
-        span = domain.hi - domain.lo
-
-        def value(s: int, m: int) -> Fraction:
-            return domain.lo + span * Fraction(s, m + 1)
-    elif isinstance(domain, FullLine):
-        def value(s: int, m: int) -> Optional[Fraction]:
-            return None if s in (0, m + 1) else Fraction(s)  # ends unbounded
-    else:
-        raise InvalidArrangement(
-            "cover-type enumeration supports segment and line domains"
-        )
-    closed = isinstance(domain, Segment)
     seen = set()
     for m in range(0, 2 * n + 1):
         full = (1 << m) - 1
-        pool = _slot_choices(m, closed)
-        for combo in combinations(pool, n):
+        for combo in combinations(_slot_members(domain, m), n):
             used = 0
             for _, mask in combo:
                 used |= mask
             if used != full:
                 continue  # an unused interior slot reproduces a smaller m
-            members = tuple(Interval(value(a, m), value(b, m), c)
-                            for (a, b, c), _ in combo)
-            spec = IntervalSpec(domain=domain, members=members)
+            spec = IntervalSpec(domain=domain,
+                                members=tuple(member for member, _ in combo))
             try:
                 partition = hclasses_of_intervals(spec)
             except NotACover:
