@@ -166,8 +166,7 @@ def run(config: RunConfig) -> int:
     except TopocertError as exc:
         return _emit_error(exc)
     except ValueError as exc:
-        sys.stderr.write(dumps({"error": {"kind": "Error", "message": str(exc)}}))
-        return 1
+        return _emit_error(TopocertError(str(exc)))
 
 
 def _dispatch(config: RunConfig) -> int:
@@ -357,8 +356,7 @@ def main(argv=None) -> None:
             out=args.out,
         )
     except ValueError as exc:
-        sys.stderr.write(dumps({"error": {"kind": "Error", "message": str(exc)}}))
-        sys.exit(1)
+        sys.exit(_emit_error(TopocertError(str(exc))))
     sys.exit(run(config))
 
 

@@ -102,29 +102,27 @@ def topological_order(g: DiGraph) -> Optional[list]:
 
 
 def find_cycle(g: DiGraph) -> list:
-    """Some directed cycle, as a vertex list; assumes one exists."""
-    color = [0] * g.n  # 0 fresh, 1 on stack, 2 done
-    stack: list = []
-
-    def dfs(v):
-        color[v] = 1
-        stack.append(v)
-        for w in sorted(g.out_sets[v]):
-            if color[w] == 1:
-                return stack[stack.index(w):]
-            if color[w] == 0:
-                found = dfs(w)
-                if found:
-                    return found
-        stack.pop()
-        color[v] = 2
-        return None
-
-    for v in range(g.n):
-        if color[v] == 0:
-            cyc = dfs(v)
-            if cyc:
-                return cyc
+    """Some directed cycle, as a vertex list; assumes one exists.  The first
+    edge back into the depth-first path, successors taken in ascending order."""
+    color = [0] * g.n  # 0 fresh, 1 on the path, 2 done
+    for root in range(g.n):
+        if color[root]:
+            continue
+        color[root] = 1
+        path = [root]
+        pending = [iter(sorted(g.out_sets[root]))]
+        while pending:
+            for w in pending[-1]:
+                if color[w] == 1:
+                    return path[path.index(w):]
+                if color[w] == 0:
+                    color[w] = 1
+                    path.append(w)
+                    pending.append(iter(sorted(g.out_sets[w])))
+                    break
+            else:
+                color[path.pop()] = 2
+                pending.pop()
     raise ValueError("graph is acyclic")
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .digraphs import (
+    DEFAULT_VERTEX_CAP,
     CanonicalCert,
     DiGraph,
     canonical_cert,
@@ -65,7 +66,8 @@ class PrimPoset:
 
     @cached_property
     def cert(self) -> CanonicalCert:
-        return canonical_cert(DiGraph(n=len(self.points), edges=self.order))
+        n = len(self.points)  # sinks of a graph already held to the vertex cap
+        return canonical_cert(DiGraph(n=n, edges=self.order), cap=n)
 
     def to_json(self) -> dict:
         return {
@@ -131,7 +133,7 @@ def _ancestors_closure(g: DiGraph, v: int) -> frozenset:
     return frozenset(seen)
 
 
-def maximal_tails(g: DiGraph, cap: int = 64) -> list:
+def maximal_tails(g: DiGraph, cap: int = DEFAULT_VERTEX_CAP) -> list:
     """All maximal tails of an acyclic digraph.
 
     A tail is a nonempty vertex set closed under predecessors, downward
@@ -148,7 +150,7 @@ def maximal_tails(g: DiGraph, cap: int = 64) -> list:
     return tails
 
 
-def prim_space(g: DiGraph, cap: int = 64) -> PrimPoset:
+def prim_space(g: DiGraph, cap: int = DEFAULT_VERTEX_CAP) -> PrimPoset:
     """Primitive spectrum as a finite ordered space: one point per maximal
     tail, ordered by reverse tail containment."""
     tails = maximal_tails(g, cap)

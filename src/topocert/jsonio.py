@@ -23,7 +23,7 @@ from .arrangements import (
     make_interval_spec,
 )
 from .digraphs import DiGraph
-from .errors import ParseError, TopocertError, TopologyError
+from .errors import CapExceeded, ParseError, TopocertError, TopologyError
 from .hasse import HPartition
 from .spaces import Cover, FiniteSpace, make_cover, generate_topology, validate_topology
 
@@ -113,9 +113,10 @@ class LoadedInput:
         self.graph = graph
 
 
-def _read(path: str, interpret, passes=ParseError):
-    """``interpret`` of the JSON document in ``path``.  Every failure but
-    the ``passes`` errors becomes a ParseError naming the file."""
+def _read(path: str, interpret, passes=()):
+    """``interpret`` of the JSON document in ``path``.  Every failure but a
+    ParseError, a CapExceeded or one of ``passes`` becomes a ParseError
+    naming the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -125,7 +126,7 @@ def _read(path: str, interpret, passes=ParseError):
         raise ParseError(path, f"invalid JSON: {exc}") from exc
     try:
         return interpret(doc)
-    except passes:
+    except (ParseError, CapExceeded, *passes):
         raise
     except TopocertError as exc:
         raise ParseError(path, f"{exc.kind}: {exc}") from exc
@@ -144,7 +145,7 @@ def load_space(path: str) -> FiniteSpace:
         if not isinstance(doc, dict) or "points" not in doc:
             raise ValueError("validate expects a space file")
         return _space(doc)
-    return _read(path, space_file, (ParseError, TopologyError))
+    return _read(path, space_file, (TopologyError,))
 
 
 def _space(doc) -> FiniteSpace:

@@ -27,8 +27,15 @@ from .errors import (
 
 # Exhaustive all-size cover enumeration walks 2^k subsets of the k nonempty
 # opens; past this many opens the walk is refused rather than left to run.
-# A one-size walk may scan as many subsets as the all-size walk at the cap.
+# A one-size walk, and the pair scan of a topology check, may visit as many
+# subsets as the all-size walk at the cap.
 ENUMERABLE_OPENS_CAP = 16
+
+
+def _within_scan_budget(what: str, count: int) -> None:
+    limit = 2 ** ENUMERABLE_OPENS_CAP - 1
+    if count > limit:
+        raise CapExceeded(what, limit, count)
 
 
 @dataclass(frozen=True)
@@ -119,6 +126,7 @@ def validate_topology(points: Sequence, opens: Iterable[Iterable]) -> FiniteSpac
     full = (1 << len(pts)) - 1
     if 0 not in masks:
         raise MissingEmpty()
+    _within_scan_budget("pairs of opens to check", comb(len(masks), 2))
     space = _space_from_masks(pts, masks)
     lookup = {m: u for m, u in zip(space.open_masks, space.opens)}
     # closure first: a missing whole set that is a union of opens reports as
@@ -145,6 +153,7 @@ def generate_topology(points: Sequence, subbasis: Iterable[Iterable]) -> FiniteS
     masks.add(0)
     masks.add((1 << len(pts)) - 1)
     while True:
+        _within_scan_budget("pairs of opens to close", comb(len(masks), 2))
         new = set()
         for a, b in combinations(sorted(masks), 2):
             u, i = a | b, a & b
@@ -199,10 +208,8 @@ def enumerate_covers(space: FiniteSpace, n: Optional[int] = None) -> Iterator[Co
     if n is not None:
         if n < 1:
             raise ValueError("cover size must be positive")
-        subsets, limit = comb(len(ne), n), 2 ** ENUMERABLE_OPENS_CAP - 1
-        if subsets > limit:
-            raise CapExceeded(f"{n}-member subsets of the opens to scan",
-                              limit, subsets)
+        _within_scan_budget(f"{n}-member subsets of the opens to scan",
+                            comb(len(ne), n))
         sizes: Iterable[int] = [n] if n <= len(ne) else []
     else:
         if len(ne) > ENUMERABLE_OPENS_CAP:

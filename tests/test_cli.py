@@ -7,6 +7,7 @@ import sys
 from hypothesis import given, settings, strategies as st
 
 from topocert.cli import RunConfig, run
+from topocert.fingerprints import LEVELS
 
 from conftest import FIXTURES
 
@@ -225,6 +226,65 @@ class TestErrorMapping:
             code, _, _ = run_cmd(capsys, command=command, input=str(big),
                                  cap_vertices=41)
             assert code == 0
+
+    def test_cycles_are_found_without_recursion(self, tmp_path, capsys):
+        # a 3000-cycle overflowed the recursive depth-first search
+        ring = tmp_path / "ring.json"
+        ring.write_text(json.dumps(
+            {"n": 3000, "edges": [[i, (i + 1) % 3000] for i in range(3000)]}))
+        small = tmp_path / "small.json"
+        small.write_text(json.dumps({"n": 6, "edges": [
+            [0, 1], [2, 3], [3, 4], [4, 5], [5, 3], [4, 2]]}))
+        for command in ("cstar", "prim"):
+            code, out, err = run_cmd(capsys, command=command, input=str(ring),
+                                     cap_vertices=5000)
+            assert code == 1 and out == ""
+            doc = json.loads(err)["error"]
+            assert doc["kind"] == "NotAcyclic"
+            assert doc["cycle"] == list(range(3000))
+            code, _, err = run_cmd(capsys, command=command, input=str(small))
+            assert code == 1
+            assert json.loads(err)["error"]["cycle"] == [2, 3, 4]
+
+    def test_spectrum_certificate_is_bounded_by_the_vertex_cap(self, tmp_path,
+                                                               capsys):
+        # 45 chained members: an 89-vertex graph, a 44-point spectrum poset
+        chain = tmp_path / "chain.json"
+        chain.write_text(json.dumps({
+            "domain": {"kind": "segment", "lo": "0", "hi": "45"},
+            "members": [{"lo": "0", "hi": "1", "closed_lo": True}]
+            + [{"lo": f"{2 * i - 1}/2", "hi": str(i + 1)} for i in range(1, 45)],
+        }))
+        for level in LEVELS:
+            code, out, err = run_cmd(capsys, command="pg", input=str(chain),
+                                     level=level, cap_vertices=100)
+            assert code == 0, err
+            assert json.loads(out)["fingerprints"][0]["prim"]["points"] == 44
+        code, _, err = run_cmd(capsys, command="pg", input=str(chain),
+                               level="cstar")
+        assert code == 4
+        assert json.loads(err)["error"]["requested"] == 89
+
+    def test_topologies_past_the_pair_scan_budget_are_capped(self, tmp_path,
+                                                             capsys):
+        # 9 discrete points list 512 opens, C(512, 2) pairs; 22 singletons
+        # generate 2^22 opens, whose closure rounds pass the same budget
+        pts = [f"p{i}" for i in range(9)]
+        discrete = tmp_path / "discrete.json"
+        discrete.write_text(json.dumps({"points": pts, "opens": [
+            [p for j, p in enumerate(pts) if m >> j & 1] for m in range(512)]}))
+        singletons = tmp_path / "singletons.json"
+        singletons.write_text(json.dumps({
+            "points": [f"p{i}" for i in range(22)],
+            "subbasis": [[f"p{i}"] for i in range(22)]}))
+        for path, what in ((discrete, "pairs of opens to check"),
+                           (singletons, "pairs of opens to close")):
+            for command in ("validate", "pg"):
+                code, out, err = run_cmd(capsys, command=command, input=str(path))
+                assert code == 4 and out == ""
+                doc = json.loads(err)["error"]
+                assert doc["kind"] == "CapExceeded" and doc["what"] == what
+                assert doc["limit"] == 2 ** 16 - 1 < doc["requested"]
 
     def test_missing_file(self, capsys):
         code, _, err = run_cmd(capsys, command="validate", input="no/such/file.json")

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from topocert import (
+    CapExceeded,
     DiGraph,
     NotAcyclic,
     block_decomposition,
@@ -11,6 +12,7 @@ from topocert import (
     prim_space,
     relabel,
 )
+from topocert.digraphs import DEFAULT_VERTEX_CAP
 
 from oracles import maximal_tails_axioms, random_dag
 
@@ -164,6 +166,14 @@ class TestPrimSpace:
         for _ in range(80):
             g = random_dag(rng, rng.randint(1, 7))
             assert len(prim_space(g).points) == len(block_decomposition(g).blocks)
+
+
+    def test_default_cap_is_the_vertex_cap(self):
+        with pytest.raises(CapExceeded):
+            prim_space(antichain(DEFAULT_VERTEX_CAP + 1))
+        ps = prim_space(antichain(DEFAULT_VERTEX_CAP + 1), DEFAULT_VERTEX_CAP + 1)
+        # the spectrum's certificate is bounded by its own size
+        assert ps.cert.vertex_count == DEFAULT_VERTEX_CAP + 1
 
 
 class TestInvarianceUnderIso:

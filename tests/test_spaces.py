@@ -111,6 +111,19 @@ class TestEnumerateCovers:
         assert len(list(enumerate_covers(s, 2))) == 363
         assert next(enumerate_covers(s, 3)).members
 
+    def test_topology_pair_scan_is_capped_like_the_cover_walk(self):
+        # a chain on k - 1 points has k opens: C(362, 2) pairs are inside
+        # 2^16 - 1, C(363, 2) are not
+        for npts, capped in ((361, False), (362, True)):
+            pts = list(range(npts))
+            prefixes = [pts[:i] for i in range(npts + 1)]
+            for build in (validate_topology, generate_topology):
+                if capped:
+                    with pytest.raises(CapExceeded):
+                        build(pts, prefixes)
+                else:
+                    assert len(build(pts, prefixes).opens) == 362
+
     def test_size_one_is_whole_space(self):
         rng = random.Random(3)
         for _ in range(20):
