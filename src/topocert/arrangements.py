@@ -246,27 +246,70 @@ def hclasses_axis2d(spec: AxisAlignedSpec) -> HPartition:
 
 def _slot_members(domain, m: int) -> List[tuple]:
     """Every member over slots 0..m+1 as (Interval, bitmask of the interior
-    slots 1..m it uses), built once per slot count.
+    slots 1..m it uses, start slot, bitmask of the cells it covers), built
+    once per slot count.
 
     Slot 0 is the left end of the domain and m+1 the right end.  Open pairs
     of slots serve both domains; the segment lists its [slot 0, b) members
-    first.  The line's end slots are unbounded.
+    first, so start slots never decrease along the pool.  The line's end
+    slots are unbounded.  Cells are the points and the gaps that the slots
+    cut the domain into, numbered from the left:
+
+    * line, 2m + 1 cells: cell 2s is the gap right of slot s and cell 2s - 1
+      is slot s itself, so open (a, b) covers cells 2a .. 2b - 2;
+    * segment, 2m + 2 cells: cell 2s is slot s and cell 2s + 1 the gap right
+      of it, so open (a, b) covers cells 2a + 1 .. 2b - 1 and [slot 0, b)
+      covers cells 0 .. 2b - 1.
     """
     if isinstance(domain, Segment):
         span = domain.hi - domain.lo
         values = [domain.lo + span * Fraction(s, m + 1) for s in range(m + 2)]
         slots = [(0, b, True) for b in range(1, m + 2)]
+        offset = 1  # one cell more than the line: slot 0 is a point
     elif isinstance(domain, FullLine):
         values = [None] + [Fraction(s) for s in range(1, m + 1)] + [None]
         slots = []
+        offset = 0
     else:
         raise InvalidArrangement(
             "cover-type enumeration supports segment and line domains"
         )
     slots += [(a, b, False) for a in range(m + 1) for b in range(a + 1, m + 2)]
     return [(Interval(values[a], values[b], c),
-             sum(1 << (s - 1) for s in (a, b) if 1 <= s <= m))
+             sum(1 << (s - 1) for s in (a, b) if 1 <= s <= m),
+             a,
+             (1 << (2 * b - 1 + offset)) - (1 << (0 if c else 2 * a + offset)))
             for a, b, c in slots]
+
+
+def _surjective_choices(pool: List[tuple], n: int, m: int) -> Iterator[tuple]:
+    """The n-subsets of a ``_slot_members`` pool that use every interior
+    slot 1..m, in ``combinations(pool, n)`` order."""
+    return _extend(pool, (1 << m) - 1, 0, n, 0, ())
+
+
+def _extend(pool: List[tuple], full: int, start: int, left: int, used: int,
+            chosen: tuple) -> Iterator[tuple]:
+    """Complete ``chosen`` with ``left`` members from ``pool[start:]``.
+
+    A prefix is abandoned once it cannot be completed: when the unused
+    interior slots outnumber twice the members left (a member uses at most
+    two), and when the next member starts right of the lowest unused slot
+    (start slots never decrease along the pool, so that slot stays unused).
+    """
+    free = full & ~used
+    if free.bit_count() > 2 * left:
+        return
+    if not left:
+        yield chosen
+        return
+    lowest = (free & -free).bit_length()  # slot s is bit s - 1; 0: none free
+    for j in range(start, len(pool) - left + 1):
+        member = pool[j]
+        if lowest and member[2] > lowest:
+            return
+        yield from _extend(pool, full, j + 1, left - 1, used | member[1],
+                           chosen + (member,))
 
 
 def enumerate_interval_cover_types(domain, n: int,
@@ -278,31 +321,43 @@ def enumerate_interval_cover_types(domain, n: int,
     Endpoint weak orders (ties allowed) are enumerated as slot assignments:
     each endpoint takes a boundary slot or one of m interior slots, every
     interior slot is used, and members respect lo < hi.  Any n-interval
-    cover realizes some assignment, so the stream is exhaustive; families
-    that fail to cover are dropped by the cell walk, and duplicates are
-    removed by label-independent partition identity.
+    cover realizes some assignment, so the stream is exhaustive.  Three
+    filters on integer masks come before any rational arithmetic:
+
+    * ``_surjective_choices`` keeps the member sets that use every interior
+      slot (an unused slot reproduces a smaller m);
+    * a set whose cell masks do not cover every cell is not a cover;
+    * a labelled class set (one member bitmask per cell) that was seen
+      before gives the same partition again.
+
+    Only a new labelled class set is walked by ``hclasses_of_intervals``,
+    and duplicates are then removed by label-independent partition identity.
     """
     if n < 1:
         raise ValueError("cover size must be positive")
     if n > cap:
         raise CapExceeded("interval cover size", cap, n)
-    seen = set()
+    seen_keys, seen_sets = set(), set()
     for m in range(0, 2 * n + 1):
-        full = (1 << m) - 1
-        for combo in combinations(_slot_members(domain, m), n):
-            used = 0
-            for _, mask in combo:
-                used |= mask
-            if used != full:
-                continue  # an unused interior slot reproduces a smaller m
-            spec = IntervalSpec(domain=domain,
-                                members=tuple(member for member, _ in combo))
-            try:
-                partition = hclasses_of_intervals(spec)
-            except NotACover:
+        pool = _slot_members(domain, m)
+        cells = range(2 * m + 1 + isinstance(domain, Segment))
+        every_cell = (1 << len(cells)) - 1
+        for choice in _surjective_choices(pool, n, m):
+            covered = 0
+            for member in choice:
+                covered |= member[3]
+            if covered != every_cell:
                 continue
+            labelled = frozenset(
+                sum(1 << i for i, member in enumerate(choice) if member[3] >> k & 1)
+                for k in cells)
+            if labelled in seen_sets:
+                continue
+            seen_sets.add(labelled)
+            partition = hclasses_of_intervals(
+                IntervalSpec(domain, tuple(member[0] for member in choice)))
             key = canonical_key(partition)
-            if key in seen:
+            if key in seen_keys:
                 continue
-            seen.add(key)
+            seen_keys.add(key)
             yield partition

@@ -101,7 +101,15 @@ def _emit(config: RunConfig, text: str) -> None:
         with open(config.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader has gone: the rest of the output goes nowhere, and
+            # the flush at interpreter exit cannot fail on the pipe again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
 
 
 def _emit_error(exc: TopocertError) -> int:

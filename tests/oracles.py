@@ -13,9 +13,12 @@ from topocert import (
     Circle,
     DiGraph,
     FullLine,
+    Interval,
     Segment,
     TopocertError,
+    canonical_key,
     make_hpartition,
+    make_interval_spec,
 )
 from topocert.spaces import Cover, FiniteSpace
 
@@ -236,6 +239,40 @@ def sampled_interval_classes(spec) -> set:
         )
         classes.add(h)
     return classes
+
+
+def weak_order_type_keys(domain, n: int) -> set:
+    """Canonical keys of every n-interval cover of a segment or the line,
+    from one cover per weak order of its 2n labelled endpoints.
+
+    A weak order with k distinct interior values puts them at 1..k, and 0
+    and k + 1 stand for the domain's ends (an unbounded end on the line).
+    Every interior value is some endpoint's, each member has lo < hi, and on
+    a segment a member from its left end is tried closed and open there.
+    Relabelling members keeps the type, so members are distinct and taken in
+    sorted order.  Classes come from dense samples, so a family that misses
+    a point shows the empty class and is dropped.
+    """
+    keys = set()
+    for k in range(2 * n + 1):
+        if isinstance(domain, Segment):
+            span = domain.hi - domain.lo
+            at = [domain.lo + span * Fraction(r, k + 1) for r in range(k + 2)]
+        else:
+            at = [None] + [Fraction(r) for r in range(1, k + 1)] + [None]
+        members = [(lo, hi, closed)
+                   for lo in range(k + 1) for hi in range(lo + 1, k + 2)
+                   for closed in (False, True)
+                   if not closed or (lo == 0 and isinstance(domain, Segment))]
+        for order in combinations(members, n):
+            if len({r for lo, hi, _ in order for r in (lo, hi)} - {0, k + 1}) < k:
+                continue
+            spec = make_interval_spec(domain, [Interval(at[lo], at[hi], closed)
+                                               for lo, hi, closed in order])
+            classes = sampled_interval_classes(spec)
+            if frozenset() not in classes:
+                keys.add(canonical_key(make_hpartition(classes, n)))
+    return keys
 
 
 def in_domain(domain, x: Fraction) -> bool:

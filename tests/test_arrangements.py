@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction as F
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import combinations
+from operator import or_
 
 import pytest
 
@@ -21,6 +23,8 @@ from topocert import (
     make_axis_spec,
     make_interval_spec,
 )
+from topocert import arrangements
+from topocert.arrangements import _slot_members, _surjective_choices
 
 from oracles import (
     brute_force_type_key,
@@ -29,6 +33,7 @@ from oracles import (
     region_contains,
     sampled_interval_classes,
     sampled_plane_classes,
+    weak_order_type_keys,
 )
 
 SEG = Segment(F(0), F(1))
@@ -360,6 +365,76 @@ class TestEnumerateTypes:
             assert len(set(t.classes)) == len(t.classes)
 
 
+def slot_values(domain, pool):
+    """The values of slots 0..m+1 read off a pool's members (None for the
+    line's unbounded ends)."""
+    values = sorted({v for member, *_ in pool for v in (member.lo, member.hi)
+                     if v is not None})
+    return values if isinstance(domain, Segment) else [None] + values + [None]
+
+
+def cell_points(slots):
+    """One point per cell, in cell order: each slot and the gap right of it,
+    up to the right end slot.  The line's end slots are unbounded, so its
+    first cell is the gap left of slot 1."""
+    if slots[0] is not None:
+        return [x for a, b in zip(slots, slots[1:]) for x in (a, (a + b) / 2)]
+    if len(slots) == 2:
+        return [F(0)]
+    ends = [slots[1] - 2] + slots[1:-1] + [slots[-2] + 2]
+    return [x for a, b in zip(ends, ends[1:]) for x in (a, (a + b) / 2)][1:]
+
+
+class TestSlotPool:
+    DOMAINS = (Segment(F(-1, 3), F(5, 2)), FullLine())
+
+    def test_recursion_yields_the_surjective_combinations_in_order(self):
+        for domain in self.DOMAINS:
+            for n in range(1, 5):
+                for m in range(2 * n + 1):
+                    pool = _slot_members(domain, m)
+                    full = (1 << m) - 1
+                    expected = [c for c in combinations(pool, n)
+                                if reduce(or_, (slots for _, slots, *_ in c)) == full]
+                    assert list(_surjective_choices(pool, n, m)) == expected
+
+    def test_both_prunes_bound_the_recursion(self, monkeypatch):
+        # without the slot-count prune the segment at n = 4 makes about 20
+        # calls per surjective choice, without the start-slot prune about 11
+        calls = 0
+        extend = arrangements._extend
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return extend(*args)
+
+        monkeypatch.setattr(arrangements, "_extend", counted)
+        surjective = {(Segment, 3): 454, (Segment, 4): 6746,
+                      (FullLine, 3): 248, (FullLine, 4): 3600}
+        for domain in self.DOMAINS:
+            for n in (3, 4):
+                calls = 0
+                choices = sum(1 for m in range(2 * n + 1) for _ in
+                              _surjective_choices(_slot_members(domain, m), n, m))
+                assert choices == surjective[type(domain), n]
+                assert calls < 5 * choices
+
+    def test_cell_masks_agree_with_membership_at_one_point_per_cell(self):
+        for domain in self.DOMAINS:
+            for m in range(9):
+                pool = _slot_members(domain, m)
+                slots = slot_values(domain, pool)
+                points = cell_points(slots)
+                assert len(slots) == m + 2
+                assert len(points) == 2 * m + 1 + isinstance(domain, Segment)
+                for member, _, start, cells in pool:
+                    assert start == slots.index(member.lo)
+                    assert cells >> len(points) == 0
+                    for k, x in enumerate(points):
+                        assert (cells >> k & 1) == interval_contains(domain, member, x)
+
+
 @lru_cache(maxsize=None)
 def types_of(domain, n):
     return tuple(enumerate_interval_cover_types(domain, n))
@@ -403,6 +478,17 @@ class TestExhaustiveness:
                     assert new_to_ref.setdefault(new, ref) == ref
                     assert ref_to_new.setdefault(ref, new) == new
         assert len(new_to_ref) == 1 + 2 + 12 + 114
+
+    def test_weak_order_oracle_finds_exactly_the_enumerated_types(self):
+        # the oracle walks endpoint weak orders and reads classes by dense
+        # sampling, so it shares no slot pool, cell mask or cell walk; the
+        # segment and the line have the same cover types
+        for n in range(1, 5):
+            found = [weak_order_type_keys(domain, n) for domain in self.DOMAINS]
+            assert found[0] == found[1]
+            assert len(found[0]) == (1, 2, 12, 114)[n - 1]
+            for domain, keys in zip(self.DOMAINS, found):
+                assert keys == {canonical_key(t) for t in types_of(domain, n)}
 
     def test_random_covers_have_enumerated_types(self):
         # the direction every DomainSide certificate rests on: whatever

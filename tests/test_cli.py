@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -350,26 +351,60 @@ _SINGLE_INPUT = ("validate", "hclasses", "graph", "cstar", "ktheory", "prim",
                  "pg", "enumerate")
 
 
+_doc = st.one_of(_space_doc, _interval_doc, _plane_doc, _graph_doc)
+
+
+def _assert_documented_exit(config, docs):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(config)
+    assert code in (0, 1, 2, 3, 4, 5), (config.command, docs)
+    if code not in (0, 2):
+        assert out.getvalue() == "", (config.command, docs)
+        error = json.loads(err.getvalue())
+        assert list(error) == ["error"] and "kind" in error["error"]
+
+
 class TestGeneratedInputs:
     @settings(derandomize=True, database=None, deadline=None, max_examples=400)
-    @given(doc=st.one_of(_space_doc, _interval_doc, _plane_doc, _graph_doc),
-           n=st.sampled_from([None, 1, 2, 3]))
+    @given(doc=_doc, n=st.sampled_from([None, 1, 2, 3]))
     def test_every_command_exits_with_a_documented_code(self, tmp_path_factory,
                                                         doc, n):
         path = tmp_path_factory.getbasetemp() / "generated.json"
         path.write_text(json.dumps(doc))
         for command in _SINGLE_INPUT:
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = run(RunConfig(command=command, input=str(path), n=n))
-            assert code in (0, 1, 2, 3, 4, 5), (command, doc)
-            if code not in (0, 2):
-                assert out.getvalue() == "", (command, doc)
-                error = json.loads(err.getvalue())
-                assert list(error) == ["error"] and "kind" in error["error"]
+            _assert_documented_exit(RunConfig(command=command, input=str(path), n=n),
+                                    doc)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(doc=_doc, doc_b=_doc, n=st.sampled_from([None, 1, 2, 3]))
+    def test_two_input_commands_exit_with_a_documented_code(self, tmp_path_factory,
+                                                            doc, doc_b, n):
+        base = tmp_path_factory.getbasetemp()
+        path, path_b = base / "generated_a.json", base / "generated_b.json"
+        path.write_text(json.dumps(doc))
+        path_b.write_text(json.dumps(doc_b))
+        paths = dict(input=str(path), input_b=str(path_b))
+        _assert_documented_exit(RunConfig(command="compare", n=n, **paths), (doc, doc_b))
+        _assert_documented_exit(RunConfig(command="certify", n_range=(1, 2), **paths),
+                                (doc, doc_b))
 
 
 class TestDeterminism:
+    def test_closed_stdout_ends_quietly(self):
+        # n = 4 fails in the write itself, n = 1 only when it is flushed
+        for n in ("4", "1"):
+            read, write = os.pipe()
+            os.close(read)
+            try:
+                out = subprocess.run(
+                    [sys.executable, "-m", "topocert", "enumerate",
+                     "--input", fx("line_domain.json"), "--n", n],
+                    stdout=write, stderr=subprocess.PIPE)
+            finally:
+                os.close(write)
+            assert (out.returncode, out.stderr) == (0, b"")
+
     def test_byte_identical_runs(self, fixtures):
         cmd = [sys.executable, "-m", "topocert", "pg",
                "--input", fx("chain_4.json"), "--n", "2"]
