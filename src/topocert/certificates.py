@@ -95,7 +95,9 @@ class WitnessSide:
         """(fingerprint set, family text) over the witness covers with ``n``
         members (all of them when ``n`` is None)."""
         specs = self._sized(n)
-        fps = [fingerprint_of(_partition_of(s), cap_vertices) for s in specs]
+        memo: dict = {}
+        fps = [fingerprint_of(_partition_of(s), cap_vertices, memo)
+               for s in specs]
         return (collect_fingerprints(fps, level, n),
                 f"{len(specs)} witness cover(s)")
 

@@ -98,8 +98,11 @@ def _env_cap(name: str, fallback: int) -> int:
 
 def _emit(config: RunConfig, text: str) -> None:
     if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(config.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise TopocertError(f"cannot write file: {exc}") from exc
     else:
         try:
             sys.stdout.write(text)
@@ -333,15 +336,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _parse_n_range(raw: Optional[str]) -> Optional[Tuple[int, int]]:
     if raw is None:
         return None
-    text = raw.replace("..", ":")
-    parts = text.split(":")
-    if len(parts) == 1:
-        lo = hi = int(parts[0])
-    elif len(parts) == 2:
-        lo, hi = int(parts[0]), int(parts[1])
-    else:
+    parts = raw.replace("..", ":").split(":")
+    try:
+        bounds = [int(p) for p in parts]
+    except ValueError:
+        bounds = []
+    if len(bounds) not in (1, 2):
         raise ValueError(f"bad --n-range: {raw!r}")
-    return lo, hi
+    return bounds[0], bounds[-1]
 
 
 def main(argv=None) -> None:

@@ -254,8 +254,8 @@ def _induced(g: DiGraph, verts: list) -> DiGraph:
     return DiGraph(n=len(verts), edges=edges)
 
 
-@lru_cache(maxsize=65536)
-def _canonical_order_key(n: int, edges: frozenset) -> tuple:
+def _canonical_order(n: int, edges: frozenset) -> tuple:
+    """(canonical adjacency rows, the vertex order realizing them)."""
     g = DiGraph(n=n, edges=edges)
     comps = _weak_components(g)
     if len(comps) == 1:
@@ -273,6 +273,11 @@ def _canonical_order_key(n: int, edges: frozenset) -> tuple:
     return _encode_rows(g, order), tuple(order)
 
 
+# Process-wide, for graphs that recur across calls; a graph that is
+# canonicalised once (see ``uncached_cert``) stays out of it.
+_canonical_order_key = lru_cache(maxsize=65536)(_canonical_order)
+
+
 def canonical_order(g: DiGraph) -> list:
     """Vertex ordering realizing the canonical adjacency encoding."""
     _, order = _canonical_order_key(g.n, g.edges)
@@ -281,9 +286,19 @@ def canonical_order(g: DiGraph) -> list:
 
 def canonical_cert(g: DiGraph, cap: int = DEFAULT_VERTEX_CAP) -> CanonicalCert:
     """Canonical certificate of ``g``; equal certs iff isomorphic graphs."""
+    return _cert(g, cap, _canonical_order_key)
+
+
+def uncached_cert(g: DiGraph, cap: int = DEFAULT_VERTEX_CAP) -> CanonicalCert:
+    """``canonical_cert`` without the process-wide cache, for a caller that
+    never asks about the same graph twice."""
+    return _cert(g, cap, _canonical_order)
+
+
+def _cert(g: DiGraph, cap: int, order_key) -> CanonicalCert:
     if g.n > cap:
         raise CapExceeded("graph vertices for canonicalization", cap, g.n)
-    rows, _ = _canonical_order_key(g.n, g.edges)
+    rows, _ = order_key(g.n, g.edges)
     width = (g.n + 7) // 8
     blob = g.n.to_bytes(4, "big") + b"".join(r.to_bytes(width, "big") for r in rows)
     return CanonicalCert(vertex_count=g.n, blob=blob)

@@ -80,18 +80,30 @@ class Fingerprint:
 
 
 def fingerprint_of(source: Union[Cover, HPartition],
-                   cap_vertices: int = DEFAULT_VERTEX_CAP) -> Fingerprint:
-    """Run one cover (or its precomputed partition) through the pipeline."""
+                   cap_vertices: int = DEFAULT_VERTEX_CAP,
+                   memo: Optional[dict] = None) -> Fingerprint:
+    """Run one cover (or its precomputed partition) through the pipeline.
+
+    Everything after the Hasse digraph depends on that digraph alone, so
+    ``memo``, when given, maps each labelled digraph already seen (``DiGraph``
+    compares on ``(n, edges)``) to its fingerprint.  The caller owns it for
+    one fingerprint set; results are the same with or without it.
+    """
     partition = (
         hpartition_of_cover(source) if isinstance(source, Cover) else source
     )
     g = hasse_digraph(partition)
-    return Fingerprint(
+    if memo is not None and g in memo:
+        return memo[g]
+    fp = Fingerprint(
         graph_cert=canonical_cert(g, cap=cap_vertices),
         blocks=block_decomposition(g),
         kpair=k_theory(g),
         prim=prim_space(g, cap=cap_vertices),
     )
+    if memo is not None:
+        memo[g] = fp
+    return fp
 
 
 def singleton_fingerprint() -> Fingerprint:
@@ -158,8 +170,10 @@ def fingerprints_of_space(space: FiniteSpace, n: Optional[int], level: str,
                           ) -> FingerprintSet:
     """Distinct fingerprints over all covers of ``space`` with exactly ``n``
     members (every size when ``n`` is None)."""
+    memo: dict = {}
     fps = (
-        fingerprint_of(c, cap_vertices) for c in enumerate_covers(space, n)
+        fingerprint_of(c, cap_vertices, memo)
+        for c in enumerate_covers(space, n)
     )
     return collect_fingerprints(fps, level, n)
 
@@ -170,8 +184,9 @@ def fingerprints_of_domain(domain, n: int, level: str,
                            ) -> FingerprintSet:
     """Distinct fingerprints over all combinatorial types of n-interval
     covers of a segment or line domain."""
+    memo: dict = {}
     fps = (
-        fingerprint_of(p, cap_vertices)
+        fingerprint_of(p, cap_vertices, memo)
         for p in enumerate_interval_cover_types(domain, n, cap_cover)
     )
     return collect_fingerprints(fps, level, n)

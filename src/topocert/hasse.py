@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .digraphs import CanonicalCert, DiGraph, canonical_cert
+from .digraphs import CanonicalCert, DiGraph, uncached_cert
 from .spaces import Cover
 
 
@@ -92,9 +92,10 @@ def canonical_key(partition: HPartition) -> CanonicalCert:
     i lies in class j.  Members are exactly the vertices of in-degree 0, so
     two keys are equal exactly when the partitions agree up to relabeling
     the members.  A digraph above the default vertex cap raises CapExceeded.
+    Each partition arrives here once, so the canonicalisation is not cached.
     """
     n = partition.member_count
     edges = frozenset(
         (i, n + j) for j, c in enumerate(partition.classes) for i in c
     )
-    return canonical_cert(DiGraph(n=n + len(partition.classes), edges=edges))
+    return uncached_cert(DiGraph(n=n + len(partition.classes), edges=edges))

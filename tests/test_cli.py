@@ -5,9 +5,10 @@ import os
 import subprocess
 import sys
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from topocert.cli import RunConfig, run
+from topocert.cli import RunConfig, main, run
 from topocert.fingerprints import LEVELS
 
 from conftest import FIXTURES
@@ -291,6 +292,24 @@ class TestErrorMapping:
         code, _, err = run_cmd(capsys, command="validate", input="no/such/file.json")
         assert code == 3
         assert json.loads(err)["error"]["detail"].startswith("cannot read file:")
+
+    def test_unwritable_out_is_a_json_error(self, tmp_path, capsys):
+        for out in (tmp_path, tmp_path / "no_such_dir" / "out.json"):
+            code, stdout, err = run_cmd(capsys, command="pg",
+                                        input=fx("chain_4.json"), out=str(out))
+            assert code == 1 and stdout == ""
+            doc = json.loads(err)["error"]
+            assert doc["kind"] == "Error"
+            assert doc["message"].startswith("cannot write file:")
+
+    def test_bad_n_range_names_the_range(self, capsys):
+        for raw in ("2..", "a..b", "1..2..3"):
+            with pytest.raises(SystemExit) as exc:
+                main(["certify", "--input", fx("chain_2.json"), "--input-b",
+                      fx("chain_3.json"), "--n-range", raw])
+            doc = json.loads(capsys.readouterr().err)["error"]
+            assert (exc.value.code, doc["kind"]) == (1, "Error")
+            assert doc["message"] == f"bad --n-range: {raw!r}"
 
     def test_errors_name_the_file_at_fault(self, capsys):
         domain = fx("segment_domain.json")

@@ -7,6 +7,7 @@ from topocert import (
     FullLine,
     LevelMismatch,
     Segment,
+    WitnessSide,
     empty_space_fingerprints,
     enumerate_covers,
     enumerate_interval_cover_types,
@@ -14,13 +15,21 @@ from topocert import (
     fingerprints_of_domain,
     fingerprints_of_space,
     generate_topology,
+    hasse_digraph,
+    hclasses_axis2d,
+    hclasses_of_intervals,
+    hpartition_of_cover,
     make_cover,
     sets_match,
     singleton_fingerprint,
     validate_topology,
 )
 
+from topocert import fingerprints
 from topocert.fingerprints import LEVELS, collect_fingerprints
+from topocert.jsonio import load_input
+
+from conftest import FIXTURES
 
 from oracles import random_space
 
@@ -173,3 +182,79 @@ class TestDomainSets:
             want = collect_fingerprints(fps, level, 4).to_json()
             assert collect_fingerprints(fps[::-1], level, 4).to_json() == want
             assert collect_fingerprints(shuffled, level, 4).to_json() == want
+
+
+class TestPerSetMemo:
+    """A fingerprint set computes one fingerprint per distinct labelled
+    Hasse digraph; the memo must change no result."""
+
+    @staticmethod
+    def assert_same_sets(memoised, fps, n):
+        for level in LEVELS:
+            fresh = collect_fingerprints(fps, level, n)
+            got = memoised(level)
+            assert got.elements == fresh.elements
+            assert got.details == fresh.details
+
+    def test_random_spaces_cover_by_cover(self):
+        rng = random.Random(53)
+        repeats = 0
+        for _ in range(15):
+            s = random_space(rng, max_points=5, max_opens=8)
+            covers = list(enumerate_covers(s))
+            memo = {}
+            for c in covers:
+                fp = fingerprint_of(c, memo=memo)
+                fresh = fingerprint_of(c)
+                assert fp == fresh and fp.to_json() == fresh.to_json()
+            repeats += len(covers) - len(memo)
+            self.assert_same_sets(
+                lambda level: fingerprints_of_space(s, None, level),
+                [fingerprint_of(c) for c in covers], None)
+        assert repeats > 0
+
+    def test_witness_fixtures(self):
+        for name in ("line_witness_covers", "segment_cover_first",
+                     "segment_cover_second", "segment_cover_third",
+                     "circle_cover", "plane_cover"):
+            loaded = load_input(str(FIXTURES / f"{name}.json"))
+            if loaded.kind == "axis2d":
+                specs = (loaded.axis_spec,)
+                parts = [hclasses_axis2d(loaded.axis_spec)]
+            else:
+                specs = tuple(loaded.interval_specs)
+                parts = [hclasses_of_intervals(s) for s in specs]
+            side = WitnessSide(name=name, covers=specs)
+            memo = {}
+            for p in parts:
+                fp, fresh = fingerprint_of(p, memo=memo), fingerprint_of(p)
+                assert fp == fresh and fp.to_json() == fresh.to_json()
+            self.assert_same_sets(
+                lambda level: side.fingerprints(None, level, 5, 40)[0],
+                [fingerprint_of(p) for p in parts], None)
+
+    def test_domain_types(self):
+        types = list(enumerate_interval_cover_types(FullLine(), 4))
+        self.assert_same_sets(
+            lambda level: fingerprints_of_domain(FullLine(), 4, level),
+            [fingerprint_of(p) for p in types], 4)
+
+    def test_one_k_theory_call_per_distinct_digraph(self, monkeypatch):
+        calls = []
+        original = fingerprints.k_theory
+
+        def counted(g):
+            calls.append((g.n, g.edges))
+            return original(g)
+
+        monkeypatch.setattr(fingerprints, "k_theory", counted)
+        rng = random.Random(54)
+        s = random_space(rng, max_points=5, max_opens=8)
+        covers = list(enumerate_covers(s))
+        distinct = {hasse_digraph(hpartition_of_cover(c)) for c in covers}
+        assert len(distinct) < len(covers)
+        fingerprints_of_space(s, None, "graph")
+        assert sorted(calls) == sorted((g.n, g.edges) for g in distinct)
+        # nothing outlives a call: the second one counts the same again
+        fingerprints_of_space(s, None, "graph")
+        assert len(calls) == 2 * len(distinct)

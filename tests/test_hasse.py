@@ -3,11 +3,14 @@ from itertools import combinations
 
 import pytest
 
+from topocert import digraphs
 from topocert import (
     CapExceeded,
+    FullLine,
     canonical_cert,
     canonical_key,
     enumerate_covers,
+    enumerate_interval_cover_types,
     generate_topology,
     hasse_digraph,
     hpartition_of_cover,
@@ -163,6 +166,12 @@ class TestCanonicalKey:
                 assert new_to_ref.setdefault(new, ref) == ref
                 assert ref_to_new.setdefault(ref, new) == new
         assert len(new_to_ref) > 100
+
+    def test_type_dedup_leaves_the_canonical_order_cache_empty(self):
+        # every incidence digraph is new, so caching it only costs memory
+        digraphs._canonical_order_key.cache_clear()
+        assert len(list(enumerate_interval_cover_types(FullLine(), 4))) == 114
+        assert digraphs._canonical_order_key.cache_info().currsize == 0
 
     def test_too_many_vertices_is_capped(self):
         # 6 members and 35 classes make 41 incidence vertices, over the
