@@ -1,16 +1,23 @@
 """Geometric cover specifications with exact rational endpoints.
 
 Three families stand in for the classical spaces whose point sets are
-infinite: intervals on a half-open segment, arcs on a circle, and
-axis-aligned strict-inequality regions in the plane.  Density classes are
-read off one exact sample point per cell that the endpoints cut the domain
-into, so only the order of endpoints matters and there are no floating-point
-ties.
+infinite: intervals on a half-open segment or the line, arcs on a circle,
+and axis-aligned strict-inequality regions in the plane.  Density classes
+are read off one exact sample point per cell that the endpoints cut the
+domain into, so only the order of endpoints matters and there are no
+floating-point ties.
+
+The segment [lo, hi) and the line have the same n-interval cover types,
+for every n.  Segment to line: send each closed [lo, b) to the ray
+(-inf, b), each open (lo, b) to (eps, b) for a new cut eps just right of
+lo, and every other end by an order-preserving map that sends hi to +inf.
+Every density class is kept.  Line to segment: the inverse map does the
+same.  So one enumerator, over the line, serves both domains.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, List, Optional
@@ -244,42 +251,23 @@ def hclasses_axis2d(spec: AxisAlignedSpec) -> HPartition:
 
 # -- exhaustive combinatorial types of interval covers ------------------------
 
-def _slot_members(domain, m: int) -> List[tuple]:
-    """Every member over slots 0..m+1 as (Interval, bitmask of the interior
-    slots 1..m it uses, start slot, bitmask of the cells it covers), built
-    once per slot count.
+def _slot_members(m: int) -> List[tuple]:
+    """Every open member of the line over slots 0..m+1 as (Interval,
+    bitmask of the interior slots 1..m it uses, start slot, bitmask of the
+    cells it covers), built once per slot count.
 
-    Slot 0 is the left end of the domain and m+1 the right end.  Open pairs
-    of slots serve both domains; the segment lists its [slot 0, b) members
-    first, so start slots never decrease along the pool.  The line's end
-    slots are unbounded.  Cells are the points and the gaps that the slots
-    cut the domain into, numbered from the left:
-
-    * line, 2m + 1 cells: cell 2s is the gap right of slot s and cell 2s - 1
-      is slot s itself, so open (a, b) covers cells 2a .. 2b - 2;
-    * segment, 2m + 2 cells: cell 2s is slot s and cell 2s + 1 the gap right
-      of it, so open (a, b) covers cells 2a + 1 .. 2b - 1 and [slot 0, b)
-      covers cells 0 .. 2b - 1.
+    The end slots 0 and m+1 are unbounded and slot s is the point s in
+    between, so start slots never decrease along the pool.  The 2m + 1
+    cells are the points and the gaps that the slots cut the line into,
+    numbered from the left: cell 2s is the gap right of slot s and cell
+    2s - 1 is slot s itself, so (a, b) covers cells 2a .. 2b - 2.
     """
-    if isinstance(domain, Segment):
-        span = domain.hi - domain.lo
-        values = [domain.lo + span * Fraction(s, m + 1) for s in range(m + 2)]
-        slots = [(0, b, True) for b in range(1, m + 2)]
-        offset = 1  # one cell more than the line: slot 0 is a point
-    elif isinstance(domain, FullLine):
-        values = [None] + [Fraction(s) for s in range(1, m + 1)] + [None]
-        slots = []
-        offset = 0
-    else:
-        raise InvalidArrangement(
-            "cover-type enumeration supports segment and line domains"
-        )
-    slots += [(a, b, False) for a in range(m + 1) for b in range(a + 1, m + 2)]
-    return [(Interval(values[a], values[b], c),
+    values = [None] + [Fraction(s) for s in range(1, m + 1)] + [None]
+    return [(Interval(values[a], values[b]),
              sum(1 << (s - 1) for s in (a, b) if 1 <= s <= m),
              a,
-             (1 << (2 * b - 1 + offset)) - (1 << (0 if c else 2 * a + offset)))
-            for a, b, c in slots]
+             (1 << (2 * b - 1)) - (1 << 2 * a))
+            for a in range(m + 1) for b in range(a + 1, m + 2)]
 
 
 def _surjective_choices(pool: List[tuple], n: int, m: int) -> Iterator[tuple]:
@@ -315,14 +303,18 @@ def _extend(pool: List[tuple], full: int, start: int, left: int, used: int,
 def enumerate_interval_cover_types(domain, n: int,
                                    cap: int = DEFAULT_COVER_SIZE_CAP
                                    ) -> Iterator[HPartition]:
-    """Every combinatorial type of n-interval cover of the domain, one
-    representative per distinct partition identity.
+    """Every combinatorial type of n-interval cover of a segment or the
+    line, one representative per distinct partition identity.
+
+    A segment's covers have the line's types (the module docstring maps
+    them both ways), so both domains walk the line's slot pool in the same
+    order, and the domain only names the ``source`` of each type.
 
     Endpoint weak orders (ties allowed) are enumerated as slot assignments:
-    each endpoint takes a boundary slot or one of m interior slots, every
-    interior slot is used, and members respect lo < hi.  Any n-interval
-    cover realizes some assignment, so the stream is exhaustive.  Three
-    filters on integer masks come before any rational arithmetic:
+    each endpoint takes an unbounded end slot or one of m interior slots,
+    every interior slot is used, and members respect lo < hi.  Any
+    n-interval cover realizes some assignment, so the stream is exhaustive.
+    Three filters on integer masks come before any rational arithmetic:
 
     * ``_surjective_choices`` keeps the member sets that use every interior
       slot (an unused slot reproduces a smaller m);
@@ -337,10 +329,14 @@ def enumerate_interval_cover_types(domain, n: int,
         raise ValueError("cover size must be positive")
     if n > cap:
         raise CapExceeded("interval cover size", cap, n)
+    if not isinstance(domain, (Segment, FullLine)):
+        raise InvalidArrangement("cover-type enumeration supports segment "
+                                 "and line domains")
+    source = f"{domain.describe()} cover(n={n})"
     seen_keys, seen_sets = set(), set()
     for m in range(0, 2 * n + 1):
-        pool = _slot_members(domain, m)
-        cells = range(2 * m + 1 + isinstance(domain, Segment))
+        pool = _slot_members(m)
+        cells = range(2 * m + 1)
         every_cell = (1 << len(cells)) - 1
         for choice in _surjective_choices(pool, n, m):
             covered = 0
@@ -355,9 +351,9 @@ def enumerate_interval_cover_types(domain, n: int,
                 continue
             seen_sets.add(labelled)
             partition = hclasses_of_intervals(
-                IntervalSpec(domain, tuple(member[0] for member in choice)))
+                IntervalSpec(FullLine(), tuple(member[0] for member in choice)))
             key = canonical_key(partition)
             if key in seen_keys:
                 continue
             seen_keys.add(key)
-            yield partition
+            yield replace(partition, source=source)

@@ -327,8 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cap-vertices", type=int,
                        default=_env_cap("TOPOCERT_CAP_VERTICES",
                                         DEFAULT_VERTEX_CAP))
-        p.add_argument("--format", dest="fmt",
-                       choices=["json", "dot", "text"], default="json")
+        formats = (["json", "dot"] if name == "graph" else ["json", "text"]
+                   if name in ("hclasses", "cstar", "ktheory", "prim", "pg", "compare")
+                   else ["json"])
+        p.add_argument("--format", dest="fmt", choices=formats, default="json")
         p.add_argument("--out")
     return parser
 

@@ -304,10 +304,11 @@ class TestEnumerateTypes:
 
     def test_segment_n2_contains_expected_types(self):
         types = list(enumerate_interval_cover_types(SEG, 2))
-        sigs = {tuple(sorted(tuple(sorted(c)) for c in t.classes))
-                for t in types}
-        assert ((0,), (0, 1), (1,)) in sigs  # two overlapping pieces
-        assert ((0,), (0, 1)) in sigs  # nested: whole segment plus one piece
+        keys = {canonical_key(t) for t in types}
+        overlapping = seg_spec([(F(0), F(2, 3), True), (F(1, 3), F(1))])
+        nested = seg_spec([(F(0), F(1), True), (F(1, 3), F(2, 3))])
+        for spec in (overlapping, nested):
+            assert canonical_key(hclasses_of_intervals(spec)) in keys
 
     def test_segment_n4_contains_the_three_worked_covers(self):
         types = list(enumerate_interval_cover_types(SEG, 4))
@@ -357,6 +358,16 @@ class TestEnumerateTypes:
         with pytest.raises(InvalidArrangement):
             list(enumerate_interval_cover_types(Circle(F(1)), 2))
 
+    def test_segment_lists_the_line_types_in_order(self):
+        # a segment's covers have the line's types, so it walks the line's
+        # slot pool and only names its own source
+        domain = Segment(F(-1, 3), F(5, 2))
+        for n in range(1, 5):
+            segment, line = types_of(domain, n), types_of(FullLine(), n)
+            assert segment == line  # member counts and classes, in order
+            assert {t.source for t in segment} == {
+                f"segment[-1/3,5/2) cover(n={n})"}
+
     def test_every_type_is_realized_by_its_own_walk(self):
         # stream members are partitions produced by the cell walk, so each
         # satisfies the partition invariants
@@ -365,20 +376,17 @@ class TestEnumerateTypes:
             assert len(set(t.classes)) == len(t.classes)
 
 
-def slot_values(domain, pool):
-    """The values of slots 0..m+1 read off a pool's members (None for the
-    line's unbounded ends)."""
+def slot_values(pool):
+    """The values of slots 0..m+1 read off a pool's members, None for the
+    unbounded end slots."""
     values = sorted({v for member, *_ in pool for v in (member.lo, member.hi)
                      if v is not None})
-    return values if isinstance(domain, Segment) else [None] + values + [None]
+    return [None] + values + [None]
 
 
 def cell_points(slots):
-    """One point per cell, in cell order: each slot and the gap right of it,
-    up to the right end slot.  The line's end slots are unbounded, so its
-    first cell is the gap left of slot 1."""
-    if slots[0] is not None:
-        return [x for a, b in zip(slots, slots[1:]) for x in (a, (a + b) / 2)]
+    """One point per cell, in cell order: the gap left of slot 1, then each
+    interior slot and the gap right of it."""
     if len(slots) == 2:
         return [F(0)]
     ends = [slots[1] - 2] + slots[1:-1] + [slots[-2] + 2]
@@ -386,21 +394,18 @@ def cell_points(slots):
 
 
 class TestSlotPool:
-    DOMAINS = (Segment(F(-1, 3), F(5, 2)), FullLine())
-
     def test_recursion_yields_the_surjective_combinations_in_order(self):
-        for domain in self.DOMAINS:
-            for n in range(1, 5):
-                for m in range(2 * n + 1):
-                    pool = _slot_members(domain, m)
-                    full = (1 << m) - 1
-                    expected = [c for c in combinations(pool, n)
-                                if reduce(or_, (slots for _, slots, *_ in c)) == full]
-                    assert list(_surjective_choices(pool, n, m)) == expected
+        for n in range(1, 5):
+            for m in range(2 * n + 1):
+                pool = _slot_members(m)
+                full = (1 << m) - 1
+                expected = [c for c in combinations(pool, n)
+                            if reduce(or_, (slots for _, slots, *_ in c)) == full]
+                assert list(_surjective_choices(pool, n, m)) == expected
 
     def test_both_prunes_bound_the_recursion(self, monkeypatch):
-        # without the slot-count prune the segment at n = 4 makes about 20
-        # calls per surjective choice, without the start-slot prune about 11
+        # without the slot-count prune the line at n = 4 makes about 15
+        # calls per surjective choice, without the start-slot prune about 12
         calls = 0
         extend = arrangements._extend
 
@@ -410,29 +415,26 @@ class TestSlotPool:
             return extend(*args)
 
         monkeypatch.setattr(arrangements, "_extend", counted)
-        surjective = {(Segment, 3): 454, (Segment, 4): 6746,
-                      (FullLine, 3): 248, (FullLine, 4): 3600}
-        for domain in self.DOMAINS:
-            for n in (3, 4):
-                calls = 0
-                choices = sum(1 for m in range(2 * n + 1) for _ in
-                              _surjective_choices(_slot_members(domain, m), n, m))
-                assert choices == surjective[type(domain), n]
-                assert calls < 5 * choices
+        surjective = {3: 248, 4: 3600}
+        for n in (3, 4):
+            calls = 0
+            choices = sum(1 for m in range(2 * n + 1) for _ in
+                          _surjective_choices(_slot_members(m), n, m))
+            assert choices == surjective[n]
+            assert calls < 5 * choices
 
     def test_cell_masks_agree_with_membership_at_one_point_per_cell(self):
-        for domain in self.DOMAINS:
-            for m in range(9):
-                pool = _slot_members(domain, m)
-                slots = slot_values(domain, pool)
-                points = cell_points(slots)
-                assert len(slots) == m + 2
-                assert len(points) == 2 * m + 1 + isinstance(domain, Segment)
-                for member, _, start, cells in pool:
-                    assert start == slots.index(member.lo)
-                    assert cells >> len(points) == 0
-                    for k, x in enumerate(points):
-                        assert (cells >> k & 1) == interval_contains(domain, member, x)
+        for m in range(9):
+            pool = _slot_members(m)
+            slots = slot_values(pool)
+            points = cell_points(slots)
+            assert len(slots) == m + 2
+            assert len(points) == 2 * m + 1
+            for member, _, start, cells in pool:
+                assert start == slots.index(member.lo)
+                assert cells >> len(points) == 0
+                for k, x in enumerate(points):
+                    assert (cells >> k & 1) == interval_contains(FullLine(), member, x)
 
 
 @lru_cache(maxsize=None)
@@ -496,7 +498,9 @@ class TestExhaustiveness:
         rng = random.Random(2)
         seen = {"tie": 0, "closed_lo": 0, "boundary": 0, "ray": 0}
         for domain in self.DOMAINS:
-            for n in range(1, 5):
+            # n = 5 on the segment: covers drawn with closed and boundary
+            # ends against the line's stream, under the default cap
+            for n in range(1, 6 if isinstance(domain, Segment) else 5):
                 keys = {canonical_key(t) for t in types_of(domain, n)}
                 count = 0
                 while count < 200:

@@ -492,3 +492,30 @@ class TestDeterminism:
                                input=fx("segment_cover_first.json"), fmt="text")
         assert code == 0
         assert out.startswith("blocks:")
+
+    def test_format_is_offered_only_where_it_is_honoured(self, capsys):
+        # dot on graph, text on the commands that render text, json on all;
+        # any other pairing used to exit 0 and print JSON
+        cover, chain = fx("segment_cover_first.json"), fx("chain_4.json")
+        for argv, fmt, code in (
+                (["graph", "--input", cover], "dot", 0),
+                (["pg", "--input", chain, "--n", "1"], "text", 0),
+                (["validate", "--input", chain], "json", 0),
+                (["pg", "--input", chain, "--n", "1"], "dot", 1),
+                (["graph", "--input", cover], "text", 1),
+                (["certify", "--input", chain, "--input-b", chain, "--n", "1"],
+                 "text", 1),
+                (["enumerate", "--input", fx("line_domain.json"), "--n", "1"],
+                 "dot", 1)):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--format", fmt])
+            out, err = capsys.readouterr()
+            assert exc.value.code == code, (argv, fmt)
+            if code:
+                assert out == ""
+                assert "--format" in json.loads(err)["error"]["message"]
+            elif fmt == "json":
+                json.loads(out)
+            else:
+                with pytest.raises(ValueError):
+                    json.loads(out)
