@@ -37,6 +37,27 @@ _COVERS = ["segment_cover_first", "segment_cover_second", "segment_cover_third",
            "circle_cover", "plane_cover"]
 _SPACES = ["chain_2", "chain_3", "chain_4", "sierpinski", "three_point_model",
            "trivial_space"]
+# one call per error kind and exit path the CLI can reach; the inputs are
+# under fixtures/errors/
+_INVALID_TOPOLOGIES = ["duplicate_point", "unknown_point", "missing_empty",
+                       "missing_whole", "not_closed_under_union",
+                       "not_closed_under_intersection"]
+_ERROR_CALLS = (
+    [f"{command} --input fixtures/errors/cycle_3.json"  # NotAcyclic, exit 1
+     for command in ("cstar", "prim")]
+    + ["graph --input fixtures/errors/graph_41.json"]  # CapExceeded, exit 4
+    + [f"validate --input fixtures/errors/{space}.json"  # exit 2
+       for space in _INVALID_TOPOLOGIES]
+    + [f"hclasses --input fixtures/errors/{cover}.json"  # ParseError, exit 3
+       for cover in ("empty_member", "member_outside_segment")]
+    + ["enumerate --input fixtures/errors/circle_domain.json --n 2",  # exit 1
+       "certify --input fixtures/segment_cover_first.json"
+       " --input-b fixtures/circle_cover.json",  # NotExhaustible, exit 1
+       "pg --input fixtures/chain_4.json --format dot",  # bad flag, exit 1
+       "pg --input fixtures/chain_4.json --n 0",  # bad value, exit 1
+       "pg --input fixtures/segment_gap.json",  # NotACover, exit 5
+       "validate --input fixtures/errors/no_such_file.json"]  # ParseError, exit 3
+)
 
 CALLS = (
     _README_CERTIFY
@@ -51,6 +72,7 @@ CALLS = (
     + [f"validate --input fixtures/{space}.json" for space in _SPACES]
     + ["hclasses --input fixtures/segment_gap.json",  # NotACover, exit 5
        "graph --input fixtures/no_such_file.json"]  # ParseError, exit 3
+    + _ERROR_CALLS
 )
 
 
