@@ -32,13 +32,7 @@ from .certificates import (
     nonhomeo_certificate,
 )
 from .digraphs import DEFAULT_VERTEX_CAP, to_dot
-from .errors import (
-    CapExceeded,
-    NotACover,
-    ParseError,
-    TopocertError,
-    TopologyError,
-)
+from .errors import CapExceeded, ParseError, TopocertError, TopologyError
 from .fingerprints import LEVELS, sets_match
 # unused here; the benchmark's tracer and its tests expect this binding
 from .fingerprints import fingerprint_of  # noqa: F401
@@ -56,11 +50,6 @@ from .jsonio import (
 from .spaces import enumerate_covers
 
 _EXIT_NEGATIVE = 2
-_ERROR_CODES = {
-    ParseError: 3,
-    CapExceeded: 4,
-    NotACover: 5,
-}
 
 
 @dataclass
@@ -116,12 +105,8 @@ def _emit(config: RunConfig, text: str) -> None:
 
 
 def _emit_error(exc: TopocertError) -> int:
-    doc = {"error": {"kind": exc.kind, "message": str(exc), **exc.payload()}}
-    sys.stderr.write(dumps(doc))
-    for klass, code in _ERROR_CODES.items():
-        if isinstance(exc, klass):
-            return code
-    return 1
+    sys.stderr.write(dumps({"error": exc.report()}))
+    return exc.exit_code
 
 
 def _partition_of_input(path: str, loaded):
@@ -251,10 +236,7 @@ def _cmd_validate(config: RunConfig) -> int:
     try:
         space = load_space(config.input)
     except TopologyError as exc:
-        _emit(config, dumps({
-            "valid": False,
-            "error": {"kind": exc.kind, "message": str(exc), **exc.payload()},
-        }))
+        _emit(config, dumps({"valid": False, "error": exc.report()}))
         return _EXIT_NEGATIVE
     _emit(config, dumps({"valid": True, **space_json(space)}))
     return 0

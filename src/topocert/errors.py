@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-Every error carries enough structure (witnesses, indices, paths) for the CLI
-to render a machine-readable report.
+Every error reports itself: ``report()`` is the CLI's JSON error object, with
+the error's kind (its class name), its message and its extra fields
+(witnesses, indices, paths), and ``exit_code`` is the CLI's exit status.
 """
 
 
@@ -9,10 +10,23 @@ class TopocertError(Exception):
     """Base class for all errors raised by this package."""
 
     kind = "Error"
+    exit_code = 1
 
-    def payload(self) -> dict:
-        """Extra fields merged into the CLI's JSON error object."""
-        return {}
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.kind = cls.__name__
+
+    def __init__(self, message: str = "", **fields):
+        super().__init__(message)
+        self.fields = fields
+
+    def report(self) -> dict:
+        """The CLI's JSON error object."""
+        return {"kind": self.kind, "message": str(self), **self.fields}
+
+
+def _witness_pair(a, b) -> list:
+    return [sorted(map(str, a)), sorted(map(str, b))]
 
 
 class TopologyError(TopocertError):
@@ -20,164 +34,104 @@ class TopologyError(TopocertError):
 
 
 class DuplicatePoint(TopologyError):
-    kind = "DuplicatePoint"
-
     def __init__(self, point):
-        self.point = point
-        super().__init__(f"duplicate point identifier: {point!r}")
-
-    def payload(self):
-        return {"point": repr(self.point)}
+        super().__init__(f"duplicate point identifier: {point!r}",
+                         point=repr(point))
 
 
 class UnknownPoint(TopologyError):
-    kind = "UnknownPoint"
-
     def __init__(self, point):
-        self.point = point
-        super().__init__(f"set mentions a point outside the space: {point!r}")
-
-    def payload(self):
-        return {"point": repr(self.point)}
+        super().__init__(f"set mentions a point outside the space: {point!r}",
+                         point=repr(point))
 
 
 class MissingEmpty(TopologyError):
-    kind = "MissingEmpty"
-
     def __init__(self):
         super().__init__("the empty set is not among the opens")
 
 
 class MissingWhole(TopologyError):
-    kind = "MissingWhole"
-
     def __init__(self):
         super().__init__("the full point set is not among the opens")
 
 
 class NotClosedUnderUnion(TopologyError):
-    kind = "NotClosedUnderUnion"
-
     def __init__(self, witness_a, witness_b):
         self.witness = (witness_a, witness_b)
         super().__init__(
-            f"union of opens {sorted(witness_a)} and {sorted(witness_b)} is not open"
+            f"union of opens {sorted(witness_a)} and {sorted(witness_b)} is not open",
+            witness=_witness_pair(witness_a, witness_b),
         )
-
-    def payload(self):
-        a, b = self.witness
-        return {"witness": [sorted(map(str, a)), sorted(map(str, b))]}
 
 
 class NotClosedUnderIntersection(TopologyError):
-    kind = "NotClosedUnderIntersection"
-
     def __init__(self, witness_a, witness_b):
         self.witness = (witness_a, witness_b)
         super().__init__(
             f"intersection of opens {sorted(witness_a)} and {sorted(witness_b)}"
-            " is not open"
+            " is not open",
+            witness=_witness_pair(witness_a, witness_b),
         )
-
-    def payload(self):
-        a, b = self.witness
-        return {"witness": [sorted(map(str, a)), sorted(map(str, b))]}
 
 
 class NotACover(TopocertError):
     """The given family fails to cover the space/domain."""
 
-    kind = "NotACover"
+    exit_code = 5
 
     def __init__(self, witness: str):
         self.witness = witness
-        super().__init__(f"not a cover: {witness} is uncovered")
-
-    def payload(self):
-        return {"witness": self.witness}
+        super().__init__(f"not a cover: {witness} is uncovered", witness=witness)
 
 
 class EmptyMember(TopocertError):
     """A cover member denotes the empty set."""
 
-    kind = "EmptyMember"
-
     def __init__(self, index: int):
-        self.index = index
-        super().__init__(f"cover member {index} is empty")
-
-    def payload(self):
-        return {"index": self.index}
+        super().__init__(f"cover member {index} is empty", index=index)
 
 
 class InvalidArrangement(TopocertError):
     """A geometric cover specification is malformed (not open, out of bounds...)."""
 
-    kind = "InvalidArrangement"
-
 
 class NotAcyclic(TopocertError):
     """An operation that needs an acyclic digraph received a cyclic one."""
 
-    kind = "NotAcyclic"
-
     def __init__(self, cycle):
-        self.cycle = tuple(cycle)
-        super().__init__(f"digraph contains a cycle: {list(self.cycle)}")
-
-    def payload(self):
-        return {"cycle": list(self.cycle)}
+        cycle = list(cycle)
+        super().__init__(f"digraph contains a cycle: {cycle}", cycle=cycle)
 
 
 class CapExceeded(TopocertError):
     """A configured size cap would be exceeded."""
 
-    kind = "CapExceeded"
+    exit_code = 4
 
     def __init__(self, what: str, limit: int, requested):
-        self.what = what
-        self.limit = limit
-        self.requested = requested
-        super().__init__(f"{what}: requested {requested}, cap is {limit}")
-
-    def payload(self):
-        return {"what": self.what, "limit": self.limit, "requested": self.requested}
+        super().__init__(f"{what}: requested {requested}, cap is {limit}",
+                         what=what, limit=limit, requested=requested)
 
 
 class LevelMismatch(TopocertError):
     """Two fingerprint sets with different level or size scope were compared."""
 
-    kind = "LevelMismatch"
-
-    def __init__(self, detail: str):
-        super().__init__(detail)
-
 
 class NotExhaustible(TopocertError):
     """Neither side of a certificate search admits exhaustive enumeration."""
 
-    kind = "NotExhaustible"
-
     def __init__(self, side: str):
-        self.side = side
         super().__init__(
             f"side {side!r} only provides witness covers; at least one side must be"
-            " exhaustively enumerable"
+            " exhaustively enumerable",
+            side=side,
         )
-
-    def payload(self):
-        return {"side": self.side}
 
 
 class ParseError(TopocertError):
     """An input file could not be parsed or validated."""
 
-    kind = "ParseError"
+    exit_code = 3
 
     def __init__(self, path: str, detail: str):
-        self.path = path
-        self.detail = detail
-        super().__init__(f"{path}: {detail}")
-
-    def payload(self):
-        return {"path": self.path, "detail": self.detail}
+        super().__init__(f"{path}: {detail}", path=path, detail=detail)
