@@ -50,6 +50,26 @@ from .jsonio import (
 from .spaces import enumerate_covers
 
 _EXIT_NEGATIVE = 2
+# each command's flags beyond --input, the caps, --format and --out, in the
+# parser's order, and the formats it offers, the default first
+_COMMANDS = {
+    "validate": ((), ("json",)),
+    "hclasses": ((), ("json", "text")),
+    "graph": ((), ("json", "dot")),
+    "cstar": ((), ("json", "text")),
+    "ktheory": ((), ("json", "text")),
+    "prim": ((), ("json", "text")),
+    "pg": (("n", "level"), ("json", "text")),
+    "compare": (("input_b", "n", "level"), ("json", "text")),
+    "certify": (("input_b", "n", "n_range", "level"), ("json",)),
+    "enumerate": (("n",), ("json",)),
+}
+_FLAGS = {
+    "input_b": dict(required=True),
+    "n": dict(type=int),
+    "n_range": dict(help="inclusive range, e.g. 4..4"),
+    "level": dict(choices=list(LEVELS), default="graph"),
+}
 
 
 @dataclass
@@ -66,6 +86,10 @@ class RunConfig:
     out: Optional[str] = None
 
     def __post_init__(self):
+        if self.command not in _COMMANDS:
+            raise ValueError(f"unknown command {self.command!r}")
+        if self.fmt not in _COMMANDS[self.command][1]:
+            raise ValueError(f"{self.command} does not offer --format {self.fmt!r}")
         if self.cap_cover < 1 or self.cap_vertices < 1:
             raise ValueError("caps must be positive")
         if self.level not in LEVELS:
@@ -227,9 +251,7 @@ def _dispatch(config: RunConfig) -> int:
             return _EXIT_NEGATIVE
         _emit(config, dumps(cert.to_json()))
         return 0
-    if cmd == "enumerate":
-        return _cmd_enumerate(config, loaded)
-    raise ValueError(f"unknown command {cmd!r}")
+    return _cmd_enumerate(config, loaded)
 
 
 def _cmd_validate(config: RunConfig) -> int:
@@ -291,28 +313,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("validate", "hclasses", "graph", "cstar", "ktheory", "prim",
-                 "pg", "compare", "certify", "enumerate"):
+    for name, (flags, formats) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--input", required=True)
-        if name in ("compare", "certify"):
-            p.add_argument("--input-b", required=True)
-        if name in ("pg", "compare", "certify", "enumerate"):
-            p.add_argument("--n", type=int)
-        if name == "certify":
-            p.add_argument("--n-range", help="inclusive range, e.g. 4..4")
-        if name in ("pg", "compare", "certify"):
-            p.add_argument("--level", choices=list(LEVELS), default="graph")
+        for flag in flags:
+            p.add_argument("--" + flag.replace("_", "-"), **_FLAGS[flag])
         p.add_argument("--cap-cover", type=int,
                        default=_env_cap("TOPOCERT_CAP_COVER",
                                         DEFAULT_COVER_SIZE_CAP))
         p.add_argument("--cap-vertices", type=int,
                        default=_env_cap("TOPOCERT_CAP_VERTICES",
                                         DEFAULT_VERTEX_CAP))
-        formats = (["json", "dot"] if name == "graph" else ["json", "text"]
-                   if name in ("hclasses", "cstar", "ktheory", "prim", "pg", "compare")
-                   else ["json"])
-        p.add_argument("--format", dest="fmt", choices=formats, default="json")
+        p.add_argument("--format", dest="fmt", choices=formats, default=formats[0])
         p.add_argument("--out")
     return parser
 
@@ -335,20 +347,10 @@ def main(argv=None) -> None:
         parser = build_parser()
     except TopocertError as exc:
         sys.exit(_emit_error(exc))
-    args = parser.parse_args(argv)
+    fields = vars(parser.parse_args(argv))
     try:
-        config = RunConfig(
-            command=args.command,
-            input=getattr(args, "input", None),
-            input_b=getattr(args, "input_b", None),
-            n=getattr(args, "n", None),
-            n_range=_parse_n_range(getattr(args, "n_range", None)),
-            level=getattr(args, "level", "graph"),
-            cap_cover=args.cap_cover,
-            cap_vertices=args.cap_vertices,
-            fmt=args.fmt,
-            out=args.out,
-        )
+        fields["n_range"] = _parse_n_range(fields.get("n_range"))
+        config = RunConfig(**fields)
     except ValueError as exc:
         sys.exit(_emit_error(TopocertError(str(exc))))
     sys.exit(run(config))

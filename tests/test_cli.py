@@ -519,3 +519,16 @@ class TestDeterminism:
             else:
                 with pytest.raises(ValueError):
                     json.loads(out)
+
+    def test_run_config_rejects_what_the_parser_rejects(self):
+        # the library path used to accept these and print JSON with exit 0
+        chain = fx("chain_4.json")
+        for kw in (dict(command="validate", fmt="text"),
+                   dict(command="graph", fmt="text"),
+                   dict(command="certify", input_b=chain, fmt="text"),
+                   dict(command="pg", fmt="dot"),
+                   dict(command="bogus")):
+            with pytest.raises(ValueError):
+                RunConfig(input=chain, **kw)
+        for command, fmt in (("graph", "dot"), ("pg", "text"), ("validate", "json")):
+            assert RunConfig(command=command, input=chain, fmt=fmt).fmt == fmt
