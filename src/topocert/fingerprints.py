@@ -148,7 +148,13 @@ def collect_fingerprints(fps: Iterable[Fingerprint], level: str,
     if level not in LEVELS:
         raise LevelMismatch(f"unknown level {level!r}")
     chosen = {}
+    # a memo hands out the same object many times; holding each one keeps
+    # its id from being reused
+    seen = {}
     for fp in fps:
+        if id(fp) in seen:
+            continue
+        seen[id(fp)] = fp
         key = fp.project(level)
         k = fp.kpair
         # everything to_json reports, as one sortable tuple

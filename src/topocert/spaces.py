@@ -203,7 +203,7 @@ def enumerate_covers(space: FiniteSpace, n: Optional[int] = None) -> Iterator[Co
     ``n`` given, only covers of exactly ``n`` members are produced.
     """
     ne = space.nonempty_opens
-    masks = [space.mask_of(u) for u in ne]
+    masks = [m for m in space.open_masks if m]  # in the order of ne
     full = space.full_mask
     if n is not None:
         if n < 1:
