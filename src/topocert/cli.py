@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Commands: validate, hclasses, graph, cstar, ktheory, prim, pg, compare,
-certify, enumerate.  Outputs are deterministic; every failure is reported as
-a JSON error object on stderr with a stable exit code:
+certify, enumerate.  Outputs are deterministic; every failure is reported on
+stderr as ``{"error": exc.report()}`` (kind, message and the error's extra
+fields) and ends with the error's ``exit_code``:
 
   0  success
   2  negative result (invalid topology / sets differ / nothing certifiable)
