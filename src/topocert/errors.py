@@ -9,16 +9,16 @@ the error's kind (its class name), its message and its extra fields
 class TopocertError(Exception):
     """Base class for all errors raised by this package."""
 
-    kind = "Error"
     exit_code = 1
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        cls.kind = cls.__name__
 
     def __init__(self, message: str = "", **fields):
         super().__init__(message)
         self.fields = fields
+
+    @property
+    def kind(self) -> str:
+        """The class name; "Error" for this base class."""
+        return "Error" if type(self) is TopocertError else type(self).__name__
 
     def report(self) -> dict:
         """The CLI's JSON error object."""
