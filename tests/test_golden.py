@@ -58,6 +58,30 @@ _ERROR_CALLS = (
        "pg --input fixtures/segment_gap.json",  # NotACover, exit 5
        "validate --input fixtures/errors/no_such_file.json"]  # ParseError, exit 3
 )
+# every kind of input as a comparison side, text output, a search that finds
+# nothing and the inputs a command refuses
+_SIDE_CALLS = [
+    "pg --input fixtures/line_witness_covers.json --level cstar",
+    "pg --input fixtures/line_witness_covers.json --n 7 --format text",
+    "pg --input fixtures/plane_cover.json",
+    "pg --input fixtures/circle_cover.json --level ktheory",
+    "pg --input fixtures/segment_domain.json --n 3",
+    "pg --input fixtures/line_domain.json",  # a domain needs --n, exit 3
+    "compare --input fixtures/chain_3.json --input-b fixtures/chain_3.json --n 2",
+    "compare --input fixtures/plane_cover.json"
+    " --input-b fixtures/line_domain.json --n 4",  # exit 2
+    "compare --input fixtures/segment_cover_first.json"
+    " --input-b fixtures/segment_domain.json --n 4 --format text",  # exit 2
+    "certify --input fixtures/segment_domain.json"
+    " --input-b fixtures/line_domain.json --n-range 1..3",  # exit 2
+    "certify --input fixtures/circle_cover.json"
+    " --input-b fixtures/three_point_model.json --n-range 4..4",
+    "hclasses --input fixtures/line_witness_covers.json",  # several covers, exit 3
+    "hclasses --input fixtures/plane_cover.json --format text",
+    "enumerate --input fixtures/chain_3.json",
+    "enumerate --input fixtures/plane_cover.json",  # exit 3
+    "graph --input fixtures/line_domain.json",  # exit 3
+]
 
 CALLS = (
     _README_CERTIFY
@@ -73,6 +97,7 @@ CALLS = (
     + ["hclasses --input fixtures/segment_gap.json",  # NotACover, exit 5
        "graph --input fixtures/no_such_file.json"]  # ParseError, exit 3
     + _ERROR_CALLS
+    + _SIDE_CALLS
 )
 
 
