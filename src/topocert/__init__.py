@@ -14,8 +14,7 @@ from .arrangements import (
     enumerate_interval_cover_types,
     hclasses_axis2d,
     hclasses_of_intervals,
-    make_axis_spec,
-    make_interval_spec,
+    hclasses_of_spec,
 )
 from .certificates import (
     Certificate,
@@ -57,6 +56,7 @@ from .fingerprints import (
     FingerprintSet,
     empty_space_fingerprints,
     fingerprint_of,
+    fingerprint_set,
     fingerprints_of_domain,
     fingerprints_of_space,
     sets_match,

@@ -78,8 +78,25 @@ class Interval:
 
 @dataclass(frozen=True)
 class IntervalSpec:
+    """A cover of ``domain`` by distinct nonempty open members, checked
+    when it is built."""
+
     domain: object  # Segment | FullLine | Circle
     members: tuple  # of Interval
+
+    def __post_init__(self):
+        ms = self.members
+        if not ms:
+            raise InvalidArrangement("a cover needs at least one member")
+        for idx, m in enumerate(ms):
+            _validate_interval(self.domain, m, idx)
+        if len(set(ms)) < len(ms):  # cheaper than comparing every pair
+            i, j = next((i, j) for i, j in combinations(range(len(ms)), 2)
+                        if ms[i] == ms[j])
+            raise InvalidArrangement(f"members {i} and {j} are the same set")
+
+
+_AXIS_VARS = ("x", "y")
 
 
 @dataclass(frozen=True)
@@ -91,7 +108,24 @@ class Constraint:
 
 @dataclass(frozen=True)
 class AxisAlignedSpec:
+    """A cover of the plane by nonempty regions, each a conjunction of
+    strict constraints on x or y, checked when it is built."""
+
     members: tuple  # of tuples of Constraint
+
+    def __post_init__(self):
+        if not self.members:
+            raise InvalidArrangement("a cover needs at least one member")
+        for idx, conj in enumerate(self.members):
+            if any(con.var not in _AXIS_VARS or con.op not in ("<", ">")
+                   for con in conj):
+                raise InvalidArrangement(
+                    f"member {idx}: constraints are strict <,> on x or y")
+            for var in _AXIS_VARS:
+                lows = [con.c for con in conj if con.var == var and con.op == ">"]
+                highs = [con.c for con in conj if con.var == var and con.op == "<"]
+                if lows and highs and max(lows) >= min(highs):
+                    raise EmptyMember(idx)
 
 
 def _validate_interval(domain, member: Interval, idx: int) -> None:
@@ -125,18 +159,6 @@ def _validate_interval(domain, member: Interval, idx: int) -> None:
             raise EmptyMember(idx)
     else:
         raise InvalidArrangement(f"unsupported domain {domain!r}")
-
-
-def make_interval_spec(domain, members) -> IntervalSpec:
-    ms = tuple(members)
-    if not ms:
-        raise InvalidArrangement("a cover needs at least one member")
-    for idx, m in enumerate(ms):
-        _validate_interval(domain, m, idx)
-    for i, j in combinations(range(len(ms)), 2):
-        if ms[i] == ms[j]:
-            raise InvalidArrangement(f"members {i} and {j} are the same set")
-    return IntervalSpec(domain=domain, members=ms)
 
 
 def _contains(domain, member: Interval, x: Fraction) -> bool:
@@ -175,8 +197,6 @@ def _samples(cuts) -> List[Fraction]:
 def hclasses_of_intervals(spec: IntervalSpec) -> HPartition:
     """Density classes of an interval/arc cover from one point per cell."""
     domain, members = spec.domain, spec.members
-    for idx, m in enumerate(members):
-        _validate_interval(domain, m, idx)
     ends = [v for m in members for v in (m.lo, m.hi) if v is not None]
     if isinstance(domain, Segment):
         # validated ends lie in [lo, hi]: keep the cells of [lo, hi)
@@ -200,39 +220,9 @@ def hclasses_of_intervals(spec: IntervalSpec) -> HPartition:
 
 # -- axis-aligned plane covers ------------------------------------------------
 
-_AXIS_VARS = ("x", "y")
-
-
-def make_axis_spec(members) -> AxisAlignedSpec:
-    ms = []
-    for idx, conj in enumerate(members):
-        cs = tuple(conj)
-        lows: dict = {}
-        highs: dict = {}
-        for con in cs:
-            if con.var not in _AXIS_VARS or con.op not in ("<", ">"):
-                raise InvalidArrangement(
-                    f"member {idx}: constraints are strict <,> on x or y"
-                )
-            side = lows if con.op == ">" else highs
-            cur = side.get(con.var)
-            if con.op == ">":
-                side[con.var] = con.c if cur is None else max(cur, con.c)
-            else:
-                side[con.var] = con.c if cur is None else min(cur, con.c)
-        for var in _AXIS_VARS:
-            if var in lows and var in highs and lows[var] >= highs[var]:
-                raise EmptyMember(idx)
-        ms.append(cs)
-    if not ms:
-        raise InvalidArrangement("a cover needs at least one member")
-    return AxisAlignedSpec(members=tuple(ms))
-
-
 def hclasses_axis2d(spec: AxisAlignedSpec) -> HPartition:
     """Density classes of an axis-aligned plane cover from one point per
     cell of the grid the constraint thresholds cut the plane into."""
-    spec = make_axis_spec(spec.members)  # re-validate, normalizes nothing
     cuts = {v: [con.c for conj in spec.members for con in conj if con.var == v]
             for v in _AXIS_VARS}
     classes = set()
@@ -247,6 +237,13 @@ def hclasses_axis2d(spec: AxisAlignedSpec) -> HPartition:
                 raise NotACover(f"point ({x}, {y})")
             classes.add(h)
     return make_hpartition(classes, len(spec.members), f"plane cover(n={len(spec.members)})")
+
+
+def hclasses_of_spec(spec) -> HPartition:
+    """Density classes of one witness cover of either family."""
+    if isinstance(spec, AxisAlignedSpec):
+        return hclasses_axis2d(spec)
+    return hclasses_of_intervals(spec)
 
 
 # -- exhaustive combinatorial types of interval covers ------------------------

@@ -17,23 +17,16 @@ from dataclasses import asdict, dataclass
 from typing import Optional, Tuple, Union
 
 from . import __version__ as _version
-from .arrangements import (
-    DEFAULT_COVER_SIZE_CAP,
-    AxisAlignedSpec,
-    FullLine,
-    Segment,
-    hclasses_axis2d,
-    hclasses_of_intervals,
-)
+from .arrangements import DEFAULT_COVER_SIZE_CAP, FullLine, Segment, hclasses_of_spec
 from .digraphs import DEFAULT_VERTEX_CAP
 from .errors import NotExhaustible
 from .fingerprints import (
-    collect_fingerprints,
     fingerprint_of,
+    fingerprint_set,
     fingerprints_of_domain,
     fingerprints_of_space,
 )
-from .jsonio import axis_spec_json, interval_spec_json
+from .jsonio import spec_json
 from .spaces import FiniteSpace
 
 
@@ -73,12 +66,6 @@ class DomainSide:
                     f"of the {self.domain.describe()}")
 
 
-def _partition_of(spec):
-    if isinstance(spec, AxisAlignedSpec):
-        return hclasses_axis2d(spec)
-    return hclasses_of_intervals(spec)
-
-
 @dataclass(frozen=True)
 class WitnessSide:
     """Specific covers only; can witness a fingerprint but never absence."""
@@ -95,10 +82,7 @@ class WitnessSide:
         """(fingerprint set, family text) over the witness covers with ``n``
         members (all of them when ``n`` is None)."""
         specs = self._sized(n)
-        memo: dict = {}
-        fps = [fingerprint_of(_partition_of(s), cap_vertices, memo)
-               for s in specs]
-        return (collect_fingerprints(fps, level, n),
+        return (fingerprint_set(map(hclasses_of_spec, specs), level, n, cap_vertices),
                 f"{len(specs)} witness cover(s)")
 
     def cover_for(self, detail: dict, n: Optional[int],
@@ -107,10 +91,8 @@ class WitnessSide:
         ``detail``.  Covers are fingerprinted again, one at a time, and only
         until the match, so a search that finds nothing pays nothing here."""
         for spec in self._sized(n):
-            if fingerprint_of(_partition_of(spec), cap_vertices).to_json() == detail:
-                if isinstance(spec, AxisAlignedSpec):
-                    return axis_spec_json(spec)
-                return interval_spec_json(spec)
+            if fingerprint_of(hclasses_of_spec(spec), cap_vertices).to_json() == detail:
+                return spec_json(spec)
         return None
 
 

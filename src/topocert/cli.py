@@ -23,8 +23,7 @@ from . import __version__
 from .arrangements import (
     DEFAULT_COVER_SIZE_CAP,
     enumerate_interval_cover_types,
-    hclasses_axis2d,
-    hclasses_of_intervals,
+    hclasses_of_spec,
 )
 from .certificates import (
     DomainSide,
@@ -139,12 +138,10 @@ def _partition_of_input(path: str, loaded):
         if loaded.cover is None:
             raise ParseError(path, 'this command needs a "cover" in the space file')
         return hpartition_of_cover(loaded.cover)
-    if loaded.kind == "intervals":
-        if len(loaded.interval_specs) != 1:
+    if loaded.kind == "covers":
+        if len(loaded.specs) != 1:
             raise ParseError(path, "this command needs exactly one cover")
-        return hclasses_of_intervals(loaded.interval_specs[0])
-    if loaded.kind == "axis2d":
-        return hclasses_axis2d(loaded.axis_spec)
+        return hclasses_of_spec(loaded.specs[0])
     raise ParseError(path, f"cannot derive a cover from a {loaded.kind} input")
 
 
@@ -163,10 +160,8 @@ def _side_of_input(name: str, path: str, loaded):
         return SpaceSide(name=name, space=loaded.space)
     if loaded.kind == "domain":
         return DomainSide(name=name, domain=loaded.domain)
-    if loaded.kind == "intervals":
-        return WitnessSide(name=name, covers=loaded.interval_specs)
-    if loaded.kind == "axis2d":
-        return WitnessSide(name=name, covers=(loaded.axis_spec,))
+    if loaded.kind == "covers":
+        return WitnessSide(name=name, covers=loaded.specs)
     raise ParseError(path, f"cannot fingerprint a {loaded.kind} input")
 
 

@@ -129,9 +129,10 @@ class NotExhaustible(TopocertError):
 
 
 class ParseError(TopocertError):
-    """An input file could not be parsed or validated."""
+    """An input file could not be parsed or validated; ``fields`` keeps the
+    extra fields of the error found in it."""
 
     exit_code = 3
 
-    def __init__(self, path: str, detail: str):
-        super().__init__(f"{path}: {detail}", path=path, detail=detail)
+    def __init__(self, path: str, detail: str, **fields):
+        super().__init__(f"{path}: {detail}", path=path, detail=detail, **fields)

@@ -20,7 +20,7 @@ from .arrangements import (
     DEFAULT_COVER_SIZE_CAP,
     enumerate_interval_cover_types,
 )
-from .digraphs import DEFAULT_VERTEX_CAP, CanonicalCert, DiGraph, canonical_cert
+from .digraphs import DEFAULT_VERTEX_CAP, CanonicalCert, canonical_cert
 from .errors import LevelMismatch
 from .graphalgebra import (
     BlockDecomposition,
@@ -30,7 +30,7 @@ from .graphalgebra import (
     k_theory,
     prim_space,
 )
-from .hasse import HPartition, hasse_digraph, hpartition_of_cover
+from .hasse import HPartition, hasse_digraph, hpartition_of_cover, make_hpartition
 from .spaces import Cover, FiniteSpace, enumerate_covers
 
 LEVELS = ("graph", "cstar", "ktheory")
@@ -109,13 +109,7 @@ def fingerprint_of(source: Union[Cover, HPartition],
 def singleton_fingerprint() -> Fingerprint:
     """The one-vertex fingerprint (trivial cover; also the empty-space
     convention)."""
-    g = DiGraph(n=1, edges=frozenset())
-    return Fingerprint(
-        graph_cert=canonical_cert(g),
-        blocks=block_decomposition(g),
-        kpair=k_theory(g),
-        prim=prim_space(g),
-    )
+    return fingerprint_of(make_hpartition([frozenset({0})], 1))
 
 
 @dataclass(frozen=True)
@@ -171,17 +165,22 @@ def collect_fingerprints(fps: Iterable[Fingerprint], level: str,
     )
 
 
+def fingerprint_set(sources: Iterable[Union[Cover, HPartition]], level: str,
+                    n: Optional[int], cap_vertices: int = DEFAULT_VERTEX_CAP
+                    ) -> FingerprintSet:
+    """Distinct fingerprints of ``sources`` (covers or their partitions) at
+    ``level``, under the size scope ``n``; one memo serves the whole set."""
+    memo: dict = {}
+    return collect_fingerprints(
+        (fingerprint_of(s, cap_vertices, memo) for s in sources), level, n)
+
+
 def fingerprints_of_space(space: FiniteSpace, n: Optional[int], level: str,
                           cap_vertices: int = DEFAULT_VERTEX_CAP
                           ) -> FingerprintSet:
     """Distinct fingerprints over all covers of ``space`` with exactly ``n``
     members (every size when ``n`` is None)."""
-    memo: dict = {}
-    fps = (
-        fingerprint_of(c, cap_vertices, memo)
-        for c in enumerate_covers(space, n)
-    )
-    return collect_fingerprints(fps, level, n)
+    return fingerprint_set(enumerate_covers(space, n), level, n, cap_vertices)
 
 
 def fingerprints_of_domain(domain, n: int, level: str,
@@ -190,12 +189,8 @@ def fingerprints_of_domain(domain, n: int, level: str,
                            ) -> FingerprintSet:
     """Distinct fingerprints over all combinatorial types of n-interval
     covers of a segment or line domain."""
-    memo: dict = {}
-    fps = (
-        fingerprint_of(p, cap_vertices, memo)
-        for p in enumerate_interval_cover_types(domain, n, cap_cover)
-    )
-    return collect_fingerprints(fps, level, n)
+    return fingerprint_set(enumerate_interval_cover_types(domain, n, cap_cover),
+                           level, n, cap_vertices)
 
 
 def empty_space_fingerprints(level: str) -> FingerprintSet:

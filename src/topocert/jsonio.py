@@ -1,13 +1,14 @@
 """JSON input/output for spaces, covers, arrangements and graphs.
 
 Rationals are serialized as strings ("3/4", "-6"); infinite interval ends as
-"-inf"/"inf".  All loaders wrap failures into ParseError with the offending
-path.
+"-inf"/"inf".  Loaders report a failure as a ParseError naming the file;
+a CapExceeded or a NotACover keeps its own kind.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -19,11 +20,9 @@ from .arrangements import (
     Interval,
     IntervalSpec,
     Segment,
-    make_axis_spec,
-    make_interval_spec,
 )
 from .digraphs import DiGraph
-from .errors import CapExceeded, ParseError, TopocertError, TopologyError
+from .errors import CapExceeded, NotACover, ParseError, TopocertError, TopologyError
 from .hasse import HPartition
 from .spaces import Cover, FiniteSpace, make_cover, generate_topology, validate_topology
 
@@ -61,27 +60,17 @@ def _load_domain(doc) -> object:
 
 
 def _load_interval_members(domain, members_doc) -> IntervalSpec:
-    members = []
-    for m in members_doc:
-        members.append(
-            Interval(
-                lo=_parse_end(m.get("lo")),
-                hi=_parse_end(m.get("hi")),
-                closed_lo=bool(m.get("closed_lo", False)),
-            )
-        )
-    return make_interval_spec(domain, members)
+    return IntervalSpec(domain, tuple(
+        Interval(lo=_parse_end(m.get("lo")), hi=_parse_end(m.get("hi")),
+                 closed_lo=bool(m.get("closed_lo", False)))
+        for m in members_doc))
 
 
 def _load_axis_members(members_doc) -> AxisAlignedSpec:
-    members = []
-    for conj in members_doc:
-        cons = [
-            Constraint(var=c["var"], op=c["op"], c=parse_fraction(c["c"]))
-            for c in conj
-        ]
-        members.append(tuple(cons))
-    return make_axis_spec(members)
+    return AxisAlignedSpec(tuple(
+        tuple(Constraint(var=c["var"], op=c["op"], c=parse_fraction(c["c"]))
+              for c in conj)
+        for conj in members_doc))
 
 
 def _looks_axis2d(members_doc) -> bool:
@@ -94,29 +83,29 @@ def _looks_axis2d(members_doc) -> bool:
     return True
 
 
+@dataclass(frozen=True)
 class LoadedInput:
     """Tagged result of loading an input file.
 
-    kind is one of "space", "intervals", "axis2d", "domain", "graph".
-    Interval inputs always expose a tuple of covers (a file may carry one
-    cover under "members" or several under "covers").
+    kind is one of "space" (``space``, and ``cover`` when the file has one),
+    "covers" (``specs``: the witness covers of an interval, arc or plane
+    file; an interval file may carry one cover under "members" or several
+    under "covers", a plane file carries one), "domain" or "graph".
     """
 
-    def __init__(self, kind, space=None, cover=None, interval_specs=(),
-                 axis_spec=None, domain=None, graph=None):
-        self.kind = kind
-        self.space = space
-        self.cover = cover
-        self.interval_specs = tuple(interval_specs)
-        self.axis_spec = axis_spec
-        self.domain = domain
-        self.graph = graph
+    kind: str
+    space: Optional[FiniteSpace] = None
+    cover: Optional[Cover] = None
+    specs: tuple = ()  # of IntervalSpec | AxisAlignedSpec
+    domain: object = None
+    graph: Optional[DiGraph] = None
 
 
 def _read(path: str, interpret, passes=()):
     """``interpret`` of the JSON document in ``path``.  Every failure but a
-    ParseError, a CapExceeded or one of ``passes`` becomes a ParseError
-    naming the file."""
+    ParseError, a CapExceeded, a NotACover or one of ``passes`` becomes a
+    ParseError naming the file, with the extra fields of the error it
+    replaces."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -126,10 +115,10 @@ def _read(path: str, interpret, passes=()):
         raise ParseError(path, f"invalid JSON: {exc}") from exc
     try:
         return interpret(doc)
-    except (ParseError, CapExceeded, *passes):
+    except (ParseError, CapExceeded, NotACover, *passes):
         raise
     except TopocertError as exc:
-        raise ParseError(path, f"{exc.kind}: {exc}") from exc
+        raise ParseError(path, f"{exc.kind}: {exc}", **exc.fields) from exc
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(path, str(exc)) from exc
 
@@ -168,16 +157,16 @@ def _interpret(doc) -> LoadedInput:
     if "domain" in doc:
         domain = _load_domain(doc["domain"])
         if "members" in doc:
-            spec = _load_interval_members(domain, doc["members"])
-            return LoadedInput("intervals", interval_specs=[spec])
+            return LoadedInput("covers", specs=(
+                _load_interval_members(domain, doc["members"]),))
         if "covers" in doc:
-            specs = [_load_interval_members(domain, ms) for ms in doc["covers"]]
+            specs = tuple(_load_interval_members(domain, ms) for ms in doc["covers"])
             if not specs:
                 raise ValueError('"covers" must not be empty')
-            return LoadedInput("intervals", interval_specs=specs)
+            return LoadedInput("covers", specs=specs)
         return LoadedInput("domain", domain=domain)
     if "members" in doc and _looks_axis2d(doc["members"]):
-        return LoadedInput("axis2d", axis_spec=_load_axis_members(doc["members"]))
+        return LoadedInput("covers", specs=(_load_axis_members(doc["members"]),))
     if "n" in doc and "edges" in doc:
         labels = None
         if doc.get("labels") is not None:
@@ -237,19 +226,14 @@ def domain_json(domain) -> dict:
     return {"kind": "circle", "circumference": str(domain.circumference)}
 
 
-def interval_spec_json(spec: IntervalSpec) -> dict:
+def spec_json(spec) -> dict:
+    """One witness cover in its input-file form."""
+    if isinstance(spec, AxisAlignedSpec):
+        return {"members": [[{"var": c.var, "op": c.op, "c": str(c.c)} for c in conj]
+                            for conj in spec.members]}
     return {
         "domain": domain_json(spec.domain),
         "members": [interval_json(m) for m in spec.members],
-    }
-
-
-def axis_spec_json(spec: AxisAlignedSpec) -> dict:
-    return {
-        "members": [
-            [{"var": c.var, "op": c.op, "c": str(c.c)} for c in conj]
-            for conj in spec.members
-        ]
     }
 
 

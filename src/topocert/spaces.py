@@ -176,6 +176,9 @@ def make_cover(space: FiniteSpace, members: Sequence[Iterable]) -> Cover:
     union = 0
     for idx, m in enumerate(members):
         fs = frozenset(m)
+        unknown = fs.difference(space.point_bit)
+        if unknown:
+            raise UnknownPoint(min(unknown, key=str))
         mask = space.mask_of(fs)
         if mask == 0:
             raise EmptyMember(idx)

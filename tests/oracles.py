@@ -14,11 +14,11 @@ from topocert import (
     DiGraph,
     FullLine,
     Interval,
+    IntervalSpec,
     Segment,
     TopocertError,
     canonical_key,
     make_hpartition,
-    make_interval_spec,
 )
 from topocert.spaces import Cover, FiniteSpace
 
@@ -267,8 +267,8 @@ def weak_order_type_keys(domain, n: int) -> set:
         for order in combinations(members, n):
             if len({r for lo, hi, _ in order for r in (lo, hi)} - {0, k + 1}) < k:
                 continue
-            spec = make_interval_spec(domain, [Interval(at[lo], at[hi], closed)
-                                               for lo, hi, closed in order])
+            spec = IntervalSpec(domain, tuple(Interval(at[lo], at[hi], closed)
+                                              for lo, hi, closed in order))
             classes = sampled_interval_classes(spec)
             if frozenset() not in classes:
                 keys.add(canonical_key(make_hpartition(classes, n)))

@@ -4,7 +4,13 @@ Run with ``pytest tests/test_acceptance.py -v``.
 """
 
 import json
+import os
 import random
+import re
+import shutil
+import subprocess
+import sys
+import textwrap
 import time
 from fractions import Fraction as F
 from itertools import product
@@ -107,7 +113,7 @@ def test_c3_segment_and_circle_figures_exact():
         ),
     }
     for key, (name, figure) in figures.items():
-        spec = fx(name).interval_specs[0]
+        spec = fx(name).specs[0]
         g = hasse_digraph(hclasses_of_intervals(spec))
         assert (g.n, len(g.edges)) == (figure.n, len(figure.edges))
         iso, _ = is_isomorphic(g, figure)
@@ -125,11 +131,24 @@ def test_c3_segment_and_circle_figures_exact():
     ok("C3", "figure graphs match exactly (7v/6e, 6v/7e, 8-cycle) with stored certs")
 
 
+def test_c3_readme_recipe_regenerates_the_stored_certs(tmp_path):
+    readme = (FIXTURES.parent / "README.md").read_text()
+    recipe = re.search(r"python3 - <<'EOF'\n(.*?)\n *EOF\n", readme, re.S).group(1)
+    shutil.copytree(FIXTURES, tmp_path / "fixtures")
+    written = tmp_path / "fixtures" / "expected_certs.json"
+    written.unlink()
+    env = dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src"))
+    subprocess.run([sys.executable, "-"], input=textwrap.dedent(recipe), text=True,
+                   cwd=tmp_path, env=env, check=True, timeout=60)
+    assert written.read_bytes() == (FIXTURES / "expected_certs.json").read_bytes()
+    ok("C3", "the README recipe rewrites expected_certs.json byte for byte")
+
+
 def test_c4_segment_vs_circle_certificate():
     start = time.monotonic()
     segment = DomainSide(name="segment", domain=Segment(F(0), F(1)))
     circle = WitnessSide(name="circle",
-                         covers=fx("circle_cover.json").interval_specs)
+                         covers=fx("circle_cover.json").specs)
     circle_graph = hasse_digraph(hclasses_of_intervals(circle.covers[0]))
     circle_cert = canonical_cert(circle_graph)
     for part in enumerate_interval_cover_types(Segment(F(0), F(1)), 4):
@@ -144,16 +163,17 @@ def test_c4_segment_vs_circle_certificate():
 
 def test_c5_line_vs_plane_certificate():
     plane_loaded = fx("plane_cover.json")
-    part2d = hclasses_axis2d(plane_loaded.axis_spec)
+    (plane_spec,) = plane_loaded.specs
+    part2d = hclasses_axis2d(plane_spec)
     assert len(part2d.classes) == 12, "threshold-grid class count"
     # in-repo independent reimplementation: dense rational sampling
-    assert sampled_plane_classes(plane_loaded.axis_spec) == set(part2d.classes)
+    assert sampled_plane_classes(plane_spec) == set(part2d.classes)
     line_max = max(
         len(p.classes) for p in enumerate_interval_cover_types(FullLine(), 4))
     assert line_max <= 9
     assert len(part2d.classes) > line_max
     line = DomainSide(name="line", domain=FullLine())
-    plane = WitnessSide(name="plane", covers=(plane_loaded.axis_spec,))
+    plane = WitnessSide(name="plane", covers=plane_loaded.specs)
     cert = nonhomeo_certificate(line, plane, (4, 4), "graph")
     assert cert is not None and cert.witness_side == "plane"
     assert verify_certificate(cert, line, plane)
@@ -179,7 +199,7 @@ def test_c6_line_vs_three_point_model():
     for level in ("graph", "cstar", "ktheory"):
         assert fingerprints_of_space(model_space, 8, level).elements == ()
     line_side = WitnessSide(name="line",
-                            covers=fx("line_witness_covers.json").interval_specs)
+                            covers=fx("line_witness_covers.json").specs)
     model_side = SpaceSide(name="model", space=model_space)
     # route 1: the model has a unique 7-cover, hence a single 7-fingerprint,
     # while the line realizes two non-isomorphic 7-cover graphs
@@ -276,7 +296,7 @@ def test_c7d_hasse_vs_transitive_reduction():
     # include the worked covers
     for name in ("segment_cover_first.json", "segment_cover_second.json",
                  "segment_cover_third.json", "circle_cover.json"):
-        part = hclasses_of_intervals(fx(name).interval_specs[0])
+        part = hclasses_of_intervals(fx(name).specs[0])
         k = len(part.classes)
         order_pairs = {
             (i, j) for i in range(k) for j in range(k)

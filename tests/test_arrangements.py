@@ -12,7 +12,9 @@ from topocert import (
     Constraint,
     EmptyMember,
     FullLine,
+    AxisAlignedSpec,
     Interval,
+    IntervalSpec,
     InvalidArrangement,
     NotACover,
     Segment,
@@ -20,11 +22,10 @@ from topocert import (
     enumerate_interval_cover_types,
     hclasses_axis2d,
     hclasses_of_intervals,
-    make_axis_spec,
-    make_interval_spec,
 )
 from topocert import arrangements
 from topocert.arrangements import _slot_members, _surjective_choices
+from topocert.jsonio import load_input
 
 from oracles import (
     brute_force_type_key,
@@ -40,7 +41,7 @@ SEG = Segment(F(0), F(1))
 
 
 def seg_spec(members):
-    return make_interval_spec(SEG, [Interval(*m) for m in members])
+    return IntervalSpec(SEG, tuple(Interval(*m) for m in members))
 
 
 FIRST = seg_spec([(F(0), F(1, 4), True), (F(1, 8), F(1, 2)),
@@ -52,17 +53,17 @@ THIRD = seg_spec([(F(0), F(1), True), (F(1, 8), F(3, 8)),
 def circle_spec():
     arcs = [Interval((F(p, 4) - F(1, 100)) % 1, (F(p + 1, 4) + F(1, 100)) % 1)
             for p in range(4)]
-    return make_interval_spec(Circle(F(1)), arcs)
+    return IntervalSpec(Circle(F(1)), tuple(arcs))
 
 
 def plane_spec():
     c = Constraint
-    return make_axis_spec([
+    return AxisAlignedSpec((
         (c("x", "<", F(8)), c("y", ">", F(-6))),
         (c("x", ">", F(-3)), c("y", "<", F(4))),
         (c("x", ">", F(0)), c("y", ">", F(0))),
         (c("x", "<", F(4)), c("y", "<", F(2))),
-    ])
+    ))
 
 
 class TestIntervalClasses:
@@ -90,22 +91,22 @@ class TestIntervalClasses:
 
     def test_empty_member(self):
         with pytest.raises(EmptyMember):
-            make_interval_spec(SEG, [Interval(F(1, 2), F(1, 2))])
+            IntervalSpec(SEG, (Interval(F(1, 2), F(1, 2)),))
 
     def test_closed_end_only_at_segment_start(self):
         with pytest.raises(InvalidArrangement):
-            make_interval_spec(SEG, [Interval(F(1, 4), F(1), True)])
+            IntervalSpec(SEG, (Interval(F(1, 4), F(1), True),))
 
     def test_line_needs_unbounded_members(self):
-        spec = make_interval_spec(FullLine(), [Interval(F(0), F(1))])
+        spec = IntervalSpec(FullLine(), (Interval(F(0), F(1)),))
         with pytest.raises(NotACover):
             hclasses_of_intervals(spec)
 
     def test_sampling_oracle_agrees(self):
         specs = [FIRST, THIRD, circle_spec(),
                  seg_spec([(F(0), F(1), True)]),
-                 make_interval_spec(FullLine(), [
-                     Interval(None, F(1)), Interval(F(0), None)])]
+                 IntervalSpec(FullLine(), (
+                     Interval(None, F(1)), Interval(F(0), None)))]
         for spec in specs:
             part = hclasses_of_intervals(spec)
             assert set(part.classes) == sampled_interval_classes(spec)
@@ -123,7 +124,7 @@ class TestIntervalClasses:
                 else:
                     members.append(Interval(F(a, 9), F(b + 1, 9)))
             try:
-                spec = make_interval_spec(SEG, members)
+                spec = IntervalSpec(SEG, tuple(members))
                 part = hclasses_of_intervals(spec)
             except (NotACover, InvalidArrangement, EmptyMember):
                 continue
@@ -156,7 +157,7 @@ class TestIntervalClasses:
     def test_circle_class_walk_rotation_invariant(self):
         # relabeling arcs by rotation yields the same partition type
         base = circle_spec()
-        rotated = make_interval_spec(
+        rotated = IntervalSpec(
             Circle(F(1)), base.members[1:] + base.members[:1])
         assert canonical_key(hclasses_of_intervals(base)) == canonical_key(
             hclasses_of_intervals(rotated))
@@ -174,7 +175,7 @@ class TestIntervalClasses:
                         members.append(Interval(F(a, 8), F(b, 8), a == 0
                                                 and rng.random() < 0.5))
                     try:
-                        spec = make_interval_spec(domain, members)
+                        spec = IntervalSpec(domain, tuple(members))
                     except InvalidArrangement:
                         continue
                 else:
@@ -206,7 +207,7 @@ def random_line_or_circle_cover(rng, domain):
                 lo, hi = hi, lo
             members.append(Interval(lo, hi))
         try:
-            return make_interval_spec(domain, members)
+            return IntervalSpec(domain, tuple(members))
         except (InvalidArrangement, EmptyMember):
             continue
 
@@ -220,6 +221,40 @@ def witness_point(exc):
     return F(text)
 
 
+class TestSpecsValidateThemselves:
+    def test_interval_spec_rejects_a_bad_member_when_built(self):
+        for domain, members, error in (
+                (SEG, (), InvalidArrangement),
+                (SEG, (Interval(F(1, 2), F(1, 2)),), EmptyMember),
+                (SEG, (Interval(F(0), F(2), True),), InvalidArrangement),
+                (SEG, (Interval(F(0), F(1), True), Interval(F(0), F(1), True)),
+                 InvalidArrangement),
+                (FullLine(), (Interval(F(1), F(0)),), EmptyMember),
+                (Circle(F(1)), (Interval(F(0), F(3, 2)),), InvalidArrangement)):
+            with pytest.raises(error):
+                IntervalSpec(domain, members)
+
+    def test_axis_spec_rejects_a_bad_region_when_built(self):
+        c = Constraint
+        for members, error in (
+                ((), InvalidArrangement),
+                (((c("y", ">", F(2)), c("y", "<", F(1))),), EmptyMember),
+                (((c("x", ">", F(0)),), (c("x", ">", F(0)), c("x", "<", F(0)))),
+                 EmptyMember),
+                (((c("z", "<", F(0)),),), InvalidArrangement),
+                (((c("x", "=", F(0)),),), InvalidArrangement)):
+            with pytest.raises(error):
+                AxisAlignedSpec(members)
+
+    def test_every_witness_file_loads_as_covers(self, fixtures):
+        for name, count in (("segment_cover_first", 1), ("circle_cover", 1),
+                            ("plane_cover", 1), ("line_witness_covers", 2)):
+            loaded = load_input(str(fixtures / f"{name}.json"))
+            assert loaded.kind == "covers" and len(loaded.specs) == count
+            assert all(isinstance(s, (IntervalSpec, AxisAlignedSpec))
+                       for s in loaded.specs)
+
+
 class TestPlaneClasses:
     def test_paper_cover_twelve_classes(self):
         part = hclasses_axis2d(plane_spec())
@@ -229,14 +264,14 @@ class TestPlaneClasses:
         assert frozenset({0, 2}) in set(part.classes)
 
     def test_single_region_covering_plane(self):
-        part = hclasses_axis2d(make_axis_spec([()]))
+        part = hclasses_axis2d(AxisAlignedSpec(((),)))
         assert part.classes == (frozenset({0}),)
 
     def test_two_overlapping_half_planes(self):
         c = Constraint
-        part = hclasses_axis2d(make_axis_spec([
+        part = hclasses_axis2d(AxisAlignedSpec((
             (c("x", "<", F(1)),), (c("x", ">", F(0)),)
-        ]))
+        )))
         assert set(part.classes) == {
             frozenset({0}), frozenset({0, 1}), frozenset({1})
         }
@@ -244,12 +279,12 @@ class TestPlaneClasses:
     def test_not_a_cover(self):
         c = Constraint
         with pytest.raises(NotACover):
-            hclasses_axis2d(make_axis_spec([(c("x", "<", F(0)),)]))
+            hclasses_axis2d(AxisAlignedSpec(((c("x", "<", F(0)),),)))
 
     def test_empty_member(self):
         c = Constraint
         with pytest.raises(EmptyMember):
-            make_axis_spec([(c("x", "<", F(0)), c("x", ">", F(5)))])
+            AxisAlignedSpec(((c("x", "<", F(0)), c("x", ">", F(5))),))
 
     def test_sampling_oracle_agrees(self):
         part = hclasses_axis2d(plane_spec())
@@ -270,7 +305,7 @@ class TestPlaneClasses:
                         cons.append(Constraint(var, ">", F(rng.randint(-3, 3))))
                 members.append(tuple(cons))
             try:
-                spec = make_axis_spec(members)
+                spec = AxisAlignedSpec(tuple(members))
                 part = hclasses_axis2d(spec)
             except (NotACover, EmptyMember):
                 continue
@@ -287,7 +322,7 @@ class TestPlaneClasses:
                     Constraint(var, rng.choice("<>"), F(rng.randint(-3, 3)))
                     for var in ("x", "y") if rng.random() < 0.7))
             try:
-                hclasses_axis2d(make_axis_spec(members))
+                hclasses_axis2d(AxisAlignedSpec(tuple(members)))
             except EmptyMember:
                 continue
             except NotACover as exc:
@@ -341,9 +376,9 @@ class TestEnumerateTypes:
                 for m in members
             ]
             try:
-                part = hclasses_of_intervals(make_interval_spec(FullLine(), members))
+                part = hclasses_of_intervals(IntervalSpec(FullLine(), tuple(members)))
                 mpart = hclasses_of_intervals(
-                    make_interval_spec(FullLine(), mirrored))
+                    IntervalSpec(FullLine(), tuple(mirrored)))
             except (NotACover, InvalidArrangement):
                 continue
             count += 1
@@ -463,7 +498,7 @@ def random_cover(rng, domain, n):
         closed = (isinstance(domain, Segment) and lo == domain.lo
                   and rng.random() < 0.5)
         members.append(Interval(lo, hi, closed))
-    return make_interval_spec(domain, members)
+    return IntervalSpec(domain, tuple(members))
 
 
 class TestExhaustiveness:

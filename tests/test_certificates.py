@@ -11,8 +11,7 @@ from topocert import (
     SpaceSide,
     WitnessSide,
     fingerprint_of,
-    hclasses_axis2d,
-    hclasses_of_intervals,
+    hclasses_of_spec,
     nonhomeo_certificate,
     validate_topology,
     verify_certificate,
@@ -24,17 +23,17 @@ from conftest import FIXTURES
 
 def circle_side():
     loaded = load_input(str(FIXTURES / "circle_cover.json"))
-    return WitnessSide(name="circle", covers=loaded.interval_specs)
+    return WitnessSide(name="circle", covers=loaded.specs)
 
 
 def plane_side():
     loaded = load_input(str(FIXTURES / "plane_cover.json"))
-    return WitnessSide(name="plane", covers=(loaded.axis_spec,))
+    return WitnessSide(name="plane", covers=loaded.specs)
 
 
 def line_witness_side():
     loaded = load_input(str(FIXTURES / "line_witness_covers.json"))
-    return WitnessSide(name="line", covers=loaded.interval_specs)
+    return WitnessSide(name="line", covers=loaded.specs)
 
 
 def three_point_side():
@@ -172,6 +171,5 @@ def test_witness_cover_reproduces_witness_fingerprint(
     path = tmp_path / "witness.json"
     path.write_text(json.dumps(cert.witness_cover))
     loaded = load_input(str(path))
-    partition = (hclasses_axis2d(loaded.axis_spec) if loaded.kind == "axis2d"
-                 else hclasses_of_intervals(loaded.interval_specs[0]))
-    assert fingerprint_of(partition).to_json() == cert.witness_fingerprint
+    (spec,) = loaded.specs
+    assert fingerprint_of(hclasses_of_spec(spec)).to_json() == cert.witness_fingerprint

@@ -181,6 +181,23 @@ class TestErrorMapping:
         assert code == 5
         assert json.loads(err)["error"]["kind"] == "NotACover"
 
+    def test_a_bad_member_keeps_its_fields(self, capsys):
+        for name, fields in (("empty_member", {"index": 0}),
+                             ("unknown_cover_point", {"point": "'y'"})):
+            path = fx(f"errors/{name}.json")
+            code, _, err = run_cmd(capsys, command="hclasses", input=path)
+            error = json.loads(err)["error"]
+            assert code == 3 and error["kind"] == "ParseError"
+            assert error == {**error, "path": path, **fields}
+
+    def test_space_cover_that_misses_a_point_is_not_a_cover(self, capsys):
+        code, _, err = run_cmd(capsys, command="hclasses",
+                               input=fx("errors/uncovered_point.json"))
+        assert code == 5
+        assert json.loads(err)["error"] == {
+            "kind": "NotACover", "message": "not a cover: point 'b' is uncovered",
+            "witness": "point 'b'"}
+
     def test_malformed_corpus_never_crashes(self, tmp_path, capsys):
         corpus = [
             "[]",

@@ -16,8 +16,7 @@ from topocert import (
     fingerprints_of_space,
     generate_topology,
     hasse_digraph,
-    hclasses_axis2d,
-    hclasses_of_intervals,
+    hclasses_of_spec,
     hpartition_of_cover,
     make_cover,
     sets_match,
@@ -217,13 +216,8 @@ class TestPerSetMemo:
         for name in ("line_witness_covers", "segment_cover_first",
                      "segment_cover_second", "segment_cover_third",
                      "circle_cover", "plane_cover"):
-            loaded = load_input(str(FIXTURES / f"{name}.json"))
-            if loaded.kind == "axis2d":
-                specs = (loaded.axis_spec,)
-                parts = [hclasses_axis2d(loaded.axis_spec)]
-            else:
-                specs = tuple(loaded.interval_specs)
-                parts = [hclasses_of_intervals(s) for s in specs]
+            specs = load_input(str(FIXTURES / f"{name}.json")).specs
+            parts = [hclasses_of_spec(s) for s in specs]
             side = WitnessSide(name=name, covers=specs)
             memo = {}
             for p in parts:

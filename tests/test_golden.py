@@ -49,7 +49,9 @@ _ERROR_CALLS = (
     + [f"validate --input fixtures/errors/{space}.json"  # exit 2
        for space in _INVALID_TOPOLOGIES]
     + [f"hclasses --input fixtures/errors/{cover}.json"  # ParseError, exit 3
-       for cover in ("empty_member", "member_outside_segment")]
+       for cover in ("empty_member", "member_outside_segment",
+                     "unknown_cover_point")]
+    + ["hclasses --input fixtures/errors/uncovered_point.json"]  # NotACover, exit 5
     + ["enumerate --input fixtures/errors/circle_domain.json --n 2",  # exit 1
        "certify --input fixtures/segment_cover_first.json"
        " --input-b fixtures/circle_cover.json",  # NotExhaustible, exit 1

@@ -8,6 +8,7 @@ from topocert import (
     MissingEmpty,
     MissingWhole,
     NotClosedUnderUnion,
+    UnknownPoint,
     enumerate_covers,
     generate_topology,
     hpartition_of_cover,
@@ -163,6 +164,13 @@ class TestMakeCover:
             make_cover(s, [["a", "b"], ["a", "b"]])
         with pytest.raises(ValueError):
             make_cover(s, [["b"], ["a", "b"]])
+
+    def test_unknown_point_is_the_smallest_by_str(self):
+        s = validate_topology(["a", "b"], [[], ["a"], ["a", "b"]])
+        for _ in range(20):
+            with pytest.raises(UnknownPoint) as info:
+                make_cover(s, [["a"], ["z", "b", "y", "x1", "x0"]])
+            assert info.value.fields == {"point": "'x0'"}
 
 
 class TestPushForward:
