@@ -78,8 +78,8 @@ class Interval:
 
 @dataclass(frozen=True)
 class IntervalSpec:
-    """A cover of ``domain`` by distinct nonempty open members, checked
-    when it is built."""
+    """Distinct nonempty open members of ``domain``, checked when the spec
+    is built; whether they cover the domain shows in the walk."""
 
     domain: object  # Segment | FullLine | Circle
     members: tuple  # of Interval
@@ -90,7 +90,8 @@ class IntervalSpec:
             raise InvalidArrangement("a cover needs at least one member")
         for idx, m in enumerate(ms):
             _validate_interval(self.domain, m, idx)
-        if len(set(ms)) < len(ms):  # cheaper than comparing every pair
+        # one set of field tuples costs less than comparing every pair
+        if len({(m.lo, m.hi, m.closed_lo) for m in ms}) < len(ms):
             i, j = next((i, j) for i, j in combinations(range(len(ms)), 2)
                         if ms[i] == ms[j])
             raise InvalidArrangement(f"members {i} and {j} are the same set")
@@ -108,8 +109,8 @@ class Constraint:
 
 @dataclass(frozen=True)
 class AxisAlignedSpec:
-    """A cover of the plane by nonempty regions, each a conjunction of
-    strict constraints on x or y, checked when it is built."""
+    """Nonempty regions of the plane, each a conjunction of strict
+    constraints on x or y, checked when the spec is built."""
 
     members: tuple  # of tuples of Constraint
 
