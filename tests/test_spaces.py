@@ -167,10 +167,9 @@ class TestMakeCover:
 
     def test_unknown_point_is_the_smallest_by_str(self):
         s = validate_topology(["a", "b"], [[], ["a"], ["a", "b"]])
-        for _ in range(20):
-            with pytest.raises(UnknownPoint) as info:
-                make_cover(s, [["a"], ["z", "b", "y", "x1", "x0"]])
-            assert info.value.fields == {"point": "'x0'"}
+        with pytest.raises(UnknownPoint) as info:
+            make_cover(s, [["a"], ["z", "b", "y", "x1", "x0"]])
+        assert info.value.fields == {"point": "'x0'"}
 
 
 class TestPushForward:
