@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 from functools import lru_cache, reduce
@@ -189,6 +190,23 @@ class TestIntervalClasses:
                                    for m in spec.members), exc.witness
                     count += 1
 
+    def test_not_a_cover_witness_text_is_pinned(self):
+        # the first uncovered cell in cell order, named by its sample point
+        line, circle = FullLine(), Circle(F(3, 2))
+        for domain, members, witness in (
+                (SEG, [(F(0), F(1, 4), True), (F(1, 2), F(1))], "point 1/4"),
+                (SEG, [(F(0), F(1, 2), True), (F(1, 4), F(2, 3))], "point 2/3"),
+                (SEG, [(F(0), F(1, 2)), (F(1, 4), F(1))], "point 0"),
+                (line, [(F(-2), None), (F(-3, 2), F(5))], "point -3"),
+                (line, [(None, F(1, 3)), (F(0), F(2))], "point 2"),
+                (line, [(None, F(1)), (F(3), None), (F(0), F(2))], "point 2"),
+                (circle, [(F(1, 3), F(1)), (F(1, 2), F(4, 3))], "point 1/12"),
+                (circle, [(F(1, 2), F(1, 4)), (F(0), F(1, 2))], "point 1/2")):
+            spec = IntervalSpec(domain, tuple(Interval(*m) for m in members))
+            with pytest.raises(NotACover) as exc:
+                hclasses_of_intervals(spec)
+            assert exc.value.witness == witness
+
 
 def random_line_or_circle_cover(rng, domain):
     """1..4 members whose ends come from a few random rationals, so tied
@@ -330,6 +348,17 @@ class TestPlaneClasses:
                 assert not any(region_contains(conj, x, y) for conj in members)
                 count += 1
 
+    def test_not_a_cover_witness_text_is_pinned(self):
+        # every cell but (1/2, 1/3) is covered
+        c = Constraint
+        spec = AxisAlignedSpec((
+            (c("x", "<", F(1, 2)),), (c("x", ">", F(1, 2)),),
+            (c("y", "<", F(1, 3)),), (c("y", ">", F(1, 3)), c("x", "<", F(7))),
+            (c("x", ">", F(5)),)))
+        with pytest.raises(NotACover) as exc:
+            hclasses_axis2d(spec)
+        assert exc.value.witness == "point (1/2, 1/3)"
+
 
 class TestEnumerateTypes:
     def test_segment_n1(self):
@@ -409,6 +438,15 @@ class TestEnumerateTypes:
         for t in enumerate_interval_cover_types(SEG, 3):
             assert all(t.classes)
             assert len(set(t.classes)) == len(t.classes)
+
+    def test_line_n5_type_set(self):
+        # the slow test (about 3 s): the type set, independent of stream
+        # order and of the representative each type arrives as
+        keys = sorted(canonical_key(t).blob
+                      for t in enumerate_interval_cover_types(FullLine(), 5))
+        assert len(keys) == 1640
+        assert hashlib.sha256(b"".join(keys)).hexdigest() == (
+            "03006ff5851c4e29b6d2e94dfe6c7167ef689e5208d52ab074d44d2dabbfe1cb")
 
 
 def slot_values(pool):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations, product
 
@@ -6,12 +7,16 @@ import pytest
 from topocert import (
     CapExceeded,
     DiGraph,
+    FullLine,
     canonical_cert,
+    enumerate_interval_cover_types,
     is_isomorphic,
     relabel,
     to_dot,
     topological_order,
 )
+
+from topocert.digraphs import canonical_order
 
 from oracles import brute_force_isomorphic, random_digraph
 
@@ -142,6 +147,42 @@ class TestIsIsomorphic:
             if ok:
                 assert all((witness[u], witness[v]) in g2.edges
                            for u, v in g1.edges)
+
+
+def pin_corpus():
+    """Seeded digraphs for the canonicaliser pin: random ones (most with a
+    cycle), disjoint unions of relabelled isomorphic copies, the 30-vertex
+    antichain, and the member->class incidence digraph of every line type
+    at n <= 4, taken as the enumerator's stream represents it."""
+    rng = random.Random(2024)
+    for _ in range(300):
+        yield random_digraph(rng, rng.randint(1, 9), rng.choice((0.2, 0.35, 0.5)))
+    for _ in range(60):
+        comp, copies = random_digraph(rng, rng.randint(1, 5), 0.4), rng.randint(2, 4)
+        perm = list(range(comp.n * copies))
+        rng.shuffle(perm)
+        yield DiGraph(n=comp.n * copies, edges=frozenset(
+            (perm[c * comp.n + u], perm[c * comp.n + v])
+            for c in range(copies) for u, v in comp.edges))
+    yield DiGraph(n=30, edges=frozenset())
+    for n in range(1, 5):
+        for t in enumerate_interval_cover_types(FullLine(), n):
+            yield DiGraph(n=n + len(t.classes), edges=frozenset(
+                (i, n + j) for j, c in enumerate(t.classes) for i in c))
+
+
+class TestCanonicalOrderPin:
+    def test_orders_and_certs_are_pinned(self):
+        # canonical_order reaches no CLI output (it picks is_isomorphic's
+        # witness), so the golden digests cannot see a changed leaf order
+        digest, graphs, cyclic = hashlib.sha256(), 0, 0
+        for g in pin_corpus():
+            digest.update(repr((canonical_order(g), canonical_cert(g).hex())).encode())
+            graphs += 1
+            cyclic += topological_order(g) is None
+        assert (graphs, cyclic > 150) == (490, True)
+        assert digest.hexdigest() == (
+            "6a8690f897d11c5c80b33b99df02b9548ed0fc0de2fbbd224cbfc04c0046242d")
 
 
 class TestToDot:
