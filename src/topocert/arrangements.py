@@ -162,28 +162,11 @@ def _validate_interval(domain, member: Interval, idx: int) -> None:
         raise InvalidArrangement(f"unsupported domain {domain!r}")
 
 
-def _contains(domain, member: Interval, x: Fraction) -> bool:
-    lo, hi = member.lo, member.hi
-    if isinstance(domain, Circle):
-        if lo < hi:
-            return lo < x < hi
-        return x > lo or x < hi
-    if lo is not None:
-        if member.closed_lo:
-            if x < lo:
-                return False
-        elif x <= lo:
-            return False
-    if hi is not None and x >= hi:
-        return False
-    return True
-
-
 def _samples(cuts) -> List[Fraction]:
-    """One point in each cell of the line cut at ``cuts``: every cut, the
-    midpoint of each pair of neighbouring cuts, and one point beyond either
-    end; ``[0]`` when there are no cuts.  Membership in a member whose ends
-    are among the cuts is constant on every cell.
+    """One point in each cell of the line cut at ``cuts``, in cell order:
+    a point left of every cut, then each cut and the midpoint right of it,
+    and a point right of the last cut for its last gap; ``[0]`` when there
+    are no cuts.  Only an uncovered cell's name is read from it.
     """
     vs = sorted(set(cuts))
     if not vs:
@@ -195,49 +178,89 @@ def _samples(cuts) -> List[Fraction]:
     return out
 
 
+def _ranks(cuts) -> dict:
+    return {v: i for i, v in enumerate(sorted(set(cuts)))}
+
+
+def _by_cell(masks: list, cells) -> List[int]:
+    """For each cell, the bitmask of the members whose cell mask has it."""
+    return [sum(1 << i for i, m in enumerate(masks) if m >> c & 1) for c in cells]
+
+
+def _classes(by_cell: List[int], n: int, src: str) -> HPartition:
+    return make_hpartition({frozenset(i for i in range(n) if h >> i & 1)
+                            for h in set(by_cell)}, n, src)
+
+
 def hclasses_of_intervals(spec: IntervalSpec) -> HPartition:
-    """Density classes of an interval/arc cover from one point per cell."""
+    """Density classes of an interval/arc cover, one per cell that the
+    distinct ends (a segment's bounds among them) cut the domain into.
+
+    With k ends in order, cell 2i + 1 is end i, cell 2i is the gap left of
+    it and cell 2k is the last gap; each member becomes the bitmask of its
+    cells.  The segment [lo, hi) keeps cells 1 .. 2k - 2, the line all, and
+    the circle 0 .. 2k - 1, where cell 0 is the gap across the wrap point.
+    """
     domain, members = spec.domain, spec.members
     ends = [v for m in members for v in (m.lo, m.hi) if v is not None]
     if isinstance(domain, Segment):
-        # validated ends lie in [lo, hi]: keep the cells of [lo, hi)
-        points = _samples(ends + [domain.lo, domain.hi])[1:-2]
-    elif isinstance(domain, Circle):
-        # the cells before the first cut and after the last are one arc
-        c = domain.circumference
-        points = _samples(ends)[:-1]
-        points[0] = ((points[-1] + points[1] + c) / 2) % c
+        ends += (domain.lo, domain.hi)
+    rank = _ranks(ends)
+    top = 2 * len(rank)
+    masks = []
+    for m in members:
+        first = 0 if m.lo is None else 2 * rank[m.lo] + (1 if m.closed_lo else 2)
+        last = top if m.hi is None else 2 * rank[m.hi]
+        # a wrapping arc runs past cell 2k - 1 and on from cell 0
+        masks.append((1 << last + 1) - (1 << first) if first <= last
+                     else (1 << top) - (1 << first) | (1 << last + 1) - 1)
+    if isinstance(domain, Segment):
+        cells = range(1, top - 1)
     else:
+        cells = range(top if isinstance(domain, Circle) else top + 1)
+    by_cell = _by_cell(masks, cells)
+    if 0 in by_cell:
+        cell = cells[by_cell.index(0)]
         points = _samples(ends)
-    classes = set()
-    for x in points:
-        h = frozenset(i for i, m in enumerate(members) if _contains(domain, m, x))
-        if not h:
-            raise NotACover(f"point {x}")
-        classes.add(h)
-    src = f"{domain.describe()} cover(n={len(members)})"
-    return make_hpartition(classes, len(members), src)
+        if isinstance(domain, Circle) and cell == 0:
+            c = domain.circumference
+            points[0] = ((points[-2] + points[1] + c) / 2) % c
+        raise NotACover(f"point {points[cell]}")
+    return _classes(by_cell, len(members),
+                    f"{domain.describe()} cover(n={len(members)})")
 
 
 # -- axis-aligned plane covers ------------------------------------------------
 
 def hclasses_axis2d(spec: AxisAlignedSpec) -> HPartition:
-    """Density classes of an axis-aligned plane cover from one point per
-    cell of the grid the constraint thresholds cut the plane into."""
+    """Density classes of an axis-aligned plane cover, one per cell of the
+    grid the constraint thresholds cut the plane into.
+
+    Each axis is cut as in ``hclasses_of_intervals``: ``x < c`` keeps the
+    x-cells up to 2r for c of rank r, ``x > c`` those from 2r + 2, and a
+    cell (i, j) lies in a region when both of its axis masks have the bit.
+    """
     cuts = {v: [con.c for conj in spec.members for con in conj if con.var == v]
             for v in _AXIS_VARS}
-    classes = set()
-    for x in _samples(cuts["x"]):
-        for y in _samples(cuts["y"]):
-            at = {"x": x, "y": y}
-            h = frozenset(
-                i for i, conj in enumerate(spec.members)
-                if all(at[con.var] < con.c if con.op == "<" else at[con.var] > con.c
-                       for con in conj))
-            if not h:
-                raise NotACover(f"point ({x}, {y})")
-            classes.add(h)
-    return make_hpartition(classes, len(spec.members), f"plane cover(n={len(spec.members)})")
+    axes = []
+    for v in _AXIS_VARS:
+        rank = _ranks(cuts[v])
+        masks = []
+        for conj in spec.members:
+            mask = (1 << 2 * len(rank) + 1) - 1
+            for con in conj:
+                if con.var == v:
+                    r = 2 * rank[con.c]
+                    mask &= (1 << r + 1) - 1 if con.op == "<" else -1 << r + 2
+            masks.append(mask)
+        axes.append(_by_cell(masks, range(2 * len(rank) + 1)))
+    xs, ys = axes
+    by_cell = [hx & hy for hx in xs for hy in ys]  # x-major
+    if 0 in by_cell:
+        i, j = divmod(by_cell.index(0), len(ys))
+        raise NotACover(f"point ({_samples(cuts['x'])[i]}, {_samples(cuts['y'])[j]})")
+    n = len(spec.members)
+    return _classes(by_cell, n, f"plane cover(n={n})")
 
 
 def hclasses_of_spec(spec) -> HPartition:
@@ -342,9 +365,7 @@ def enumerate_interval_cover_types(domain, n: int,
                 covered |= member[3]
             if covered != every_cell:
                 continue
-            labelled = frozenset(
-                sum(1 << i for i, member in enumerate(choice) if member[3] >> k & 1)
-                for k in cells)
+            labelled = frozenset(_by_cell([member[3] for member in choice], cells))
             if labelled in seen_sets:
                 continue
             seen_sets.add(labelled)

@@ -126,111 +126,116 @@ def find_cycle(g: DiGraph) -> list:
     raise ValueError("graph is acyclic")
 
 
-def _dag_levels(g: DiGraph) -> Optional[list]:
-    order = topological_order(g)
-    if order is None:
-        return None
-    level = [0] * g.n
-    for v in order:
-        for u in g.in_sets[v]:
-            level[v] = max(level[v], level[u] + 1)
-    return level
+def _adjacency(n: int, edges) -> tuple:
+    """The out- and in-neighbour sets of each vertex."""
+    out = [set() for _ in range(n)]
+    inc = [set() for _ in range(n)]
+    for u, v in edges:
+        out[u].add(v)
+        inc[v].add(u)
+    return out, inc
+
+
+def _dag_levels(out: list, inc: list) -> Optional[list]:
+    """Longest-path level of each vertex by Kahn's algorithm, or None if
+    the graph has a directed cycle."""
+    indeg = [len(s) for s in inc]
+    ready = [v for v, d in enumerate(indeg) if not d]
+    level = [0] * len(out)
+    done = 0
+    while ready:
+        v = ready.pop()
+        done += 1
+        for w in out[v]:
+            level[w] = max(level[w], level[v] + 1)
+            indeg[w] -= 1
+            if not indeg[w]:
+                ready.append(w)
+    return level if done == len(out) else None
 
 
 def _normalize(keys: list) -> list:
     rank = {k: i for i, k in enumerate(sorted(set(keys)))}
-    return [rank[k] for k in keys]
+    return list(map(rank.__getitem__, keys))
 
 
-def _refine(g: DiGraph, colors: list) -> list:
+def _refine(out: list, inc: list, colors: list) -> list:
     """Stable color refinement; colors come out rank-normalized."""
-    ncolors = len(set(colors))
+    ncolors = max(colors) + 1
     while True:
-        sigs = [
-            (
-                colors[v],
-                tuple(sorted(colors[w] for w in g.out_sets[v])),
-                tuple(sorted(colors[w] for w in g.in_sets[v])),
-            )
-            for v in range(g.n)
-        ]
-        new = _normalize(sigs)
-        k = len(set(new))
-        if k == ncolors:
-            return new
-        colors, ncolors = new, k
+        get = colors.__getitem__
+        sigs = [(c, tuple(sorted(map(get, o))) if o else (),
+                 tuple(sorted(map(get, i))) if i else ())
+                for c, o, i in zip(colors, out, inc)]
+        rank = {k: r for r, k in enumerate(sorted(set(sigs)))}
+        if len(rank) == ncolors:  # stable: the ranks are the colors again
+            return colors
+        colors, ncolors = list(map(rank.__getitem__, sigs)), len(rank)
 
 
-def _individualize(colors: list, v: int) -> list:
-    return _normalize([(c, 0 if u == v else 1) for u, c in enumerate(colors)])
-
-
-def _twins(g: DiGraph, u: int, v: int) -> bool:
+def _twins(out: list, inc: list, u: int, v: int) -> bool:
     """True when swapping u and v is provably an automorphism."""
-    if (g.out_sets[u] - {v}) != (g.out_sets[v] - {u}):
-        return False
-    if (g.in_sets[u] - {v}) != (g.in_sets[v] - {u}):
-        return False
-    return ((u, v) in g.edges) == ((v, u) in g.edges)
+    return ((out[u] - {v}) == (out[v] - {u}) and (inc[u] - {v}) == (inc[v] - {u})
+            and (v in out[u]) == (u in out[v]))
 
 
-def _encode_rows(g: DiGraph, order: list) -> tuple:
-    pos = [0] * g.n
-    for i, v in enumerate(order):
-        pos[v] = i
-    rows = [0] * g.n
-    for u, v in g.edges:
-        rows[pos[u]] |= 1 << (g.n - 1 - pos[v])
+def _encode_rows(out: list, pos: list) -> tuple:
+    """Adjacency rows with vertex v at position ``pos[v]``."""
+    n = len(out)
+    rows = [0] * n
+    for u, ws in enumerate(out):
+        for w in ws:
+            rows[pos[u]] |= 1 << (n - 1 - pos[w])
     return tuple(rows)
 
 
-def _search_connected(g: DiGraph) -> tuple:
+def _search_connected(out: list, inc: list) -> tuple:
     """Min adjacency encoding over refinement-compatible orderings."""
-    levels = _dag_levels(g)
+    n = len(out)
+    levels = _dag_levels(out, inc)
     if levels is None:
-        seed = [(len(g.out_sets[v]), len(g.in_sets[v])) for v in range(g.n)]
+        seed = [(len(out[v]), len(inc[v])) for v in range(n)]
     else:
-        seed = [
-            (len(g.out_sets[v]), len(g.in_sets[v]), levels[v]) for v in range(g.n)
-        ]
-    start = _refine(g, _normalize(seed))
+        seed = [(len(out[v]), len(inc[v]), levels[v]) for v in range(n)]
+    start = _refine(out, inc, _normalize(seed))
     best: list = [None, None]  # rows, order
     leaves = [0]
 
     def rec(colors):
-        cells: dict = {}
+        cells = [[] for _ in range(n)]
         for v, c in enumerate(colors):
-            cells.setdefault(c, []).append(v)
-        target = None
-        for c in sorted(cells):
-            if len(cells[c]) > 1:
-                target = cells[c]
-                break
+            cells[c].append(v)
+        target = next((cell for cell in cells if len(cell) > 1), None)
         if target is None:
             leaves[0] += 1
             if leaves[0] > _SEARCH_LEAF_CAP:
                 raise CapExceeded("canonicalization search leaves",
                                   _SEARCH_LEAF_CAP, leaves[0])
-            order = sorted(range(g.n), key=colors.__getitem__)
-            rows = _encode_rows(g, order)
+            # every color is a distinct position
+            rows = _encode_rows(out, colors)
             if best[0] is None or rows < best[0]:
-                best[0], best[1] = rows, order
+                best[0], best[1] = rows, [cell[0] for cell in cells]
             return
         tried: list = []
-        for v in sorted(target):
-            if any(_twins(g, v, u) for u in tried):
+        c = colors[target[0]]
+        for v in target:
+            if any(_twins(out, inc, v, u) for u in tried):
                 continue
             tried.append(v)
-            rec(_refine(g, _individualize(colors, v)))
+            # individualize v: it keeps color c, the rest of its cell and
+            # every higher color move up by one
+            split = [d + (d >= c) for d in colors]
+            split[v] = c
+            rec(_refine(out, inc, split))
 
     rec(start)
     return best[0], best[1]
 
 
-def _weak_components(g: DiGraph) -> list:
-    seen = [False] * g.n
+def _weak_components(out: list, inc: list) -> list:
+    seen = [False] * len(out)
     comps = []
-    for s in range(g.n):
+    for s in range(len(out)):
         if seen[s]:
             continue
         comp, stack = [], [s]
@@ -238,39 +243,36 @@ def _weak_components(g: DiGraph) -> list:
         while stack:
             v = stack.pop()
             comp.append(v)
-            for w in g.out_sets[v] | g.in_sets[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
+            for ws in (out[v], inc[v]):
+                for w in ws:
+                    if not seen[w]:
+                        seen[w] = True
+                        stack.append(w)
         comps.append(sorted(comp))
     return comps
 
 
-def _induced(g: DiGraph, verts: list) -> DiGraph:
-    pos = {v: i for i, v in enumerate(verts)}
-    edges = frozenset(
-        (pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos
-    )
-    return DiGraph(n=len(verts), edges=edges)
-
-
 def _canonical_order(n: int, edges: frozenset) -> tuple:
     """(canonical adjacency rows, the vertex order realizing them)."""
-    g = DiGraph(n=n, edges=edges)
-    comps = _weak_components(g)
+    out, inc = _adjacency(n, edges)
+    comps = _weak_components(out, inc)
     if len(comps) == 1:
-        rows, order = _search_connected(g)
-        return tuple(rows), tuple(order)
+        rows, order = _search_connected(out, inc)
+        return rows, tuple(order)
     pieces = []
     for comp in comps:
-        sub = _induced(g, comp)
-        rows, order = _search_connected(sub)
+        pos = {v: i for i, v in enumerate(comp)}
+        rows, order = _search_connected([{pos[w] for w in out[v]} for v in comp],
+                                        [{pos[w] for w in inc[v]} for v in comp])
         # components sort by (size, local encoding); min original vertex only
         # breaks ties between isomorphic components, deterministically
-        pieces.append((len(comp), tuple(rows), comp[0], [comp[i] for i in order]))
+        pieces.append((len(comp), rows, comp[0], [comp[i] for i in order]))
     pieces.sort(key=lambda p: (p[0], p[1], p[2]))
     order = [v for p in pieces for v in p[3]]
-    return _encode_rows(g, order), tuple(order)
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    return _encode_rows(out, pos), tuple(order)
 
 
 # Process-wide, for graphs that recur across calls; a graph that is
