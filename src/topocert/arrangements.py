@@ -3,9 +3,9 @@
 Three families stand in for the classical spaces whose point sets are
 infinite: intervals on a half-open segment or the line, arcs on a circle,
 and axis-aligned strict-inequality regions in the plane.  Density classes
-are read off one exact sample point per cell that the endpoints cut the
-domain into, so only the order of endpoints matters and there are no
-floating-point ties.
+are read off the cells that the endpoints cut the domain into, each member
+a bitmask of cells over the endpoints' ranks, so only the order of
+endpoints matters and there are no floating-point ties.
 
 The segment [lo, hi) and the line have the same n-interval cover types,
 for every n.  Segment to line: send each closed [lo, b) to the ray
@@ -335,7 +335,7 @@ def enumerate_interval_cover_types(domain, n: int,
     each endpoint takes an unbounded end slot or one of m interior slots,
     every interior slot is used, and members respect lo < hi.  Any
     n-interval cover realizes some assignment, so the stream is exhaustive.
-    Three filters on integer masks come before any rational arithmetic:
+    Three filters on integer masks come before any cell walk:
 
     * ``_surjective_choices`` keeps the member sets that use every interior
       slot (an unused slot reproduces a smaller m);

@@ -2,9 +2,10 @@
 
 Certificates are computed by iterated color refinement (seeded with in/out
 degrees and, on DAGs, the longest-path level) followed by backtracking over
-ambiguous color classes, minimizing the adjacency encoding.  Disconnected
-graphs are canonicalized component by component, which keeps the search small
-for the antichain-heavy graphs this package produces.
+ambiguous color classes, minimizing the adjacency encoding, all on neighbour
+sets built once per graph.  Disconnected graphs are canonicalized component by
+component, which keeps the search small for the antichain-heavy graphs this
+package produces.
 """
 
 from __future__ import annotations
@@ -142,16 +143,16 @@ def _dag_levels(out: list, inc: list) -> Optional[list]:
     indeg = [len(s) for s in inc]
     ready = [v for v, d in enumerate(indeg) if not d]
     level = [0] * len(out)
-    done = 0
     while ready:
         v = ready.pop()
-        done += 1
+        up = level[v] + 1
         for w in out[v]:
-            level[w] = max(level[w], level[v] + 1)
+            if level[w] < up:
+                level[w] = up
             indeg[w] -= 1
             if not indeg[w]:
                 ready.append(w)
-    return level if done == len(out) else None
+    return None if any(indeg) else level
 
 
 def _normalize(keys: list) -> list:
@@ -269,9 +270,7 @@ def _canonical_order(n: int, edges: frozenset) -> tuple:
         pieces.append((len(comp), rows, comp[0], [comp[i] for i in order]))
     pieces.sort(key=lambda p: (p[0], p[1], p[2]))
     order = [v for p in pieces for v in p[3]]
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
+    pos = sorted(range(n), key=order.__getitem__)  # the inverse permutation
     return _encode_rows(out, pos), tuple(order)
 
 
