@@ -283,7 +283,7 @@ def _slot_members(m: int) -> List[tuple]:
     numbered from the left: cell 2s is the gap right of slot s and cell
     2s - 1 is slot s itself, so (a, b) covers cells 2a .. 2b - 2.
     """
-    values = [None] + [Fraction(s) for s in range(1, m + 1)] + [None]
+    values = [None, *range(1, m + 1), None]
     return [(Interval(values[a], values[b]),
              sum(1 << (s - 1) for s in (a, b) if 1 <= s <= m),
              a,

@@ -2,10 +2,10 @@
 
 Certificates are computed by iterated color refinement (seeded with in/out
 degrees and, on DAGs, the longest-path level) followed by backtracking over
-ambiguous color classes, minimizing the adjacency encoding, all on neighbour
-sets built once per graph.  Disconnected graphs are canonicalized component by
-component, which keeps the search small for the antichain-heavy graphs this
-package produces.
+ambiguous color classes, minimizing the adjacency encoding, all on the
+graph's own neighbour sets.  Disconnected graphs are canonicalized component
+by component, which keeps the search small for the antichain-heavy graphs
+this package produces.
 """
 
 from __future__ import annotations
@@ -88,18 +88,10 @@ def relabel(g: DiGraph, perm: Sequence[int]) -> DiGraph:
 
 
 def topological_order(g: DiGraph) -> Optional[list]:
-    """Kahn topological order, or None if the graph has a directed cycle."""
-    indeg = [len(g.in_sets[v]) for v in range(g.n)]
-    queue = sorted(v for v in range(g.n) if indeg[v] == 0)
-    order = []
-    while queue:
-        v = queue.pop(0)
-        order.append(v)
-        for w in sorted(g.out_sets[v]):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    return order if len(order) == g.n else None
+    """The vertices by longest-path level, ties in ascending order, or None
+    if the graph has a directed cycle."""
+    levels = _dag_levels(g.out_sets, g.in_sets)
+    return None if levels is None else sorted(range(g.n), key=levels.__getitem__)
 
 
 def find_cycle(g: DiGraph) -> list:
@@ -125,16 +117,6 @@ def find_cycle(g: DiGraph) -> list:
                 color[path.pop()] = 2
                 pending.pop()
     raise ValueError("graph is acyclic")
-
-
-def _adjacency(n: int, edges) -> tuple:
-    """The out- and in-neighbour sets of each vertex."""
-    out = [set() for _ in range(n)]
-    inc = [set() for _ in range(n)]
-    for u, v in edges:
-        out[u].add(v)
-        inc[v].add(u)
-    return out, inc
 
 
 def _dag_levels(out: list, inc: list) -> Optional[list]:
@@ -253,9 +235,9 @@ def _weak_components(out: list, inc: list) -> list:
     return comps
 
 
-def _canonical_order(n: int, edges: frozenset) -> tuple:
+def _canonical_order(g: DiGraph) -> tuple:
     """(canonical adjacency rows, the vertex order realizing them)."""
-    out, inc = _adjacency(n, edges)
+    n, out, inc = g.n, g.out_sets, g.in_sets
     comps = _weak_components(out, inc)
     if len(comps) == 1:
         rows, order = _search_connected(out, inc)
@@ -275,13 +257,14 @@ def _canonical_order(n: int, edges: frozenset) -> tuple:
 
 
 # Process-wide, for graphs that recur across calls; a graph that is
-# canonicalised once (see ``uncached_cert``) stays out of it.
+# canonicalised once (see ``uncached_cert``) stays out of it.  A DiGraph
+# hashes and compares on ``(n, edges)`` only, so labels do not split it.
 _canonical_order_key = lru_cache(maxsize=65536)(_canonical_order)
 
 
 def canonical_order(g: DiGraph) -> list:
     """Vertex ordering realizing the canonical adjacency encoding."""
-    _, order = _canonical_order_key(g.n, g.edges)
+    _, order = _canonical_order_key(g)
     return list(order)
 
 
@@ -299,7 +282,7 @@ def uncached_cert(g: DiGraph, cap: int = DEFAULT_VERTEX_CAP) -> CanonicalCert:
 def _cert(g: DiGraph, cap: int, order_key) -> CanonicalCert:
     if g.n > cap:
         raise CapExceeded("graph vertices for canonicalization", cap, g.n)
-    rows, _ = order_key(g.n, g.edges)
+    rows, _ = order_key(g)
     width = (g.n + 7) // 8
     blob = g.n.to_bytes(4, "big") + b"".join(r.to_bytes(width, "big") for r in rows)
     return CanonicalCert(vertex_count=g.n, blob=blob)

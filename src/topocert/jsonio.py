@@ -40,6 +40,12 @@ def parse_fraction(value) -> Fraction:
     raise ValueError(f"not a rational: {value!r}")
 
 
+def _integer(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"not an integer: {value!r}")
+    return value
+
+
 def _parse_end(value) -> Optional[Fraction]:
     if value is None:
         return None
@@ -170,10 +176,10 @@ def _interpret(doc) -> LoadedInput:
     if "n" in doc and "edges" in doc:
         labels = None
         if doc.get("labels") is not None:
-            labels = tuple(frozenset(l) for l in doc["labels"])
+            labels = tuple(frozenset(map(_integer, l)) for l in doc["labels"])
         graph = DiGraph(
-            n=int(doc["n"]),
-            edges=frozenset((int(u), int(v)) for u, v in doc["edges"]),
+            n=_integer(doc["n"]),
+            edges=frozenset((_integer(u), _integer(v)) for u, v in doc["edges"]),
             labels=labels,
         )
         return LoadedInput("graph", graph=graph)

@@ -1,6 +1,14 @@
 """Smith normal form over the integers, with transform matrices.
 
 Plain Python integers throughout; no modular shortcuts, no overflow.
+
+Each pass of the elimination swaps the smallest nonzero entry of the
+submatrix from (t, t) on to (t, t) and clears column t and row t with it by
+adding multiples of row t to the rows below (in D and U together) and of
+column t to the columns right of it (in D and V together).  A remainder is
+smaller than the pivot, so the next pass pivots on it or a smaller entry; a
+row with an entry the pivot does not divide is added into row t, and passes
+go on until the pivot divides every entry left.  Its sign is fixed last.
 """
 
 from __future__ import annotations
@@ -47,98 +55,44 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> Tuple[Matrix, Matrix, Mat
     """
     rows, cols = _check_rect(mat)
     D = [[int(x) for x in r] for r in mat]
-    U = _identity(rows)
-    V = _identity(cols)
+    U, V = _identity(rows), _identity(cols)
 
-    def row_sub(i, t, q):  # row_i -= q * row_t
-        if q:
-            D[i] = [a - q * b for a, b in zip(D[i], D[t])]
-            U[i] = [a - q * b for a, b in zip(U[i], U[t])]
+    def add_row(i, t, q):  # row_i += q * row_t, in D and U
+        D[i] = [a + q * b for a, b in zip(D[i], D[t])]
+        U[i] = [a + q * b for a, b in zip(U[i], U[t])]
 
-    def row_add(t, i):  # row_t += row_i
-        D[t] = [a + b for a, b in zip(D[t], D[i])]
-        U[t] = [a + b for a, b in zip(U[t], U[i])]
+    def add_col(j, t, q):  # col_j += q * col_t, in D and V
+        for r in D + V:
+            r[j] += q * r[t]
 
-    def col_sub(j, t, q):  # col_j -= q * col_t
-        if q:
-            for r in D:
-                r[j] -= q * r[t]
-            for r in V:
-                r[j] -= q * r[t]
-
-    def swap_rows(i, j):
-        D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for r in D:
-            r[i], r[j] = r[j], r[i]
-        for r in V:
-            r[i], r[j] = r[j], r[i]
-
-    def negate_row(i):
-        D[i] = [-x for x in D[i]]
-        U[i] = [-x for x in U[i]]
-
-    def min_abs_pos(t):
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                x = D[i][j]
-                if x and (best is None or abs(x) < abs(D[best[0]][best[1]])):
-                    best = (i, j)
-        return best
-
-    t = 0
-    while t < min(rows, cols):
-        pos = min_abs_pos(t)
-        if pos is None:
-            break
+    for t in range(min(rows, cols)):
         while True:
-            if pos != (t, t):
-                if pos[0] != t:
-                    swap_rows(pos[0], t)
-                if pos[1] != t:
-                    swap_cols(pos[1], t)
-            if D[t][t] < 0:
-                negate_row(t)
-            # clear column t, then row t; a nonzero remainder is a smaller
-            # pivot, so swap it in and restart
-            dirty = False
+            # rows t.. are zero left of column t
+            size = [abs(x) for r in D[t:] for x in r]
+            if not any(size):
+                break
+            k = size.index(min(filter(None, size)))  # the first smallest
+            i, j = t + k // cols, k % cols
+            D[t], D[i], U[t], U[i] = D[i], D[t], U[i], U[t]
+            for r in D + V:
+                r[t], r[j] = r[j], r[t]
+            p = D[t][t]
             for i in range(t + 1, rows):
                 if D[i][t]:
-                    row_sub(i, t, D[i][t] // D[t][t])
-                    if D[i][t]:
-                        swap_rows(i, t)
-                        dirty = True
-                        break
-            if dirty:
-                pos = (t, t)
-                continue
+                    add_row(i, t, -(D[i][t] // p))
             for j in range(t + 1, cols):
                 if D[t][j]:
-                    col_sub(j, t, D[t][j] // D[t][t])
-                    if D[t][j]:
-                        swap_cols(j, t)
-                        dirty = True
-                        break
-            if dirty:
-                pos = (t, t)
-                continue
-            # pivot must divide the rest of the submatrix for the chain
-            viol = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if D[i][j] % D[t][t]:
-                        viol = i
-                        break
-                if viol is not None:
-                    break
-            if viol is None:
+                    add_col(j, t, -(D[t][j] // p))
+            # p must divide every entry left: a remainder in row t is taken
+            # up by the next pass, and a row below with an entry p does not
+            # divide is added into row t first
+            bad = [i for i in range(t, rows) for x in D[i] if x % p]
+            if not bad:
                 break
-            row_add(t, viol)
-            pos = (t, t)
-        t += 1
+            if bad[0] > t:
+                add_row(t, bad[0], 1)
+        if D[t][t] < 0:
+            D[t], U[t] = [-x for x in D[t]], [-x for x in U[t]]
 
     check = matmul(matmul(U, [list(r) for r in mat]), V)
     if check != D:

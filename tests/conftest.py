@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -5,6 +6,10 @@ import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
 
 sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
+# pyproject's pythonpath reaches this process only; the CLI tests start
+# ``python -m topocert`` in child processes, which read PYTHONPATH
+SRC = str(Path(__file__).parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 

@@ -212,6 +212,9 @@ class TestErrorMapping:
             '{"members": [[{"var": "z", "op": "<", "c": "1"}]]}',
             '{"n": 2, "edges": [[0, 5]]}',
             '{"n": "two", "edges": []}',
+            '{"n": 3.7, "edges": [[0.9, 1.2], [true, 2]]}',
+            '{"n": true, "edges": []}',
+            '{"n": 1, "edges": [], "labels": [[1, "a"]]}',
             '{"domain": "line"}',
             '{"domain": {"kind": "line"}, "members": [5]}',
             '{"points": [[1]], "opens": []}',

@@ -18,7 +18,7 @@ from topocert import (
 
 from topocert.digraphs import canonical_order
 
-from oracles import brute_force_isomorphic, random_digraph
+from oracles import brute_force_isomorphic, random_dag, random_digraph
 
 
 def path(n):
@@ -33,6 +33,21 @@ def test_no_self_loops():
 def test_topological_order_none_on_cycle():
     g = DiGraph(n=2, edges=frozenset({(0, 1), (1, 0)}))
     assert topological_order(g) is None
+
+
+def test_topological_order_on_random_dags():
+    rng = random.Random(2027)
+    for _ in range(300):
+        g = random_dag(rng, rng.randint(1, 9), rng.choice([0.1, 0.35, 0.7]))
+        order = topological_order(g)
+        assert sorted(order) == list(range(g.n))
+        pos = {v: i for i, v in enumerate(order)}
+        assert all(pos[u] < pos[v] for u, v in g.edges)
+        if g.edges:
+            # the reverse of an edge closes a 2-cycle
+            u, v = rng.choice(sorted(g.edges))
+            cyclic = DiGraph(n=g.n, edges=g.edges | {(v, u)})
+            assert topological_order(cyclic) is None
 
 
 class TestCanonicalCert:
