@@ -75,6 +75,8 @@ class WitnessSide:
     exhaustive = False
 
     def _sized(self, n: Optional[int]) -> list:
+        if n is not None and n < 1:
+            raise ValueError("cover size must be positive")
         return [s for s in self.covers if n is None or len(s.members) == n]
 
     def fingerprints(self, n: Optional[int], level: str, cap_cover: int,

@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Commands: validate, hclasses, graph, cstar, ktheory, prim, pg, compare,
-certify, enumerate.  Outputs are deterministic; every failure is reported on
+``_COMMANDS`` is the one table of commands (validate, hclasses, graph, cstar,
+ktheory, prim, pg, compare, certify, enumerate): each one's flags, formats
+and handler.  Outputs are deterministic; every failure is reported on
 stderr as ``{"error": exc.report()}`` (kind, message and the error's extra
 fields) and ends with the error's ``exit_code``:
 
@@ -50,20 +51,6 @@ from .jsonio import (
 from .spaces import enumerate_covers
 
 _EXIT_NEGATIVE = 2
-# each command's flags beyond --input, the caps, --format and --out, in the
-# parser's order, and the formats it offers, the default first
-_COMMANDS = {
-    "validate": ((), ("json",)),
-    "hclasses": ((), ("json", "text")),
-    "graph": ((), ("json", "dot")),
-    "cstar": ((), ("json", "text")),
-    "ktheory": ((), ("json", "text")),
-    "prim": ((), ("json", "text")),
-    "pg": (("n", "level"), ("json", "text")),
-    "compare": (("input_b", "n", "level"), ("json", "text")),
-    "certify": (("input_b", "n", "n_range", "level"), ("json",)),
-    "enumerate": (("n",), ("json",)),
-}
 _FLAGS = {
     "input_b": dict(required=True),
     "n": dict(type=int),
@@ -128,7 +115,9 @@ def _emit(config: RunConfig, text: str) -> None:
             os.close(devnull)
 
 
-def _emit_error(exc: TopocertError) -> int:
+def _emit_error(exc: Exception) -> int:
+    if not isinstance(exc, TopocertError):
+        exc = TopocertError(str(exc))
     sys.stderr.write(dumps({"error": exc.report()}))
     return exc.exit_code
 
@@ -145,7 +134,8 @@ def _partition_of_input(path: str, loaded):
     raise ParseError(path, f"cannot derive a cover from a {loaded.kind} input")
 
 
-def _graph_of_input(config: RunConfig, loaded):
+def _graph_of_input(config: RunConfig):
+    loaded = load_input(config.input)
     if loaded.kind == "graph":
         # a graph file's n is not bounded by its size
         if loaded.graph.n > config.cap_vertices:
@@ -175,105 +165,104 @@ def _fingerprints_of_file(path: str, loaded, config: RunConfig):
     return fs, side.exhaustive
 
 
-def run(config: RunConfig) -> int:
-    """Execute one command; returns the process exit code."""
+def _validate(config: RunConfig):
     try:
-        return _dispatch(config)
-    except TopocertError as exc:
-        return _emit_error(exc)
-    except ValueError as exc:
-        return _emit_error(TopocertError(str(exc)))
-
-
-def _dispatch(config: RunConfig) -> int:
-    cmd = config.command
-    if cmd == "validate":
-        return _cmd_validate(config)
-    loaded = load_input(config.input)
-    if cmd == "hclasses":
-        _emit(config, _render(config, partition_json(
-            _partition_of_input(config.input, loaded))))
-        return 0
-    if cmd == "graph":
-        g = _graph_of_input(config, loaded)
-        if config.fmt == "dot":
-            _emit(config, to_dot(g))
-        else:
-            _emit(config, dumps(graph_json(g)))
-        return 0
-    if cmd == "cstar":
-        g = _graph_of_input(config, loaded)
-        _emit(config, _render(config, block_decomposition(g).to_json()))
-        return 0
-    if cmd == "ktheory":
-        g = _graph_of_input(config, loaded)
-        _emit(config, _render(config, k_theory(g).to_json()))
-        return 0
-    if cmd == "prim":
-        g = _graph_of_input(config, loaded)
-        _emit(config, _render(config, prim_space(g, config.cap_vertices).to_json()))
-        return 0
-    if cmd == "pg":
-        fs, exhaustive = _fingerprints_of_file(config.input, loaded, config)
-        _emit(config, _render(config, {**fs.to_json(), "exhaustive": exhaustive}))
-        return 0
-    if cmd == "compare":
-        loaded_b = load_input(config.input_b)
-        fs_a, ex_a = _fingerprints_of_file(config.input, loaded, config)
-        fs_b, ex_b = _fingerprints_of_file(config.input_b, loaded_b, config)
-        match = sets_match(fs_a, fs_b)
-        doc = {
-            "match": match,
-            "exhaustive": ex_a and ex_b,
-            "a": fs_a.to_json(),
-            "b": fs_b.to_json(),
-        }
-        _emit(config, _render(config, doc))
-        return 0 if match else _EXIT_NEGATIVE
-    if cmd == "certify":
-        loaded_b = load_input(config.input_b)
-        side_a = _side_of_input("a", config.input, loaded)
-        side_b = _side_of_input("b", config.input_b, loaded_b)
-        n_range = config.n_range or (
-            (config.n, config.n) if config.n is not None else (1, config.cap_cover)
-        )
-        cert = nonhomeo_certificate(
-            side_a, side_b, n_range, config.level,
-            config.cap_cover, config.cap_vertices)
-        if cert is None:
-            _emit(config, dumps({"certificate": None,
-                                 "searched_n": list(n_range),
-                                 "level": config.level}))
-            return _EXIT_NEGATIVE
-        _emit(config, dumps(cert.to_json()))
-        return 0
-    return _cmd_enumerate(config, loaded)
-
-
-def _cmd_validate(config: RunConfig) -> int:
-    try:
-        space = load_space(config.input)
+        return {"valid": True, **space_json(load_space(config.input))}, 0
     except TopologyError as exc:
-        _emit(config, dumps({"valid": False, "error": exc.report()}))
-        return _EXIT_NEGATIVE
-    _emit(config, dumps({"valid": True, **space_json(space)}))
-    return 0
+        return {"valid": False, "error": exc.report()}, _EXIT_NEGATIVE
 
 
-def _cmd_enumerate(config: RunConfig, loaded) -> int:
+def _hclasses(config: RunConfig):
+    loaded = load_input(config.input)
+    return partition_json(_partition_of_input(config.input, loaded)), 0
+
+
+def _graph(config: RunConfig):
+    g = _graph_of_input(config)
+    return (to_dot(g) if config.fmt == "dot" else graph_json(g)), 0
+
+
+def _cstar(config: RunConfig):
+    return block_decomposition(_graph_of_input(config)).to_json(), 0
+
+
+def _ktheory(config: RunConfig):
+    return k_theory(_graph_of_input(config)).to_json(), 0
+
+
+def _prim(config: RunConfig):
+    return prim_space(_graph_of_input(config), config.cap_vertices).to_json(), 0
+
+
+def _pg(config: RunConfig):
+    fs, ex = _fingerprints_of_file(config.input, load_input(config.input), config)
+    return {**fs.to_json(), "exhaustive": ex}, 0
+
+
+def _compare(config: RunConfig):
+    loaded_a, loaded_b = load_input(config.input), load_input(config.input_b)
+    fs_a, ex_a = _fingerprints_of_file(config.input, loaded_a, config)
+    fs_b, ex_b = _fingerprints_of_file(config.input_b, loaded_b, config)
+    match = sets_match(fs_a, fs_b)
+    return ({"match": match, "exhaustive": ex_a and ex_b, "a": fs_a.to_json(),
+             "b": fs_b.to_json()}, 0 if match else _EXIT_NEGATIVE)
+
+
+def _certify(config: RunConfig):
+    loaded_a, loaded_b = load_input(config.input), load_input(config.input_b)
+    side_a = _side_of_input("a", config.input, loaded_a)
+    side_b = _side_of_input("b", config.input_b, loaded_b)
+    n_range = config.n_range or ((1, config.cap_cover) if config.n is None
+                                 else (config.n, config.n))
+    cert = nonhomeo_certificate(side_a, side_b, n_range, config.level,
+                                config.cap_cover, config.cap_vertices)
+    if cert is None:
+        return {"certificate": None, "searched_n": list(n_range),
+                "level": config.level}, _EXIT_NEGATIVE
+    return cert.to_json(), 0
+
+
+def _enumerate(config: RunConfig):
+    loaded = load_input(config.input)
     if loaded.kind == "space":
         covers = [cover_json(c)["members"]
                   for c in enumerate_covers(loaded.space, config.n)]
-        _emit(config, dumps({"covers": covers, "count": len(covers)}))
-        return 0
+        return {"covers": covers, "count": len(covers)}, 0
     if loaded.kind == "domain":
         if config.n is None:
             raise ParseError(config.input, "domain enumeration needs --n")
         types = [partition_json(p) for p in enumerate_interval_cover_types(
             loaded.domain, config.n, config.cap_cover)]
-        _emit(config, dumps({"types": types, "count": len(types)}))
-        return 0
+        return {"types": types, "count": len(types)}, 0
     raise ParseError(config.input, "enumerate needs a space or a bare domain")
+
+
+# each command's flags beyond --input, the caps, --format and --out, in the
+# parser's order; the formats it offers, the default first; and its handler,
+# which reads every input before any other check and returns (document or DOT
+# text, exit code)
+_COMMANDS = {
+    "validate": ((), ("json",), _validate),
+    "hclasses": ((), ("json", "text"), _hclasses),
+    "graph": ((), ("json", "dot"), _graph),
+    "cstar": ((), ("json", "text"), _cstar),
+    "ktheory": ((), ("json", "text"), _ktheory),
+    "prim": ((), ("json", "text"), _prim),
+    "pg": (("n", "level"), ("json", "text"), _pg),
+    "compare": (("input_b", "n", "level"), ("json", "text"), _compare),
+    "certify": (("input_b", "n", "n_range", "level"), ("json",), _certify),
+    "enumerate": (("n",), ("json",), _enumerate),
+}
+
+
+def run(config: RunConfig) -> int:
+    """Execute one command; returns the process exit code."""
+    try:
+        result, code = _COMMANDS[config.command][2](config)
+        _emit(config, result if isinstance(result, str) else _render(config, result))
+    except (TopocertError, ValueError) as exc:
+        return _emit_error(exc)
+    return code
 
 
 def _render(config: RunConfig, doc: dict) -> str:
@@ -303,23 +292,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="topocert",
-        description="Open-cover invariants and non-homeomorphism certificates.",
-    )
+    parser = _Parser(prog="topocert", description=(
+        "Open-cover invariants and non-homeomorphism certificates."))
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (flags, formats) in _COMMANDS.items():
+    cap_cover = _env_cap("TOPOCERT_CAP_COVER", DEFAULT_COVER_SIZE_CAP)
+    cap_vertices = _env_cap("TOPOCERT_CAP_VERTICES", DEFAULT_VERTEX_CAP)
+    for name, (flags, formats, _) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--input", required=True)
         for flag in flags:
             p.add_argument("--" + flag.replace("_", "-"), **_FLAGS[flag])
-        p.add_argument("--cap-cover", type=int,
-                       default=_env_cap("TOPOCERT_CAP_COVER",
-                                        DEFAULT_COVER_SIZE_CAP))
-        p.add_argument("--cap-vertices", type=int,
-                       default=_env_cap("TOPOCERT_CAP_VERTICES",
-                                        DEFAULT_VERTEX_CAP))
+        p.add_argument("--cap-cover", type=int, default=cap_cover)
+        p.add_argument("--cap-vertices", type=int, default=cap_vertices)
         p.add_argument("--format", dest="fmt", choices=formats, default=formats[0])
         p.add_argument("--out")
     return parser
@@ -340,15 +325,11 @@ def _parse_n_range(raw: Optional[str]) -> Optional[Tuple[int, int]]:
 
 def main(argv=None) -> None:
     try:
-        parser = build_parser()
-    except TopocertError as exc:
-        sys.exit(_emit_error(exc))
-    fields = vars(parser.parse_args(argv))
-    try:
+        fields = vars(build_parser().parse_args(argv))
         fields["n_range"] = _parse_n_range(fields.get("n_range"))
         config = RunConfig(**fields)
-    except ValueError as exc:
-        sys.exit(_emit_error(TopocertError(str(exc))))
+    except (TopocertError, ValueError) as exc:
+        sys.exit(_emit_error(exc))
     sys.exit(run(config))
 
 

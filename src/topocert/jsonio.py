@@ -46,6 +46,18 @@ def _integer(value) -> int:
     return value
 
 
+def _array(doc: dict, key: str, of_arrays: bool = True) -> list:
+    """``doc[key]``, checked to be a JSON array, and one of JSON arrays unless
+    ``of_arrays`` is false: a string or an object in their place would be
+    read as its characters or keys."""
+    value = doc[key]
+    if not isinstance(value, list):
+        raise ValueError(f'"{key}" must be a JSON array')
+    if of_arrays and not all(isinstance(v, list) for v in value):
+        raise ValueError(f'each item of "{key}" must be a JSON array')
+    return value
+
+
 def _parse_end(value) -> Optional[Fraction]:
     if value is None:
         return None
@@ -144,10 +156,11 @@ def load_space(path: str) -> FiniteSpace:
 
 
 def _space(doc) -> FiniteSpace:
+    points = _array(doc, "points", of_arrays=False)
     if "opens" in doc:
-        return validate_topology(doc["points"], doc["opens"])
+        return validate_topology(points, _array(doc, "opens"))
     if "subbasis" in doc:
-        return generate_topology(doc["points"], doc["subbasis"])
+        return generate_topology(points, _array(doc, "subbasis"))
     raise ValueError('space files need "opens" or "subbasis"')
 
 
@@ -158,7 +171,7 @@ def _interpret(doc) -> LoadedInput:
         space = _space(doc)
         cover = None
         if "cover" in doc:
-            cover = make_cover(space, [frozenset(m) for m in doc["cover"]])
+            cover = make_cover(space, [frozenset(m) for m in _array(doc, "cover")])
         return LoadedInput("space", space=space, cover=cover)
     if "domain" in doc:
         domain = _load_domain(doc["domain"])
@@ -176,10 +189,11 @@ def _interpret(doc) -> LoadedInput:
     if "n" in doc and "edges" in doc:
         labels = None
         if doc.get("labels") is not None:
-            labels = tuple(frozenset(map(_integer, l)) for l in doc["labels"])
+            labels = tuple(frozenset(map(_integer, l)) for l in _array(doc, "labels"))
         graph = DiGraph(
             n=_integer(doc["n"]),
-            edges=frozenset((_integer(u), _integer(v)) for u, v in doc["edges"]),
+            edges=frozenset((_integer(u), _integer(v))
+                            for u, v in _array(doc, "edges")),
             labels=labels,
         )
         return LoadedInput("graph", graph=graph)

@@ -221,6 +221,11 @@ class TestErrorMapping:
             '{"points": ["a"], "opens": 5}',
             "[" * 100_000,
             b'{"points": ["\xff"], "opens": []}',
+            # a string or an object in place of an array used to be read as
+            # its characters or keys, and these passed with exit 0
+            '{"points": "ab", "opens": ["", "ab", "a"]}',
+            '{"n": 2, "edges": {}}',
+            '{"n": 1, "edges": [], "labels": {"": 1}}',
         ]
         for i, text in enumerate(corpus):
             p = tmp_path / f"bad{i}.json"
@@ -234,6 +239,17 @@ class TestErrorMapping:
                 assert code != 0
                 err_doc = json.loads(captured.err or captured.out)
                 assert "error" in err_doc
+
+    def test_sets_in_a_space_file_are_json_arrays(self, tmp_path, capsys):
+        # "ab" used to be read as the set {a, b}
+        space = '"points": ["a", "b"], "opens": [[], ["a"], ["a", "b"]]'
+        for command, text in (("hclasses", '{%s, "cover": ["ab"]}' % space),
+                              ("validate", '{"points": ["a"], "subbasis": ["a"]}')):
+            p = tmp_path / f"{command}.json"
+            p.write_text(text)
+            code, out, err = run_cmd(capsys, command=command, input=str(p))
+            assert (code, out) == (3, "")
+            assert json.loads(err)["error"]["kind"] == "ParseError"
 
     def test_graph_input_above_the_vertex_cap(self, tmp_path, capsys):
         # a graph file's n costs no bytes, so it is capped before any work
@@ -330,6 +346,20 @@ class TestErrorMapping:
             doc = json.loads(capsys.readouterr().err)["error"]
             assert (exc.value.code, doc["kind"]) == (1, "Error")
             assert doc["message"] == f"bad --n-range: {raw!r}"
+
+    def test_every_input_is_read_before_any_other_check(self, tmp_path, capsys):
+        # a line domain without --n, or a graph as a side, is refused only
+        # after --input-b has been read
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"n": 2, "edges": [[0, 5]]}')
+        for command, first in (("compare", "line_domain.json"),
+                               ("certify", "errors/cycle_3.json")):
+            code, out, err = run_cmd(capsys, command=command, input=fx(first),
+                                     input_b=str(bad))
+            assert (code, out) == (3, "")
+            doc = json.loads(err)["error"]
+            assert (doc["kind"], doc["path"]) == ("ParseError", str(bad))
+            assert "out of range" in doc["detail"]
 
     def test_errors_name_the_file_at_fault(self, capsys):
         domain = fx("segment_domain.json")
@@ -539,6 +569,32 @@ class TestDeterminism:
             else:
                 with pytest.raises(ValueError):
                     json.loads(out)
+
+    @pytest.mark.parametrize("argv", [
+        "validate --input chain_3.json",
+        "hclasses --input segment_cover_first.json --format text",
+        "graph --input plane_cover.json --format dot",
+        "cstar --input circle_cover.json",
+        "ktheory --input segment_cover_second.json",
+        "prim --input segment_cover_third.json --format text",
+        "pg --input chain_4.json --n 2",
+        "compare --input trivial_space.json --input-b chain_3.json --n 2",
+        "certify --input circle_cover.json --input-b three_point_model.json"
+        " --n-range 4..4",
+        "enumerate --input segment_domain.json --n 3",
+    ])
+    def test_out_file_holds_exactly_what_stdout_would(self, argv, tmp_path,
+                                                      capsys):
+        argv = [fx(a) if a.endswith(".json") else a for a in argv.split()]
+        with pytest.raises(SystemExit) as printed:
+            main(argv)
+        out, err = capsys.readouterr()
+        path = tmp_path / "out.txt"
+        with pytest.raises(SystemExit) as written:
+            main([*argv, "--out", str(path)])
+        assert capsys.readouterr() == ("", err)
+        assert written.value.code == printed.value.code
+        assert path.read_bytes() == out.encode("utf-8") != b""
 
     def test_run_config_rejects_what_the_parser_rejects(self):
         # the library path used to accept these and print JSON with exit 0

@@ -57,6 +57,8 @@ _ERROR_CALLS = (
        " --input-b fixtures/circle_cover.json",  # NotExhaustible, exit 1
        "pg --input fixtures/chain_4.json --format dot",  # bad flag, exit 1
        "pg --input fixtures/chain_4.json --n 0",  # bad value, exit 1
+       "pg --input fixtures/line_witness_covers.json --n 0",  # the same, exit 1
+       "graph --input fixtures/errors/edges_object.json",  # ParseError, exit 3
        "pg --input fixtures/segment_gap.json",  # NotACover, exit 5
        "validate --input fixtures/errors/no_such_file.json"]  # ParseError, exit 3
 )
