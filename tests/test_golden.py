@@ -89,7 +89,8 @@ _SIDE_CALLS = [
 
 CALLS = (
     _README_CERTIFY
-    + [f"pg --input fixtures/chain_4.json --level {level}"
+    + [f"pg --input fixtures/{space}.json --level {level}"
+       for space in ("chain_4", "six_point_space")
        for level in ("graph", "cstar", "ktheory")]
     + [f"enumerate --input fixtures/{domain}.json --n {n}"
        for domain in ("segment_domain", "line_domain") for n in range(1, 5)]
