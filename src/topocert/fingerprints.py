@@ -20,7 +20,7 @@ from .arrangements import (
     DEFAULT_COVER_SIZE_CAP,
     enumerate_interval_cover_types,
 )
-from .digraphs import DEFAULT_VERTEX_CAP, CanonicalCert, canonical_cert
+from .digraphs import DEFAULT_VERTEX_CAP, CanonicalCert, DiGraph, canonical_cert
 from .errors import LevelMismatch
 from .graphalgebra import (
     BlockDecomposition,
@@ -30,7 +30,13 @@ from .graphalgebra import (
     k_theory,
     prim_space,
 )
-from .hasse import HPartition, hasse_digraph, hpartition_of_cover, make_hpartition
+from .hasse import (
+    HPartition,
+    cover_class_masks,
+    hasse_digraph,
+    hasse_edges,
+    make_hpartition,
+)
 from .spaces import Cover, FiniteSpace, enumerate_covers
 
 LEVELS = ("graph", "cstar", "ktheory")
@@ -84,15 +90,19 @@ def fingerprint_of(source: Union[Cover, HPartition],
                    memo: Optional[dict] = None) -> Fingerprint:
     """Run one cover (or its precomputed partition) through the pipeline.
 
-    Everything after the Hasse digraph depends on that digraph alone, so
-    ``memo``, when given, maps each labelled digraph already seen (``DiGraph``
-    compares on ``(n, edges)``) to its fingerprint.  The caller owns it for
-    one fingerprint set; results are the same with or without it.
+    A cover's Hasse digraph is built from its class bitmasks, with no
+    partition and no vertex labels; it equals ``hasse_digraph`` of
+    ``hpartition_of_cover`` on ``(n, edges)``.  Everything after the Hasse
+    digraph depends on that digraph alone, so ``memo``, when given, maps each
+    labelled digraph already seen (``DiGraph`` compares on ``(n, edges)``) to
+    its fingerprint.  The caller owns it for one fingerprint set; results are
+    the same with or without it.
     """
-    partition = (
-        hpartition_of_cover(source) if isinstance(source, Cover) else source
-    )
-    g = hasse_digraph(partition)
+    if isinstance(source, Cover):
+        classes = cover_class_masks(source)
+        g = DiGraph(n=len(classes), edges=hasse_edges(classes))
+    else:
+        g = hasse_digraph(source)
     if memo is not None and g in memo:
         return memo[g]
     fp = Fingerprint(

@@ -4,12 +4,20 @@ Each point of a covered space gets the set of cover members containing it;
 the distinct such sets, ordered by inclusion, form a finite poset whose Hasse
 diagram is the graph everything downstream consumes.  Elements comparable to
 nothing stay edgeless.
+
+Both steps run on integer bitmasks.  ``cover_class_masks`` gives each point
+the bitmask of the members that contain it, through the point indices the
+space keeps for each open, and returns the distinct masks in canonical class
+order; ``hasse_edges`` finds the cover pairs among bitmask sets.
+``hpartition_of_cover``, ``hasse_digraph`` and
+``fingerprints.fingerprint_of`` all go through these two, and the
+fingerprint of a finite-space cover builds no frozenset and no partition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .digraphs import CanonicalCert, DiGraph, uncached_cert
 from .spaces import Cover
@@ -50,18 +58,61 @@ def make_hpartition(classes: Iterable[frozenset], member_count: int,
     return HPartition(member_count=member_count, classes=tuple(out), source=source)
 
 
+def cover_class_masks(cover: Cover) -> list:
+    """The classes of ``cover`` as bitmasks of members, in canonical class
+    order: by size, then by sorted member indices.
+
+    Member i of n is bit n-1-i, so a class reads as a binary word with member
+    0 as its leading digit, and classes of one size sort in descending order
+    of their masks.  Each point gets the mask of the members that contain
+    it, from the point indices the space lists for each open.
+    """
+    point_indices = cover.space.open_point_indices
+    masks = [0] * len(cover.space.points)
+    bit = 1 << len(cover.members)
+    for member in cover.members:
+        bit >>= 1
+        for p in point_indices[member]:
+            masks[p] |= bit
+    # nonempty: cover members jointly contain every point
+    return sorted(sorted(set(masks), reverse=True), key=int.bit_count)
+
+
 def hpartition_of_cover(cover: Cover) -> HPartition:
     """Classes of the map sending each point to its set of covering members.
 
     Works on the classes directly, so no choice of class representatives ever
-    arises.
+    arises; the classes are those of ``cover_class_masks``, as frozensets of
+    member indices.
     """
-    classes = set()
-    for p in cover.space.points:
-        h = frozenset(i for i, m in enumerate(cover.members) if p in m)
-        classes.add(h)  # nonempty: cover members jointly contain every point
-    src = f"cover(n={len(cover.members)}) of space({len(cover.space.points)} points)"
-    return make_hpartition(classes, len(cover.members), src)
+    n = len(cover.members)
+    classes = [frozenset(i for i in range(n) if c >> (n - 1 - i) & 1)
+               for c in cover_class_masks(cover)]
+    src = f"cover(n={n}) of space({len(cover.space.points)} points)"
+    return make_hpartition(classes, n, src)
+
+
+def hasse_edges(classes: Sequence[int]) -> frozenset:
+    """Cover pairs of strict inclusion among distinct bitmask sets listed by
+    size: (i, j) when ``classes[i]`` is a maximal proper subset of
+    ``classes[j]`` among them."""
+    below = []  # below[j]: bitmask of the indices of the sets inside set j
+    edges = []
+    for j, c in enumerate(classes):
+        inside = reach = 0
+        for i in range(j):  # a proper subset is smaller, so listed earlier
+            a = classes[i]
+            if a & c == a:
+                inside |= 1 << i
+                reach |= below[i]
+        below.append(inside)
+        # a set inside another set inside c is no cover of c
+        covers = inside & ~reach
+        while covers:
+            low = covers & -covers
+            edges.append((low.bit_length() - 1, j))
+            covers ^= low
+    return frozenset(edges)
 
 
 def hasse_digraph(partition: HPartition) -> DiGraph:
@@ -71,16 +122,8 @@ def hasse_digraph(partition: HPartition) -> DiGraph:
     maximal proper subset of class j among the classes.
     """
     cls = partition.classes
-    k = len(cls)
-    edges = set()
-    for i in range(k):
-        for j in range(k):
-            if i == j or not cls[i] < cls[j]:
-                continue
-            if any(cls[i] < cls[m] < cls[j] for m in range(k) if m not in (i, j)):
-                continue
-            edges.add((i, j))
-    return DiGraph(n=k, edges=frozenset(edges), labels=cls)
+    masks = [sum(1 << i for i in c) for c in cls]
+    return DiGraph(n=len(cls), edges=hasse_edges(masks), labels=cls)
 
 
 def canonical_key(partition: HPartition) -> CanonicalCert:

@@ -67,6 +67,8 @@ def _parse_end(value) -> Optional[Fraction]:
 
 
 def _load_domain(doc) -> object:
+    if not isinstance(doc, dict):
+        raise ValueError('"domain" must be a JSON object')
     kind = doc.get("kind")
     if kind == "segment":
         return Segment(lo=parse_fraction(doc["lo"]), hi=parse_fraction(doc["hi"]))
@@ -77,10 +79,20 @@ def _load_domain(doc) -> object:
     raise ValueError(f"unknown domain kind {kind!r}")
 
 
-def _load_interval_members(domain, members_doc) -> IntervalSpec:
+def _closed_lo(member: dict) -> bool:
+    value = member.get("closed_lo", False)
+    if not isinstance(value, bool):
+        raise ValueError(f'"closed_lo" must be a JSON boolean, not {value!r}')
+    return value
+
+
+def _load_interval_members(domain, members_doc: list, key: str) -> IntervalSpec:
+    """One interval cover from the member objects listed under ``key``."""
+    if not all(isinstance(m, dict) for m in members_doc):
+        raise ValueError(f'each member in "{key}" must be a JSON object')
     return IntervalSpec(domain, tuple(
         Interval(lo=_parse_end(m.get("lo")), hi=_parse_end(m.get("hi")),
-                 closed_lo=bool(m.get("closed_lo", False)))
+                 closed_lo=_closed_lo(m))
         for m in members_doc))
 
 
@@ -176,10 +188,11 @@ def _interpret(doc) -> LoadedInput:
     if "domain" in doc:
         domain = _load_domain(doc["domain"])
         if "members" in doc:
-            return LoadedInput("covers", specs=(
-                _load_interval_members(domain, doc["members"]),))
+            return LoadedInput("covers", specs=(_load_interval_members(
+                domain, _array(doc, "members", of_arrays=False), "members"),))
         if "covers" in doc:
-            specs = tuple(_load_interval_members(domain, ms) for ms in doc["covers"])
+            specs = tuple(_load_interval_members(domain, ms, "covers")
+                          for ms in _array(doc, "covers"))
             if not specs:
                 raise ValueError('"covers" must not be empty')
             return LoadedInput("covers", specs=specs)

@@ -44,7 +44,8 @@ class FiniteSpace:
 
     ``points`` fixes the point order used for bitmask encodings; ``opens`` is
     canonically sorted by bitmask, so everything derived downstream is
-    reproducible.
+    reproducible.  The encodings derived from them (point bits, open masks,
+    each open's point indices) are computed once per space.
     """
 
     points: tuple
@@ -61,6 +62,12 @@ class FiniteSpace:
     @cached_property
     def open_masks(self) -> tuple:
         return tuple(self.mask_of(u) for u in self.opens)
+
+    @cached_property
+    def open_point_indices(self) -> dict:
+        """Each open's point indices, in point order."""
+        return {u: tuple(i for i, p in enumerate(self.points) if p in u)
+                for u in self.opens}
 
     @cached_property
     def nonempty_opens(self) -> tuple:

@@ -198,6 +198,38 @@ class TestErrorMapping:
             "kind": "NotACover", "message": "not a cover: point 'b' is uncovered",
             "witness": "point 'b'"}
 
+    def test_interval_file_shape_errors_name_the_field(self, capsys):
+        # each used to report a Python detail such as "'str' object has no
+        # attribute 'get'", and a string "closed_lo" was read as true
+        for name, detail in (
+                ("closed_lo_string",
+                 "\"closed_lo\" must be a JSON boolean, not 'false'"),
+                ("domain_string", '"domain" must be a JSON object'),
+                ("members_string", '"members" must be a JSON array'),
+                ("members_numbers", 'each member in "members" must be a JSON object'),
+                ("covers_object", '"covers" must be a JSON array'),
+                ("covers_number_item", 'each item of "covers" must be a JSON array')):
+            code, out, err = run_cmd(capsys, command="hclasses",
+                                     input=fx(f"errors/{name}.json"))
+            assert (code, out) == (3, "")
+            error = json.loads(err)["error"]
+            assert (error["kind"], error["detail"]) == ("ParseError", detail)
+
+    def test_closed_lo_false_is_the_default(self, tmp_path, capsys):
+        doc = json.loads((FIXTURES / "errors" / "closed_lo_string.json").read_text())
+        outputs = []
+        for value in (False, None):
+            if value is None:
+                del doc["members"][0]["closed_lo"]
+            else:
+                doc["members"][0]["closed_lo"] = value
+            path = tmp_path / f"{value}.json"
+            path.write_text(json.dumps(doc))
+            code, out, _ = run_cmd(capsys, command="hclasses", input=str(path))
+            assert code == 0
+            outputs.append(json.loads(out)["classes"])
+        assert outputs == [[[1], [2], [0, 1], [0, 1, 2]]] * 2
+
     def test_malformed_corpus_never_crashes(self, tmp_path, capsys):
         corpus = [
             "[]",

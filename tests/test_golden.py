@@ -50,7 +50,9 @@ _ERROR_CALLS = (
        for space in _INVALID_TOPOLOGIES]
     + [f"hclasses --input fixtures/errors/{cover}.json"  # ParseError, exit 3
        for cover in ("empty_member", "member_outside_segment",
-                     "unknown_cover_point")]
+                     "unknown_cover_point", "closed_lo_string", "domain_string",
+                     "members_string", "members_numbers", "covers_object",
+                     "covers_number_item")]
     + ["hclasses --input fixtures/errors/uncovered_point.json"]  # NotACover, exit 5
     + ["enumerate --input fixtures/errors/circle_domain.json --n 2",  # exit 1
        "certify --input fixtures/segment_cover_first.json"

@@ -11,6 +11,7 @@ from topocert import (
     canonical_key,
     enumerate_covers,
     enumerate_interval_cover_types,
+    fingerprint_of,
     generate_topology,
     hasse_digraph,
     hpartition_of_cover,
@@ -19,7 +20,9 @@ from topocert import (
     relabel,
     validate_topology,
 )
+from topocert.jsonio import load_input
 
+from conftest import FIXTURES
 from oracles import (
     brute_force_type_key,
     random_partition,
@@ -143,6 +146,46 @@ class TestHasseDigraph:
 
             path = DiGraph(n=k, edges=frozenset((i, i + 1) for i in range(k - 1)))
             assert canonical_cert(g) == canonical_cert(path)
+
+
+def _scanned_digraph(cover):
+    """(n, edges) of the classes found by testing each point against each
+    member, in canonical order, under the reduction of strict inclusion."""
+    classes = sorted({frozenset(i for i, m in enumerate(cover.members) if p in m)
+                      for p in cover.space.points},
+                     key=lambda c: (len(c), sorted(c)))
+    pairs = {(i, j) for i, a in enumerate(classes)
+             for j, b in enumerate(classes) if a < b}
+    return len(classes), frozenset(transitive_reduction(len(classes), pairs))
+
+
+class _SeenDigraphs(dict):
+    """A fingerprint memo that keeps the digraph it was last asked about."""
+
+    def __contains__(self, g):
+        self.last = g
+        return super().__contains__(g)
+
+
+class TestFingerprintPathDigraph:
+    def test_matches_the_partition_path_and_a_point_scan(self):
+        spaces = [load_input(str(path)).space
+                  for path in sorted(FIXTURES.glob("*.json"))
+                  if '"points"' in path.read_text()]
+        assert len(spaces) == 7
+        rng = random.Random(14)
+        spaces += [random_space(rng) for _ in range(20)]
+        covers = 0
+        for space in spaces:
+            memo = _SeenDigraphs()
+            for cover in enumerate_covers(space):
+                fingerprint_of(cover, memo=memo)
+                g = memo.last
+                partition_path = hasse_digraph(hpartition_of_cover(cover))
+                assert (g.n, g.edges) == (partition_path.n, partition_path.edges)
+                assert (g.n, g.edges) == _scanned_digraph(cover)
+                covers += 1
+        assert covers > 2944  # six_point_space alone has 2,944
 
 
 class TestCanonicalKey:
