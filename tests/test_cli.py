@@ -218,12 +218,10 @@ class TestErrorMapping:
     def test_closed_lo_false_is_the_default(self, tmp_path, capsys):
         doc = json.loads((FIXTURES / "errors" / "closed_lo_string.json").read_text())
         outputs = []
-        for value in (False, None):
-            if value is None:
-                del doc["members"][0]["closed_lo"]
-            else:
-                doc["members"][0]["closed_lo"] = value
-            path = tmp_path / f"{value}.json"
+        for i, member in enumerate(({"lo": "0", "hi": "1", "closed_lo": False},
+                                    {"lo": "0", "hi": "1"})):
+            doc["members"][0] = member
+            path = tmp_path / f"cover{i}.json"
             path.write_text(json.dumps(doc))
             code, out, _ = run_cmd(capsys, command="hclasses", input=str(path))
             assert code == 0
