@@ -17,52 +17,60 @@ same.  So one enumerator, over the line, serves both domains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, List, Optional
+from typing import Iterator, List, NamedTuple, Optional
 
-from .errors import CapExceeded, EmptyMember, InvalidArrangement, NotACover
+from .errors import CapExceeded, EmptyMember, Frozen, InvalidArrangement, NotACover
 from .hasse import HPartition, canonical_key, make_hpartition
 
 DEFAULT_COVER_SIZE_CAP = 5
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(Frozen):
     """Half-open segment [lo, hi)."""
 
-    lo: Fraction
-    hi: Fraction
-
-    def __post_init__(self):
-        if self.lo >= self.hi:
+    def __init__(self, lo: Fraction, hi: Fraction):
+        if lo >= hi:
             raise InvalidArrangement("segment needs lo < hi")
+        d = self.__dict__
+        d["lo"] = lo
+        d["hi"] = hi
+
+    def __eq__(self, other):
+        if other.__class__ is not Segment:
+            return NotImplemented
+        return (self.lo, self.hi) == (other.lo, other.hi)
+
+    def __hash__(self):
+        return hash((self.lo, self.hi))
 
     def describe(self) -> str:
         return f"segment[{self.lo},{self.hi})"
 
 
-@dataclass(frozen=True)
-class FullLine:
+class FullLine(Frozen):
+    def __eq__(self, other):
+        return other.__class__ is FullLine or NotImplemented
+
+    def __hash__(self):
+        return hash(())
+
     def describe(self) -> str:
         return "line"
 
 
-@dataclass(frozen=True)
-class Circle:
-    circumference: Fraction
-
-    def __post_init__(self):
-        if self.circumference <= 0:
+class Circle(Frozen):
+    def __init__(self, circumference: Fraction):
+        if circumference <= 0:
             raise InvalidArrangement("circle needs positive circumference")
+        self.__dict__["circumference"] = circumference
 
     def describe(self) -> str:
         return f"circle({self.circumference})"
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(NamedTuple):
     """One cover member.
 
     Segment: open (lo, hi), or [lo, hi) with closed_lo at the left boundary
@@ -76,48 +84,44 @@ class Interval:
     closed_lo: bool = False
 
 
-@dataclass(frozen=True)
-class IntervalSpec:
+class IntervalSpec(Frozen):
     """Distinct nonempty open members of ``domain``, checked when the spec
     is built; whether they cover the domain shows in the walk."""
 
-    domain: object  # Segment | FullLine | Circle
-    members: tuple  # of Interval
-
-    def __post_init__(self):
-        ms = self.members
-        if not ms:
+    def __init__(self, domain, members: tuple):
+        """``domain`` is a Segment, FullLine or Circle; ``members`` a tuple
+        of Interval."""
+        if not members:
             raise InvalidArrangement("a cover needs at least one member")
-        for idx, m in enumerate(ms):
-            _validate_interval(self.domain, m, idx)
-        # one set of field tuples costs less than comparing every pair
-        if len({(m.lo, m.hi, m.closed_lo) for m in ms}) < len(ms):
-            i, j = next((i, j) for i, j in combinations(range(len(ms)), 2)
-                        if ms[i] == ms[j])
+        for idx, m in enumerate(members):
+            _validate_interval(domain, m, idx)
+        if len(set(members)) < len(members):
+            i, j = next((i, j) for i, j in combinations(range(len(members)), 2)
+                        if members[i] == members[j])
             raise InvalidArrangement(f"members {i} and {j} are the same set")
+        d = self.__dict__
+        d["domain"] = domain
+        d["members"] = members
 
 
 _AXIS_VARS = ("x", "y")
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     var: str  # "x" | "y"
     op: str  # "<" | ">"
     c: Fraction
 
 
-@dataclass(frozen=True)
-class AxisAlignedSpec:
+class AxisAlignedSpec(Frozen):
     """Nonempty regions of the plane, each a conjunction of strict
     constraints on x or y, checked when the spec is built."""
 
-    members: tuple  # of tuples of Constraint
-
-    def __post_init__(self):
-        if not self.members:
+    def __init__(self, members: tuple):
+        """``members`` is a tuple of tuples of Constraint."""
+        if not members:
             raise InvalidArrangement("a cover needs at least one member")
-        for idx, conj in enumerate(self.members):
+        for idx, conj in enumerate(members):
             if any(con.var not in _AXIS_VARS or con.op not in ("<", ">")
                    for con in conj):
                 raise InvalidArrangement(
@@ -127,6 +131,7 @@ class AxisAlignedSpec:
                 highs = [con.c for con in conj if con.var == var and con.op == "<"]
                 if lows and highs and max(lows) >= min(highs):
                     raise EmptyMember(idx)
+        self.__dict__["members"] = members
 
 
 def _validate_interval(domain, member: Interval, idx: int) -> None:
@@ -375,4 +380,4 @@ def enumerate_interval_cover_types(domain, n: int,
             if key in seen_keys:
                 continue
             seen_keys.add(key)
-            yield replace(partition, source=source)
+            yield HPartition(partition.member_count, partition.classes, source)

@@ -13,8 +13,7 @@ given size, so the search and its replay never look at which kind it is.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Optional, Tuple, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 from . import __version__ as _version
 from .arrangements import DEFAULT_COVER_SIZE_CAP, FullLine, Segment, hclasses_of_spec
@@ -30,8 +29,7 @@ from .jsonio import spec_json
 from .spaces import FiniteSpace
 
 
-@dataclass(frozen=True)
-class SpaceSide:
+class SpaceSide(NamedTuple):
     """A finite space: its covers of any size are exhaustively enumerable."""
 
     name: str
@@ -47,8 +45,7 @@ class SpaceSide:
         return fs, f"all {size}covers of a {len(self.space.points)}-point space"
 
 
-@dataclass(frozen=True)
-class DomainSide:
+class DomainSide(NamedTuple):
     """A segment or line: n-interval cover types are exhaustively enumerable."""
 
     name: str
@@ -66,8 +63,7 @@ class DomainSide:
                     f"of the {self.domain.describe()}")
 
 
-@dataclass(frozen=True)
-class WitnessSide:
+class WitnessSide(NamedTuple):
     """Specific covers only; can witness a fingerprint but never absence."""
 
     name: str
@@ -101,8 +97,7 @@ class WitnessSide:
 Side = Union[SpaceSide, DomainSide, WitnessSide]
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     verdict: str
     level: str
     n: int
@@ -115,7 +110,7 @@ class Certificate:
     version: str
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def nonhomeo_certificate(side_a: Side, side_b: Side, n_range: Tuple[int, int],

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from . import __version__
@@ -59,28 +58,31 @@ _FLAGS = {
 }
 
 
-@dataclass
 class RunConfig:
-    command: str
-    input: Optional[str] = None
-    input_b: Optional[str] = None
-    n: Optional[int] = None
-    n_range: Optional[Tuple[int, int]] = None
-    level: str = "graph"
-    cap_cover: int = DEFAULT_COVER_SIZE_CAP
-    cap_vertices: int = DEFAULT_VERTEX_CAP
-    fmt: str = "json"
-    out: Optional[str] = None
-
-    def __post_init__(self):
-        if self.command not in _COMMANDS:
-            raise ValueError(f"unknown command {self.command!r}")
-        if self.fmt not in _COMMANDS[self.command][1]:
-            raise ValueError(f"{self.command} does not offer --format {self.fmt!r}")
-        if self.cap_cover < 1 or self.cap_vertices < 1:
+    def __init__(self, command: str, input: Optional[str] = None,
+                 input_b: Optional[str] = None, n: Optional[int] = None,
+                 n_range: Optional[Tuple[int, int]] = None, level: str = "graph",
+                 cap_cover: int = DEFAULT_COVER_SIZE_CAP,
+                 cap_vertices: int = DEFAULT_VERTEX_CAP, fmt: str = "json",
+                 out: Optional[str] = None):
+        if command not in _COMMANDS:
+            raise ValueError(f"unknown command {command!r}")
+        if fmt not in _COMMANDS[command][1]:
+            raise ValueError(f"{command} does not offer --format {fmt!r}")
+        if cap_cover < 1 or cap_vertices < 1:
             raise ValueError("caps must be positive")
-        if self.level not in LEVELS:
+        if level not in LEVELS:
             raise ValueError(f"level must be one of {LEVELS}")
+        self.command = command
+        self.input = input
+        self.input_b = input_b
+        self.n = n
+        self.n_range = n_range
+        self.level = level
+        self.cap_cover = cap_cover
+        self.cap_vertices = cap_vertices
+        self.fmt = fmt
+        self.out = out
 
 
 def _env_cap(name: str, fallback: int) -> int:

@@ -10,11 +10,10 @@ this package produces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .errors import CapExceeded
+from .errors import CapExceeded, Frozen
 
 DEFAULT_VERTEX_CAP = 40
 # Defensive bound on backtracking leaves; far above anything the test corpus
@@ -22,8 +21,7 @@ DEFAULT_VERTEX_CAP = 40
 _SEARCH_LEAF_CAP = 500_000
 
 
-@dataclass(frozen=True)
-class CanonicalCert:
+class CanonicalCert(NamedTuple):
     """Canonical certificate: equal certs iff isomorphic digraphs."""
 
     vertex_count: int
@@ -33,28 +31,36 @@ class CanonicalCert:
         return self.blob.hex()
 
 
-@dataclass(frozen=True)
-class DiGraph:
+class DiGraph(Frozen):
     """Immutable digraph on vertices 0..n-1 without self-loops.
 
     ``labels``, when present, carries one frozenset per vertex (the h-class
-    behind the vertex); it is ignored by isomorphism and certificates.
+    behind the vertex); it is ignored by equality, isomorphism and
+    certificates.
     """
 
-    n: int
-    edges: frozenset
-    labels: Optional[tuple] = field(default=None, compare=False)
-
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, edges: frozenset, labels: Optional[tuple] = None):
+        if n < 1:
             raise ValueError("digraph needs at least one vertex")
-        for u, v in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
+        for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range")
             if u == v:
                 raise ValueError(f"self-loop at {u} not allowed")
-        if self.labels is not None and len(self.labels) != self.n:
+        if labels is not None and len(labels) != n:
             raise ValueError("labels must have one entry per vertex")
+        d = self.__dict__
+        d["n"] = n
+        d["edges"] = edges
+        d["labels"] = labels
+
+    def __eq__(self, other):
+        if other.__class__ is not DiGraph:
+            return NotImplemented
+        return (self.n, self.edges) == (other.n, other.edges)
+
+    def __hash__(self):
+        return hash((self.n, self.edges))
 
     @cached_property
     def out_sets(self) -> tuple:

@@ -1,9 +1,24 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and ``Frozen``.
 
 Every error reports itself: ``report()`` is the CLI's JSON error object, with
 the error's kind (its class name), its message and its extra fields
 (witnesses, indices, paths), and ``exit_code`` is the CLI's exit status.
 """
+
+
+class Frozen:
+    """Base of the package's immutable types: assigning or deleting an
+    attribute raises AttributeError.  Each ``__init__`` writes its fields
+    into the instance ``__dict__``, where ``cached_property`` keeps its
+    values too."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
 
 
 class TopocertError(Exception):

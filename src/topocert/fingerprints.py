@@ -13,7 +13,6 @@ three comparison levels:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
 from .arrangements import (
@@ -21,7 +20,7 @@ from .arrangements import (
     enumerate_interval_cover_types,
 )
 from .digraphs import DEFAULT_VERTEX_CAP, CanonicalCert, DiGraph, canonical_cert
-from .errors import LevelMismatch
+from .errors import Frozen, LevelMismatch
 from .graphalgebra import (
     BlockDecomposition,
     KPair,
@@ -42,19 +41,28 @@ from .spaces import Cover, FiniteSpace, enumerate_covers
 LEVELS = ("graph", "cstar", "ktheory")
 
 
-@dataclass(frozen=True)
-class Fingerprint:
-    graph_cert: CanonicalCert
-    blocks: BlockDecomposition
-    kpair: KPair
-    prim: PrimPoset
-
-    def __post_init__(self):
+class Fingerprint(Frozen):
+    def __init__(self, graph_cert: CanonicalCert, blocks: BlockDecomposition,
+                 kpair: KPair, prim: PrimPoset):
         # the pipeline only produces acyclic graphs, where these counts agree
-        if len(self.blocks.blocks) != len(self.prim.points):
+        if len(blocks.blocks) != len(prim.points):
             raise ValueError("block count and spectrum size disagree")
-        if self.kpair.k0_rank != len(self.blocks.blocks) or self.kpair.k0_torsion:
+        if kpair.k0_rank != len(blocks.blocks) or kpair.k0_torsion:
             raise ValueError("K-groups inconsistent with the block picture")
+        d = self.__dict__
+        d["graph_cert"] = graph_cert
+        d["blocks"] = blocks
+        d["kpair"] = kpair
+        d["prim"] = prim
+
+    def __eq__(self, other):
+        if other.__class__ is not Fingerprint:
+            return NotImplemented
+        return ((self.graph_cert, self.blocks, self.kpair, self.prim)
+                == (other.graph_cert, other.blocks, other.kpair, other.prim))
+
+    def __hash__(self):
+        return hash((self.graph_cert, self.blocks, self.kpair, self.prim))
 
     def project(self, level: str) -> tuple:
         """Hashable, sortable key of the fingerprint at a comparison level."""
@@ -122,18 +130,29 @@ def singleton_fingerprint() -> Fingerprint:
     return fingerprint_of(make_hpartition([frozenset({0})], 1))
 
 
-@dataclass(frozen=True)
-class FingerprintSet:
+class FingerprintSet(Frozen):
     """Deduplicated, canonically sorted fingerprint keys at one level.
 
     ``n`` is the cover-size scope (None = union over every size).  ``details``
-    carries one readable fingerprint report per element, for output only.
+    carries one readable fingerprint report per element, for output only,
+    and is ignored by equality.
     """
 
-    level: str
-    n: Optional[int]
-    elements: tuple
-    details: tuple = field(default=(), compare=False)
+    def __init__(self, level: str, n: Optional[int], elements: tuple,
+                 details: tuple = ()):
+        d = self.__dict__
+        d["level"] = level
+        d["n"] = n
+        d["elements"] = elements
+        d["details"] = details
+
+    def __eq__(self, other):
+        if other.__class__ is not FingerprintSet:
+            return NotImplemented
+        return (self.level, self.n, self.elements) == (other.level, other.n, other.elements)
+
+    def __hash__(self):
+        return hash((self.level, self.n, self.elements))
 
     def to_json(self) -> dict:
         return {

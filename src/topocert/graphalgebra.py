@@ -10,8 +10,8 @@ finite ordered set of maximal tails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .digraphs import (
     DEFAULT_VERTEX_CAP,
@@ -21,12 +21,11 @@ from .digraphs import (
     find_cycle,
     topological_order,
 )
-from .errors import CapExceeded, NotAcyclic
+from .errors import CapExceeded, Frozen, NotAcyclic
 from .snf import diagonal, smith_normal_form
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
+class BlockDecomposition(NamedTuple):
     """Multiset of matrix-block sizes, sorted ascending."""
 
     blocks: tuple
@@ -35,20 +34,28 @@ class BlockDecomposition:
         return {"blocks": list(self.blocks)}
 
 
-@dataclass(frozen=True)
-class KPair:
+class KPair(Frozen):
     """K0 as (free rank, torsion divisor chain), K1 as a free rank."""
 
-    k0_rank: int
-    k0_torsion: tuple
-    k1_rank: int
-
-    def __post_init__(self):
+    def __init__(self, k0_rank: int, k0_torsion: tuple, k1_rank: int):
         prev = None
-        for d in self.k0_torsion:
-            if d < 2 or (prev is not None and d % prev):
+        for t in k0_torsion:
+            if t < 2 or (prev is not None and t % prev):
                 raise ValueError("torsion divisors must be >= 2 and form a chain")
-            prev = d
+            prev = t
+        d = self.__dict__
+        d["k0_rank"] = k0_rank
+        d["k0_torsion"] = k0_torsion
+        d["k1_rank"] = k1_rank
+
+    def __eq__(self, other):
+        if other.__class__ is not KPair:
+            return NotImplemented
+        return ((self.k0_rank, self.k0_torsion, self.k1_rank)
+                == (other.k0_rank, other.k0_torsion, other.k1_rank))
+
+    def __hash__(self):
+        return hash((self.k0_rank, self.k0_torsion, self.k1_rank))
 
     def to_json(self) -> dict:
         return {
@@ -57,12 +64,23 @@ class KPair:
         }
 
 
-@dataclass(frozen=True)
-class PrimPoset:
+class PrimPoset(Frozen):
     """Maximal tails with the specialization order (reverse containment)."""
 
-    points: tuple  # of frozensets of vertices, canonically sorted
-    order: frozenset  # pairs (i, j): points[i] strictly below points[j]
+    def __init__(self, points: tuple, order: frozenset):
+        """``points``: frozensets of vertices, canonically sorted; ``order``:
+        pairs (i, j) with points[i] strictly below points[j]."""
+        d = self.__dict__
+        d["points"] = points
+        d["order"] = order
+
+    def __eq__(self, other):
+        if other.__class__ is not PrimPoset:
+            return NotImplemented
+        return (self.points, self.order) == (other.points, other.order)
+
+    def __hash__(self):
+        return hash((self.points, self.order))
 
     @cached_property
     def cert(self) -> CanonicalCert:

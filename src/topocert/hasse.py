@@ -16,20 +16,30 @@ fingerprint of a finite-space cover builds no frozenset and no partition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .digraphs import CanonicalCert, DiGraph, uncached_cert
+from .errors import Frozen
 from .spaces import Cover
 
 
-@dataclass(frozen=True)
-class HPartition:
-    """The distinct member-index sets of a cover, canonically sorted."""
+class HPartition(Frozen):
+    """The distinct member-index sets of a cover (frozensets of member
+    indices), canonically sorted; ``source`` is ignored by equality."""
 
-    member_count: int
-    classes: tuple  # of frozensets of member indices
-    source: str = field(default="", compare=False)
+    def __init__(self, member_count: int, classes: tuple, source: str = ""):
+        d = self.__dict__
+        d["member_count"] = member_count
+        d["classes"] = classes
+        d["source"] = source
+
+    def __eq__(self, other):
+        if other.__class__ is not HPartition:
+            return NotImplemented
+        return (self.member_count, self.classes) == (other.member_count, other.classes)
+
+    def __hash__(self):
+        return hash((self.member_count, self.classes))
 
 
 def _class_key(c: frozenset) -> tuple:

@@ -1,16 +1,17 @@
 """JSON input/output for spaces, covers, arrangements and graphs.
 
 Rationals are serialized as strings ("3/4", "-6"); infinite interval ends as
-"-inf"/"inf".  Loaders report a failure as a ParseError naming the file;
+"-inf" (lo) and "inf" (hi), and "+inf" or null are read too.  Loaders report a failure as a ParseError naming the file;
 a CapExceeded or a NotACover keeps its own kind.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import re
+import sys
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .arrangements import (
     AxisAlignedSpec,
@@ -27,16 +28,62 @@ from .hasse import HPartition
 from .spaces import Cover, FiniteSpace, make_cover, generate_topology, validate_topology
 
 
+# a decimal with an exponent as Fraction reads it: whole part, decimal part
+# and exponent, each perhaps with underscores.  re compiles it on first use,
+# so that start-up does not pay for it.
+_EXPONENT_FORM = (
+    r"\s*[-+]?(?=\.?\d)(\d*(?:_\d+)*)(?:\.(\d*(?:_\d+)*))?[eE]([-+]?\d+(?:_\d+)*)\s*")
+
+
+def _too_long(text: str, limit: int) -> ValueError:
+    return ValueError(f"rational {text!r} has a numerator or denominator of "
+                      f"more than {limit} digits")
+
+
+def _exponent_checked(text: str, limit: int) -> str:
+    """``text``, a rational written with an exponent, unless the exponent
+    alone shows a numerator or denominator of more than ``limit`` digits;
+    Fraction would build 10**exponent first.  The value is int(digits) *
+    10**scale: its numerator has len(digits) + scale digits when scale >= 0,
+    and its denominator at least 1 - scale - len(digits) when scale < 0.  A
+    zero mantissa drops its exponent."""
+    form = re.fullmatch(_EXPONENT_FORM, text)
+    if form is None:
+        return text  # Fraction refuses it
+    whole, frac, exp = (part.replace("_", "") for part in form.groups(""))
+    digits = (whole + frac).lstrip("0")
+    if not digits:
+        return "0"
+    try:
+        scale = int(exp) - len(frac)
+    except ValueError:  # an exponent of more than ``limit`` digits
+        raise _too_long(text, limit) from None
+    if (len(digits) + scale if scale >= 0 else 1 - scale - len(digits)) > limit:
+        raise _too_long(text, limit)
+    return text
+
+
 def parse_fraction(value) -> Fraction:
+    """A JSON integer or rational string.  A numerator or denominator of more
+    than ``sys.get_int_max_str_digits()`` digits could not be printed, and
+    is refused; only a string with an exponent or longer than that limit can
+    have one."""
     if isinstance(value, bool):
         raise ValueError(f"not a rational: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        limit = sys.get_int_max_str_digits()  # 0 when there is none
+        exponent = "e" in value or "E" in value
+        text = _exponent_checked(value, limit) if exponent and limit else value
         try:
-            return Fraction(value)
+            number = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational: {value!r}") from exc
+        if (limit and (exponent or len(value) > limit)
+                and max(abs(number.numerator), number.denominator) >= 10 ** limit):
+            raise _too_long(value, limit)
+        return number
     raise ValueError(f"not a rational: {value!r}")
 
 
@@ -58,10 +105,20 @@ def _array(doc: dict, key: str, of_arrays: bool = True) -> list:
     return value
 
 
-def _parse_end(value) -> Optional[Fraction]:
+# the strings that leave each end of an interval member unbounded
+_UNBOUNDED = {"lo": ("-inf",), "hi": ("inf", "+inf")}
+
+
+def _parse_end(member: dict, key: str) -> Optional[Fraction]:
+    """End ``key`` ("lo" or "hi") of an interval member; null means
+    unbounded, and so does "-inf" for lo and "inf" or "+inf" for hi."""
+    value = member.get(key)
     if value is None:
         return None
     if isinstance(value, str) and value.strip().lstrip("+-") == "inf":
+        if value.strip() not in _UNBOUNDED[key]:
+            raise ValueError(f'"{key}" cannot be {value!r}: it is unbounded as '
+                             f'null or {" or ".join(map(repr, _UNBOUNDED[key]))}')
         return None
     return parse_fraction(value)
 
@@ -91,7 +148,7 @@ def _load_interval_members(domain, members_doc: list, key: str) -> IntervalSpec:
     if not all(isinstance(m, dict) for m in members_doc):
         raise ValueError(f'each member in "{key}" must be a JSON object')
     return IntervalSpec(domain, tuple(
-        Interval(lo=_parse_end(m.get("lo")), hi=_parse_end(m.get("hi")),
+        Interval(lo=_parse_end(m, "lo"), hi=_parse_end(m, "hi"),
                  closed_lo=_closed_lo(m))
         for m in members_doc))
 
@@ -113,8 +170,7 @@ def _looks_axis2d(members_doc) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class LoadedInput:
+class LoadedInput(NamedTuple):
     """Tagged result of loading an input file.
 
     kind is one of "space" (``space``, and ``cover`` when the file has one),

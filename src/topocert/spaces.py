@@ -7,7 +7,6 @@ enumeration are exhaustive and cheap at the sizes this package targets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from math import comb
@@ -17,6 +16,7 @@ from .errors import (
     CapExceeded,
     DuplicatePoint,
     EmptyMember,
+    Frozen,
     MissingEmpty,
     MissingWhole,
     NotACover,
@@ -38,18 +38,19 @@ def _within_scan_budget(what: str, count: int) -> None:
         raise CapExceeded(what, limit, count)
 
 
-@dataclass(frozen=True)
-class FiniteSpace:
+class FiniteSpace(Frozen):
     """A validated finite topological space.
 
-    ``points`` fixes the point order used for bitmask encodings; ``opens`` is
-    canonically sorted by bitmask, so everything derived downstream is
-    reproducible.  The encodings derived from them (point bits, open masks,
-    each open's point indices) are computed once per space.
+    ``points`` fixes the point order used for bitmask encodings; ``opens``
+    (frozensets) is canonically sorted by bitmask, so everything derived
+    downstream is reproducible.  The encodings derived from them (point bits,
+    open masks, each open's point indices) are computed once per space.
     """
 
-    points: tuple
-    opens: tuple  # of frozensets, sorted by bitmask under the point order
+    def __init__(self, points: tuple, opens: tuple):
+        d = self.__dict__
+        d["points"] = points
+        d["opens"] = opens
 
     @cached_property
     def point_bit(self) -> dict:
@@ -80,12 +81,22 @@ class FiniteSpace:
         return m
 
 
-@dataclass(frozen=True)
-class Cover:
-    """An ordered family of distinct nonempty opens whose union is the space."""
+class Cover(Frozen):
+    """An ordered family of distinct nonempty opens (frozensets) whose union
+    is the space; ``space`` is ignored by equality."""
 
-    space: FiniteSpace = field(compare=False)
-    members: tuple  # of frozensets
+    def __init__(self, space: FiniteSpace, members: tuple):
+        d = self.__dict__
+        d["space"] = space
+        d["members"] = members
+
+    def __eq__(self, other):
+        if other.__class__ is not Cover:
+            return NotImplemented
+        return self.members == other.members
+
+    def __hash__(self):
+        return hash((self.members,))
 
 
 def _check_points(points: Sequence) -> tuple:

@@ -240,6 +240,12 @@ def witness_point(exc):
 
 
 class TestSpecsValidateThemselves:
+    def test_domains_reject_bad_bounds_when_built(self):
+        for build in (lambda: Segment(F(1), F(1)), lambda: Segment(F(1), F(0)),
+                      lambda: Circle(F(0)), lambda: Circle(F(-1))):
+            with pytest.raises(InvalidArrangement):
+                build()
+
     def test_interval_spec_rejects_a_bad_member_when_built(self):
         for domain, members, error in (
                 (SEG, (), InvalidArrangement),

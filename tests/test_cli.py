@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from topocert.cli import RunConfig, main, run
+from topocert.jsonio import parse_fraction
 from topocert.fingerprints import LEVELS
 
 from conftest import FIXTURES
@@ -157,6 +159,15 @@ class TestEnumerate:
         assert json.loads(out)["count"] == 2
 
 
+def test_import_leaves_out_dataclasses_and_inspect():
+    # both cost start-up time on every call; a fresh interpreter shows them
+    probe = ("import sys, topocert.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
+
+
 class TestErrorMapping:
     def test_parse_error_exit_3(self, tmp_path, capsys):
         bad = tmp_path / "broken.json"
@@ -208,12 +219,33 @@ class TestErrorMapping:
                 ("members_string", '"members" must be a JSON array'),
                 ("members_numbers", 'each member in "members" must be a JSON object'),
                 ("covers_object", '"covers" must be a JSON array'),
-                ("covers_number_item", 'each item of "covers" must be a JSON array')):
+                ("covers_number_item", 'each item of "covers" must be a JSON array'),
+                # an infinite end of the wrong sign used to flip the member
+                ("lo_positive_inf", "\"lo\" cannot be 'inf': it is unbounded as"
+                 " null or '-inf'"),
+                ("hi_negative_inf", "\"hi\" cannot be '-inf': it is unbounded as"
+                 " null or 'inf' or '+inf'"),
+                ("exponent_past_digit_limit", "rational '1e5000' has a numerator or"
+                 f" denominator of more than {sys.get_int_max_str_digits()} digits")):
             code, out, err = run_cmd(capsys, command="hclasses",
                                      input=fx(f"errors/{name}.json"))
             assert (code, out) == (3, "")
             error = json.loads(err)["error"]
             assert (error["kind"], error["detail"]) == ("ParseError", detail)
+
+    def test_rationals_past_the_digit_limit_are_refused(self):
+        limit = sys.get_int_max_str_digits()
+        for text, value in (("2.5e-3", F(1, 400)), ("-1_0.5E2", F(-1050)),
+                            ("0e3000000", F(0)), (f"5e-{limit}", F(1, 2 * 10 ** (limit - 1))),
+                            (f"1.5e{limit - 1}", F(15 * 10 ** (limit - 2)))):
+            assert parse_fraction(text) == value
+        for text in ("1e3000000", "-1e-3000000", f"1.5e{limit}", f"3e-{limit}",
+                     "1e" + "9" * (limit + 1), "0." + "1" * limit):
+            with pytest.raises(ValueError, match="more than"):
+                parse_fraction(text)
+        for text in ("e5", ".e5", "1/2e3"):
+            with pytest.raises(ValueError, match="not a rational"):
+                parse_fraction(text)
 
     def test_closed_lo_false_is_the_default(self, tmp_path, capsys):
         doc = json.loads((FIXTURES / "errors" / "closed_lo_string.json").read_text())

@@ -25,9 +25,16 @@ def path(n):
     return DiGraph(n=n, edges=frozenset((i, i + 1) for i in range(n - 1)))
 
 
-def test_no_self_loops():
+@pytest.mark.parametrize("n, edges, labels", [
+    (2, {(0, 0)}, None),
+    (2, {(0, 2)}, None),
+    (2, {(-1, 0)}, None),
+    (0, set(), None),
+    (2, {(0, 1)}, (frozenset({0}),)),
+], ids=["self-loop", "edge-past-n", "negative-vertex", "no-vertex", "label-short"])
+def test_invalid_digraph_raises_when_built(n, edges, labels):
     with pytest.raises(ValueError):
-        DiGraph(n=2, edges=frozenset({(0, 0)}))
+        DiGraph(n=n, edges=frozenset(edges), labels=labels)
 
 
 def test_topological_order_none_on_cycle():

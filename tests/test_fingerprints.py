@@ -4,7 +4,10 @@ from fractions import Fraction as F
 import pytest
 
 from topocert import (
+    BlockDecomposition,
+    Fingerprint,
     FullLine,
+    KPair,
     LevelMismatch,
     Segment,
     WitnessSide,
@@ -68,6 +71,16 @@ class TestFingerprintOf:
         assert fp.kpair.k0_rank == 3
         assert len(fp.prim.points) == 3
         assert fp.graph_cert.vertex_count == 3
+
+    def test_inconsistent_parts_raise_when_built(self):
+        fp = singleton_fingerprint()
+        two_blocks = BlockDecomposition((1, 1))
+        for parts in (dict(blocks=two_blocks),  # two blocks, one spectrum point
+                      dict(kpair=KPair(2, (), 0)),  # K0 rank against one block
+                      dict(kpair=KPair(1, (2,), 0))):  # torsion in K0
+            with pytest.raises(ValueError):
+                Fingerprint(**{**vars(fp), **parts})
+        assert Fingerprint(**vars(fp)) == fp
 
     def test_level_projections_are_monotone(self):
         # graph equality refines algebra equality refines K-group equality

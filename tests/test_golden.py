@@ -52,7 +52,10 @@ _ERROR_CALLS = (
        for cover in ("empty_member", "member_outside_segment",
                      "unknown_cover_point", "closed_lo_string", "domain_string",
                      "members_string", "members_numbers", "covers_object",
-                     "covers_number_item")]
+                     "covers_number_item", "lo_positive_inf", "hi_negative_inf",
+                     "exponent_past_digit_limit")]
+    # a far larger exponent is refused as fast, before 10**exponent is built
+    + ["pg --input fixtures/errors/exponent_far_past_digit_limit.json"]  # exit 3
     + ["hclasses --input fixtures/errors/uncovered_point.json"]  # NotACover, exit 5
     + ["enumerate --input fixtures/errors/circle_domain.json --n 2",  # exit 1
        "certify --input fixtures/segment_cover_first.json"

@@ -1,0 +1,119 @@
+"""The package's record types, written as plain classes and NamedTuples:
+every one but ``RunConfig`` refuses assignment, equality and hashing read
+the fields they read before, and cached properties are computed once."""
+
+from fractions import Fraction as F
+
+import pytest
+
+from topocert import (
+    AxisAlignedSpec,
+    BlockDecomposition,
+    CanonicalCert,
+    Certificate,
+    Circle,
+    Constraint,
+    Cover,
+    DiGraph,
+    DomainSide,
+    FiniteSpace,
+    FingerprintSet,
+    FullLine,
+    HPartition,
+    Interval,
+    IntervalSpec,
+    KPair,
+    PrimPoset,
+    Segment,
+    SpaceSide,
+    WitnessSide,
+    make_cover,
+    make_hpartition,
+    singleton_fingerprint,
+    validate_topology,
+)
+from topocert.cli import RunConfig
+from topocert.jsonio import LoadedInput
+
+SPACE = validate_topology(["a", "b"], [[], ["a"], ["a", "b"]])
+EDGE = frozenset({(0, 1)})
+
+# one instance of every immutable type, and the field assigned to
+RECORDS = [
+    (Segment(F(0), F(1)), "lo"),
+    (FullLine(), "lo"),
+    (Circle(F(1)), "circumference"),
+    (Interval(F(0), F(1)), "lo"),
+    (IntervalSpec(FullLine(), (Interval(None, None),)), "members"),
+    (Constraint("x", "<", F(1)), "c"),
+    (AxisAlignedSpec(((Constraint("x", "<", F(1)),),)), "members"),
+    (SpaceSide("a", SPACE), "space"),
+    (DomainSide("a", FullLine()), "domain"),
+    (WitnessSide("a", ()), "covers"),
+    (Certificate("not_homeomorphic", "graph", 1, "a", {}, None, {}, {}, {}, "0"),
+     "verdict"),
+    (CanonicalCert(1, b""), "blob"),
+    (DiGraph(n=2, edges=EDGE), "edges"),
+    (singleton_fingerprint(), "graph_cert"),
+    (FingerprintSet("graph", 1, ()), "elements"),
+    (BlockDecomposition((1,)), "blocks"),
+    (KPair(1, (), 0), "k0_rank"),
+    (PrimPoset((frozenset({0}),), frozenset()), "points"),
+    (make_hpartition([frozenset({0})], 1), "classes"),
+    (LoadedInput("domain", domain=FullLine()), "domain"),
+    (SPACE, "opens"),
+    (make_cover(SPACE, [frozenset({"a", "b"})]), "members"),
+]
+
+
+@pytest.mark.parametrize("record, field", RECORDS,
+                         ids=[type(r).__name__ for r, _ in RECORDS])
+def test_a_field_refuses_assignment(record, field):
+    before = getattr(record, field, None)
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    assert getattr(record, field, None) is before
+
+
+def test_run_config_stays_mutable():
+    config = RunConfig("validate", input="x.json")
+    config.input = "y.json"
+    assert (config.command, config.input, config.level) == ("validate", "y.json", "graph")
+
+
+@pytest.mark.parametrize("a, b", [
+    (DiGraph(2, EDGE, labels=(frozenset({0}), frozenset({1}))), DiGraph(2, EDGE)),
+    (HPartition(1, (frozenset({0}),), "one"), HPartition(1, (frozenset({0}),), "two")),
+    (Cover(SPACE, (frozenset({"a", "b"}),)),
+     Cover(validate_topology(["a", "b"], [[], ["a", "b"]]), (frozenset({"a", "b"}),))),
+    (FingerprintSet("graph", 1, ((1, b""),), details=({"graph": 1},)),
+     FingerprintSet("graph", 1, ((1, b""),))),
+], ids=["DiGraph.labels", "HPartition.source", "Cover.space", "FingerprintSet.details"])
+def test_equality_and_hash_leave_a_field_out(a, b):
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+@pytest.mark.parametrize("a, b", [
+    (DiGraph(2, EDGE), DiGraph(2, frozenset())),
+    (HPartition(1, (frozenset({0}),)), HPartition(2, (frozenset({0}),))),
+    (Cover(SPACE, (frozenset({"a", "b"}),)),
+     Cover(SPACE, (frozenset({"a"}), frozenset({"a", "b"})))),
+    (FingerprintSet("graph", 1, ()), FingerprintSet("cstar", 1, ())),
+    (Segment(F(0), F(1)), Segment(F(0), F(2))),
+    (KPair(1, (), 0), KPair(1, (), 1)),
+    (PrimPoset((frozenset({0}),), frozenset()), PrimPoset((frozenset({1}),), frozenset())),
+])
+def test_equality_reads_the_other_fields(a, b):
+    assert a != b
+    assert a == type(a)(**vars(a))
+
+
+def test_cached_properties_are_computed_once():
+    g = DiGraph(2, EDGE)
+    poset = PrimPoset((frozenset({0}),), frozenset())
+    space = FiniteSpace(points=("a",), opens=(frozenset(), frozenset({"a"})))
+    for record, name in ((g, "out_sets"), (poset, "cert"), (space, "open_masks")):
+        assert getattr(record, name) is getattr(record, name)
+    assert g.out_sets == (frozenset({1}), frozenset())
+    assert space.open_masks == (0, 1)
