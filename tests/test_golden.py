@@ -91,6 +91,13 @@ _SIDE_CALLS = [
     "enumerate --input fixtures/plane_cover.json",  # exit 3
     "graph --input fixtures/line_domain.json",  # exit 3
 ]
+# the algebra levels on finite spaces, whose keys come from the block picture
+_ALGEBRA_LEVEL_CALLS = [
+    "pg --input fixtures/six_point_space.json --n 3 --level cstar",
+    "pg --input fixtures/sierpinski.json --level ktheory",
+    "certify --input fixtures/six_point_space.json"
+    " --input-b fixtures/three_point_model.json --n-range 1..3 --level cstar",
+]
 
 CALLS = (
     _README_CERTIFY
@@ -108,6 +115,7 @@ CALLS = (
        "graph --input fixtures/no_such_file.json"]  # ParseError, exit 3
     + _ERROR_CALLS
     + _SIDE_CALLS
+    + _ALGEBRA_LEVEL_CALLS
 )
 
 
