@@ -265,6 +265,8 @@ def _canonical_order(g: DiGraph) -> tuple:
 # Process-wide, for graphs that recur across calls; a graph that is
 # canonicalised once (see ``uncached_cert``) stays out of it.  A DiGraph
 # hashes and compares on ``(n, edges)`` only, so labels do not split it.
+# Distinct neighbourhood tuples, the fingerprint memo's key for a finite-space
+# cover, often give the same labelled Hasse digraph: those repeats hit here.
 _canonical_order_key = lru_cache(maxsize=65536)(_canonical_order)
 
 

@@ -1,14 +1,16 @@
 """Invariant fingerprints of covers, and the comparable sets they form.
 
-A fingerprint bundles everything the pipeline extracts from one cover: the
-canonical certificate of its Hasse digraph, the matrix-block multiset, the
-K-group pair and the primitive-spectrum poset.  Fingerprint sets collect the
-distinct fingerprints over all covers of a given size, projected to one of
-three comparison levels:
+A fingerprint keeps what the pipeline extracts from one cover: the canonical
+certificate of its Hasse digraph and the matrix-block multiset of its graph
+algebra.  That digraph is acyclic, so the algebra is a finite sum of matrix
+blocks, one per sink: its primitive spectrum is one point per block with no
+order, and its K-groups are (Z^blocks, 0).  The fingerprint reads both off
+the blocks.  Fingerprint sets collect the distinct fingerprints over all
+covers of a given size, projected to one of three comparison levels:
 
-  graph    - full graph isomorphism class (finest),
-  cstar    - block multiset together with the spectrum poset,
-  ktheory  - the K-group pair (coarsest).
+  graph    - the isomorphism class of the Hasse digraph (finest),
+  cstar    - the block multiset,
+  ktheory  - the number of blocks, one per maximal class (coarsest).
 """
 
 from __future__ import annotations
@@ -21,17 +23,11 @@ from .arrangements import (
 )
 from .digraphs import DEFAULT_VERTEX_CAP, CanonicalCert, DiGraph, canonical_cert
 from .errors import Frozen, LevelMismatch
-from .graphalgebra import (
-    BlockDecomposition,
-    KPair,
-    PrimPoset,
-    block_decomposition,
-    k_theory,
-    prim_space,
-)
+from .graphalgebra import BlockDecomposition, KPair, PrimPoset, block_decomposition
 from .hasse import (
     HPartition,
     cover_class_masks,
+    cover_neighbourhoods,
     hasse_digraph,
     hasse_edges,
     make_hpartition,
@@ -42,40 +38,44 @@ LEVELS = ("graph", "cstar", "ktheory")
 
 
 class Fingerprint(Frozen):
-    def __init__(self, graph_cert: CanonicalCert, blocks: BlockDecomposition,
-                 kpair: KPair, prim: PrimPoset):
-        # the pipeline only produces acyclic graphs, where these counts agree
-        if len(blocks.blocks) != len(prim.points):
-            raise ValueError("block count and spectrum size disagree")
-        if kpair.k0_rank != len(blocks.blocks) or kpair.k0_torsion:
-            raise ValueError("K-groups inconsistent with the block picture")
+    """Isomorphism invariants of one Hasse digraph; ``kpair`` and ``prim``
+    are derived from the blocks."""
+
+    def __init__(self, graph_cert: CanonicalCert, blocks: BlockDecomposition):
         d = self.__dict__
         d["graph_cert"] = graph_cert
         d["blocks"] = blocks
-        d["kpair"] = kpair
-        d["prim"] = prim
 
     def __eq__(self, other):
         if other.__class__ is not Fingerprint:
             return NotImplemented
-        return ((self.graph_cert, self.blocks, self.kpair, self.prim)
-                == (other.graph_cert, other.blocks, other.kpair, other.prim))
+        return (self.graph_cert, self.blocks) == (other.graph_cert, other.blocks)
 
     def __hash__(self):
-        return hash((self.graph_cert, self.blocks, self.kpair, self.prim))
+        return hash((self.graph_cert, self.blocks))
+
+    @property
+    def kpair(self) -> KPair:
+        return KPair(k0_rank=len(self.blocks.blocks), k0_torsion=(), k1_rank=0)
+
+    @property
+    def prim(self) -> PrimPoset:
+        """One point per block, point i standing for block i, and no order."""
+        points = tuple(frozenset({i}) for i in range(len(self.blocks.blocks)))
+        return PrimPoset(points=points, order=frozenset())
 
     def project(self, level: str) -> tuple:
         """Hashable, sortable key of the fingerprint at a comparison level."""
         if level == "graph":
             return (self.graph_cert.vertex_count, self.graph_cert.blob)
+        k = len(self.blocks.blocks)
         if level == "cstar":
-            return (
-                self.blocks.blocks,
-                len(self.prim.points),
-                self.prim.cert.blob,
-            )
+            # the spectrum's certificate: that of the edgeless digraph on k
+            # vertices, whose canonical adjacency rows are all zero
+            blob = k.to_bytes(4, "big") + bytes(k * ((k + 7) // 8))
+            return (self.blocks.blocks, k, blob)
         if level == "ktheory":
-            return (self.kpair.k0_rank, self.kpair.k0_torsion, self.kpair.k1_rank)
+            return (k, (), 0)
         raise LevelMismatch(f"unknown level {level!r}")
 
     def to_json(self) -> dict:
@@ -86,10 +86,7 @@ class Fingerprint(Frozen):
             },
             "blocks": list(self.blocks.blocks),
             "k": self.kpair.to_json(),
-            "prim": {
-                "points": len(self.prim.points),
-                "order": sorted([i, j] for i, j in self.prim.order),
-            },
+            "prim": {"points": len(self.blocks.blocks), "order": []},
         }
 
 
@@ -98,29 +95,27 @@ def fingerprint_of(source: Union[Cover, HPartition],
                    memo: Optional[dict] = None) -> Fingerprint:
     """Run one cover (or its precomputed partition) through the pipeline.
 
-    A cover's Hasse digraph is built from its class bitmasks, with no
-    partition and no vertex labels; it equals ``hasse_digraph`` of
-    ``hpartition_of_cover`` on ``(n, edges)``.  Everything after the Hasse
-    digraph depends on that digraph alone, so ``memo``, when given, maps each
-    labelled digraph already seen (``DiGraph`` compares on ``(n, edges)``) to
-    its fingerprint.  The caller owns it for one fingerprint set; results are
-    the same with or without it.
+    A fingerprint depends only on the isomorphism class of the Hasse
+    digraph.  ``memo``, when given, maps each key already seen to its
+    fingerprint: for a cover, its ``cover_neighbourhoods``, which fix that
+    class; for a partition, its labelled Hasse digraph (``DiGraph`` compares
+    on ``(n, edges)``).  The caller owns the memo for one fingerprint set;
+    results are the same with or without it.  A cover's Hasse digraph is
+    built from its class bitmasks only on a miss, with no partition and no
+    vertex labels.
     """
-    if isinstance(source, Cover):
+    is_cover = isinstance(source, Cover)
+    key = cover_neighbourhoods(source) if is_cover else hasse_digraph(source)
+    if memo is None:
+        memo = {}
+    elif key in memo:
+        return memo[key]
+    g = key
+    if is_cover:
         classes = cover_class_masks(source)
         g = DiGraph(n=len(classes), edges=hasse_edges(classes))
-    else:
-        g = hasse_digraph(source)
-    if memo is not None and g in memo:
-        return memo[g]
-    fp = Fingerprint(
-        graph_cert=canonical_cert(g, cap=cap_vertices),
-        blocks=block_decomposition(g),
-        kpair=k_theory(g),
-        prim=prim_space(g, cap=cap_vertices),
-    )
-    if memo is not None:
-        memo[g] = fp
+    fp = memo[key] = Fingerprint(graph_cert=canonical_cert(g, cap=cap_vertices),
+                                 blocks=block_decomposition(g))
     return fp
 
 
@@ -179,10 +174,8 @@ def collect_fingerprints(fps: Iterable[Fingerprint], level: str,
             continue
         seen[id(fp)] = fp
         key = fp.project(level)
-        k = fp.kpair
         # everything to_json reports, as one sortable tuple
-        content = (fp.graph_cert.blob, fp.blocks.blocks,
-                   (k.k0_rank, k.k0_torsion, k.k1_rank), tuple(sorted(fp.prim.order)))
+        content = (fp.graph_cert.blob, fp.blocks.blocks)
         if key not in chosen or content < chosen[key][0]:
             chosen[key] = (content, fp)
     keys = sorted(chosen)

@@ -2,25 +2,19 @@
 
 For the acyclic Hasse digraphs produced here, the associated algebra is a
 finite direct sum of matrix blocks, one per sink, of size equal to the number
-of directed paths into that sink (trivial path included).  K-groups come from
-the Smith normal form of the transposed-adjacency-minus-identity matrix
-restricted to non-sink columns, and the primitive spectrum is realized as a
-finite ordered set of maximal tails.
+of directed paths into that sink (trivial path included); fingerprints read
+K-groups and spectrum off the blocks.  For any digraph (a graph file may be
+cyclic), K-groups come from the Smith normal form of the
+transposed-adjacency-minus-identity matrix restricted to non-sink columns,
+and the primitive spectrum is realized as a finite ordered set of maximal
+tails.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import NamedTuple
 
-from .digraphs import (
-    DEFAULT_VERTEX_CAP,
-    CanonicalCert,
-    DiGraph,
-    canonical_cert,
-    find_cycle,
-    topological_order,
-)
+from .digraphs import DEFAULT_VERTEX_CAP, DiGraph, find_cycle, topological_order
 from .errors import CapExceeded, Frozen, NotAcyclic
 from .snf import diagonal, smith_normal_form
 
@@ -68,8 +62,9 @@ class PrimPoset(Frozen):
     """Maximal tails with the specialization order (reverse containment)."""
 
     def __init__(self, points: tuple, order: frozenset):
-        """``points``: frozensets of vertices, canonically sorted; ``order``:
-        pairs (i, j) with points[i] strictly below points[j]."""
+        """``points``: frozensets of vertices, canonically sorted (in a
+        fingerprint's block picture, each point is the index of its block);
+        ``order``: pairs (i, j) with points[i] strictly below points[j]."""
         d = self.__dict__
         d["points"] = points
         d["order"] = order
@@ -81,11 +76,6 @@ class PrimPoset(Frozen):
 
     def __hash__(self):
         return hash((self.points, self.order))
-
-    @cached_property
-    def cert(self) -> CanonicalCert:
-        n = len(self.points)  # sinks of a graph already held to the vertex cap
-        return canonical_cert(DiGraph(n=n, edges=self.order), cap=n)
 
     def to_json(self) -> dict:
         return {

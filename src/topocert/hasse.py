@@ -9,9 +9,14 @@ Both steps run on integer bitmasks.  ``cover_class_masks`` gives each point
 the bitmask of the members that contain it, through the point indices the
 space keeps for each open, and returns the distinct masks in canonical class
 order; ``hasse_edges`` finds the cover pairs among bitmask sets.
-``hpartition_of_cover``, ``hasse_digraph`` and
+``hpartition_of_cover``, ``hasse_digraph`` and, on a memo miss,
 ``fingerprints.fingerprint_of`` all go through these two, and the
 fingerprint of a finite-space cover builds no frozenset and no partition.
+
+The class poset is the T0 quotient of the topology the members generate:
+points share a class when they have the same smallest neighbourhood in it,
+and a class lies below another when its neighbourhood is larger.  So
+``cover_neighbourhoods`` fixes the Hasse digraph up to isomorphism.
 """
 
 from __future__ import annotations
@@ -86,6 +91,20 @@ def cover_class_masks(cover: Cover) -> list:
             masks[p] |= bit
     # nonempty: cover members jointly contain every point
     return sorted(sorted(set(masks), reverse=True), key=int.bit_count)
+
+
+def cover_neighbourhoods(cover: Cover) -> tuple:
+    """Each point's smallest neighbourhood in the topology that the members
+    of ``cover`` generate, as a bitmask of points: the AND of the members
+    that contain the point."""
+    space = cover.space
+    point_indices, mask_by_open = space.open_point_indices, space.mask_by_open
+    nbhds = [space.full_mask] * len(space.points)
+    for member in cover.members:
+        m = mask_by_open[member]
+        for p in point_indices[member]:
+            nbhds[p] &= m
+    return tuple(nbhds)
 
 
 def hpartition_of_cover(cover: Cover) -> HPartition:

@@ -65,6 +65,10 @@ class FiniteSpace(Frozen):
         return tuple(self.mask_of(u) for u in self.opens)
 
     @cached_property
+    def mask_by_open(self) -> dict:
+        return dict(zip(self.opens, self.open_masks))
+
+    @cached_property
     def open_point_indices(self) -> dict:
         """Each open's point indices, in point order."""
         return {u: tuple(i for i, p in enumerate(self.points) if p in u)

@@ -1,16 +1,20 @@
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 
 from topocert import (
     BlockDecomposition,
+    CanonicalCert,
+    DiGraph,
     Fingerprint,
     FullLine,
-    KPair,
     LevelMismatch,
     Segment,
     WitnessSide,
+    block_decomposition,
+    canonical_cert,
     empty_space_fingerprints,
     enumerate_covers,
     enumerate_interval_cover_types,
@@ -21,13 +25,16 @@ from topocert import (
     hasse_digraph,
     hclasses_of_spec,
     hpartition_of_cover,
+    k_theory,
     make_cover,
+    prim_space,
     sets_match,
     singleton_fingerprint,
     validate_topology,
 )
 
 from topocert import fingerprints
+from topocert.digraphs import DEFAULT_VERTEX_CAP
 from topocert.fingerprints import LEVELS, collect_fingerprints
 from topocert.jsonio import load_input
 
@@ -72,15 +79,47 @@ class TestFingerprintOf:
         assert len(fp.prim.points) == 3
         assert fp.graph_cert.vertex_count == 3
 
-    def test_inconsistent_parts_raise_when_built(self):
+    def test_block_picture_agrees_with_k_theory_and_prim_space(self):
+        # a fingerprint reads its K-pair and spectrum off the blocks; on every
+        # distinct Hasse digraph of the line types at n <= 5 and of all covers
+        # of the space fixtures, SNF and the maximal tails give the same
+        sources = {}
+        for n in range(1, 6):
+            for p in enumerate_interval_cover_types(FullLine(), n):
+                sources.setdefault(hasse_digraph(p), p)
+        spaces = [load_input(str(path)).space
+                  for path in sorted(FIXTURES.glob("*.json"))
+                  if '"points"' in path.read_text()]
+        assert len(spaces) == 7
+        for s in spaces:
+            for c in enumerate_covers(s):
+                sources.setdefault(hasse_digraph(hpartition_of_cover(c)), c)
+        assert len(sources) > 1134  # the line alone has 1,134 at n = 5
+        for g, source in sources.items():
+            sinks = len(g.sinks)
+            kp, ps = k_theory(g), prim_space(g)
+            assert (kp.k0_rank, kp.k0_torsion, kp.k1_rank) == (sinks, (), 0)
+            assert len(ps.points) == sinks and ps.order == frozenset()
+            fp = fingerprint_of(source)
+            assert fp.blocks == block_decomposition(g)
+            assert fp.kpair == kp
+            assert fp.to_json()["k"] == kp.to_json()
+            assert fp.to_json()["prim"] == {"points": sinks, "order": []}
+
+    def test_cstar_key_carries_the_spectrum_certificate(self):
+        # the spectrum is k unordered points: the edgeless digraph on k vertices
+        graph_cert = singleton_fingerprint().graph_cert
+        for k in range(1, DEFAULT_VERTEX_CAP + 2):
+            fp = Fingerprint(graph_cert, BlockDecomposition((1,) * k))
+            spectrum = canonical_cert(DiGraph(n=k, edges=frozenset()), cap=k)
+            assert fp.project("cstar") == ((1,) * k, k, spectrum.blob)
+            assert len(fp.prim.points) == k and not fp.prim.order
+
+    def test_equality_reads_the_graph_and_the_blocks_only(self):
         fp = singleton_fingerprint()
-        two_blocks = BlockDecomposition((1, 1))
-        for parts in (dict(blocks=two_blocks),  # two blocks, one spectrum point
-                      dict(kpair=KPair(2, (), 0)),  # K0 rank against one block
-                      dict(kpair=KPair(1, (2,), 0))):  # torsion in K0
-            with pytest.raises(ValueError):
-                Fingerprint(**{**vars(fp), **parts})
-        assert Fingerprint(**vars(fp)) == fp
+        assert Fingerprint(**vars(fp)) == fp and hash(Fingerprint(**vars(fp))) == hash(fp)
+        assert Fingerprint(fp.graph_cert, BlockDecomposition((2,))) != fp
+        assert Fingerprint(CanonicalCert(1, b"x"), fp.blocks) != fp
 
     def test_level_projections_are_monotone(self):
         # graph equality refines algebra equality refines K-group equality
@@ -246,22 +285,35 @@ class TestPerSetMemo:
             lambda level: fingerprints_of_domain(FullLine(), 4, level),
             [fingerprint_of(p) for p in types], 4)
 
-    def test_one_k_theory_call_per_distinct_digraph(self, monkeypatch):
-        calls = []
-        original = fingerprints.k_theory
+    def test_one_block_decomposition_per_neighbourhood_tuple(self, monkeypatch):
+        calls, unwanted = [], []
+        original = fingerprints.block_decomposition
 
         def counted(g):
-            calls.append((g.n, g.edges))
+            calls.append(g)
             return original(g)
 
-        monkeypatch.setattr(fingerprints, "k_theory", counted)
+        monkeypatch.setattr(fingerprints, "block_decomposition", counted)
+        # SNF, maximal tails and the spectrum stay off the fingerprint path,
+        # through whichever module binds them
+        for name in ("k_theory", "smith_normal_form", "maximal_tails", "prim_space"):
+            for mod in [m for n, m in sys.modules.items() if n.startswith("topocert")]:
+                if callable(getattr(mod, name, None)):
+                    monkeypatch.setattr(mod, name, lambda *a, name=name, **k:
+                                        unwanted.append(name))
         rng = random.Random(54)
         s = random_space(rng, max_points=5, max_opens=8)
         covers = list(enumerate_covers(s))
-        distinct = {hasse_digraph(hpartition_of_cover(c)) for c in covers}
-        assert len(distinct) < len(covers)
+        # each point's smallest neighbourhood, by intersecting its members
+        tuples = {tuple(frozenset.intersection(*(m for m in c.members if p in m))
+                        for p in s.points) for c in covers}
+        assert len(tuples) < len(covers)
         fingerprints_of_space(s, None, "graph")
-        assert sorted(calls) == sorted((g.n, g.edges) for g in distinct)
+        assert len(calls) == len(tuples)
+        # one call per isomorphism class at least, and none outside them
+        assert ({canonical_cert(g) for g in calls}
+                == {canonical_cert(hasse_digraph(hpartition_of_cover(c))) for c in covers})
         # nothing outlives a call: the second one counts the same again
         fingerprints_of_space(s, None, "graph")
-        assert len(calls) == 2 * len(distinct)
+        assert len(calls) == 2 * len(tuples)
+        assert unwanted == []

@@ -6,6 +6,7 @@ import pytest
 from topocert import digraphs
 from topocert import (
     CapExceeded,
+    DiGraph,
     FullLine,
     canonical_cert,
     canonical_key,
@@ -20,6 +21,7 @@ from topocert import (
     relabel,
     validate_topology,
 )
+from topocert.hasse import cover_class_masks, cover_neighbourhoods, hasse_edges
 from topocert.jsonio import load_input
 
 from conftest import FIXTURES
@@ -159,33 +161,64 @@ def _scanned_digraph(cover):
     return len(classes), frozenset(transitive_reduction(len(classes), pairs))
 
 
-class _SeenDigraphs(dict):
-    """A fingerprint memo that keeps the digraph it was last asked about."""
-
-    def __contains__(self, g):
-        self.last = g
-        return super().__contains__(g)
+def _space_fixtures():
+    spaces = [load_input(str(path)).space
+              for path in sorted(FIXTURES.glob("*.json"))
+              if '"points"' in path.read_text()]
+    assert len(spaces) == 7
+    return spaces
 
 
 class TestFingerprintPathDigraph:
     def test_matches_the_partition_path_and_a_point_scan(self):
-        spaces = [load_input(str(path)).space
-                  for path in sorted(FIXTURES.glob("*.json"))
-                  if '"points"' in path.read_text()]
-        assert len(spaces) == 7
+        spaces = _space_fixtures()
         rng = random.Random(14)
         spaces += [random_space(rng) for _ in range(20)]
         covers = 0
         for space in spaces:
-            memo = _SeenDigraphs()
+            memo = {}
             for cover in enumerate_covers(space):
-                fingerprint_of(cover, memo=memo)
-                g = memo.last
+                # the digraph the fingerprint path builds on a memo miss
+                classes = cover_class_masks(cover)
+                g = DiGraph(n=len(classes), edges=hasse_edges(classes))
                 partition_path = hasse_digraph(hpartition_of_cover(cover))
                 assert (g.n, g.edges) == (partition_path.n, partition_path.edges)
                 assert (g.n, g.edges) == _scanned_digraph(cover)
+                assert fingerprint_of(cover, memo=memo).graph_cert == canonical_cert(g)
                 covers += 1
         assert covers > 2944  # six_point_space alone has 2,944
+
+
+class TestCoverNeighbourhoods:
+    """Fingerprints of finite-space covers are memoised on
+    ``cover_neighbourhoods``, which must fix the Hasse digraph up to
+    isomorphism."""
+
+    def test_equal_tuples_give_isomorphic_hasse_digraphs(self):
+        spaces = _space_fixtures()
+        rng = random.Random(16)
+        spaces += [random_space(rng, max_points=6, max_opens=12) for _ in range(20)]
+        relabelled = 0  # covers whose tuple was seen with other vertex labels
+        for space in spaces:
+            certs, labelled = {}, {}
+            for cover in enumerate_covers(space):
+                key = cover_neighbourhoods(cover)
+                # each point's smallest neighbourhood, by intersecting sets
+                assert key == tuple(
+                    space.mask_of(frozenset.intersection(
+                        *(m for m in cover.members if p in m)))
+                    for p in space.points)
+                g = hasse_digraph(hpartition_of_cover(cover))
+                assert certs.setdefault(key, canonical_cert(g)) == canonical_cert(g)
+                relabelled += labelled.setdefault(key, g) != g
+        assert relabelled > 0
+
+    def test_six_point_space_counts(self):
+        (space,) = [s for s in _space_fixtures() if len(s.points) == 6]
+        covers = list(enumerate_covers(space))
+        assert len(covers) == 2944
+        assert len({cover_neighbourhoods(c) for c in covers}) == 380
+        assert len({hasse_digraph(hpartition_of_cover(c)) for c in covers}) == 180
 
 
 class TestCanonicalKey:

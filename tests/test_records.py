@@ -111,9 +111,8 @@ def test_equality_reads_the_other_fields(a, b):
 
 def test_cached_properties_are_computed_once():
     g = DiGraph(2, EDGE)
-    poset = PrimPoset((frozenset({0}),), frozenset())
     space = FiniteSpace(points=("a",), opens=(frozenset(), frozenset({"a"})))
-    for record, name in ((g, "out_sets"), (poset, "cert"), (space, "open_masks")):
+    for record, name in ((g, "out_sets"), (space, "mask_by_open"), (space, "open_masks")):
         assert getattr(record, name) is getattr(record, name)
     assert g.out_sets == (frozenset({1}), frozenset())
     assert space.open_masks == (0, 1)
