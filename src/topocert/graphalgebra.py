@@ -63,7 +63,7 @@ class PrimPoset(Frozen):
 
     def __init__(self, points: tuple, order: frozenset):
         """``points``: frozensets of vertices, canonically sorted (in a
-        fingerprint's block picture, each point is the index of its block);
+        fingerprint's block picture, point i is the set {i} of block i);
         ``order``: pairs (i, j) with points[i] strictly below points[j]."""
         d = self.__dict__
         d["points"] = points
