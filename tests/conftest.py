@@ -14,6 +14,19 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PY
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 
 
+def space_fixtures() -> list:
+    """The distinct finite spaces of the fixture files, each once: a file
+    with a cover may repeat another file's space."""
+    from topocert.jsonio import load_input
+
+    spaces = {}
+    for path in sorted(FIXTURES.glob("*.json")):
+        if '"points"' in path.read_text():
+            space = load_input(str(path)).space
+            spaces.setdefault((space.points, space.opens), space)
+    return list(spaces.values())
+
+
 def pytest_configure(config):
     # hypothesis caches unicode tables and source constants on disk, from
     # test collection on; keep them in pytest's cache, not in the checkout

@@ -38,7 +38,7 @@ from topocert.digraphs import DEFAULT_VERTEX_CAP
 from topocert.fingerprints import LEVELS, collect_fingerprints
 from topocert.jsonio import load_input
 
-from conftest import FIXTURES
+from conftest import FIXTURES, space_fixtures
 
 from oracles import random_space
 
@@ -87,9 +87,7 @@ class TestFingerprintOf:
         for n in range(1, 6):
             for p in enumerate_interval_cover_types(FullLine(), n):
                 sources.setdefault(hasse_digraph(p), p)
-        spaces = [load_input(str(path)).space
-                  for path in sorted(FIXTURES.glob("*.json"))
-                  if '"points"' in path.read_text()]
+        spaces = space_fixtures()
         assert len(spaces) == 7
         for s in spaces:
             for c in enumerate_covers(s):

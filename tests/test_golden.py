@@ -98,6 +98,12 @@ _ALGEBRA_LEVEL_CALLS = [
     "certify --input fixtures/six_point_space.json"
     " --input-b fixtures/three_point_model.json --n-range 1..3 --level cstar",
 ]
+# a finite-space cover whose members are listed out of the space's order,
+# whose classes have several members and whose Hasse digraph has edges
+_SPACE_COVER_CALLS = [
+    f"{command} --input fixtures/chain_3_cover.json"
+    for command in ("hclasses", "graph", "graph --format dot")
+]
 
 CALLS = (
     _README_CERTIFY
@@ -116,6 +122,7 @@ CALLS = (
     + _ERROR_CALLS
     + _SIDE_CALLS
     + _ALGEBRA_LEVEL_CALLS
+    + _SPACE_COVER_CALLS
 )
 
 

@@ -22,9 +22,8 @@ from topocert import (
     validate_topology,
 )
 from topocert.hasse import cover_class_masks, cover_neighbourhoods, hasse_edges
-from topocert.jsonio import load_input
 
-from conftest import FIXTURES
+from conftest import space_fixtures
 from oracles import (
     brute_force_type_key,
     random_partition,
@@ -162,9 +161,7 @@ def _scanned_digraph(cover):
 
 
 def _space_fixtures():
-    spaces = [load_input(str(path)).space
-              for path in sorted(FIXTURES.glob("*.json"))
-              if '"points"' in path.read_text()]
+    spaces = space_fixtures()
     assert len(spaces) == 7
     return spaces
 
