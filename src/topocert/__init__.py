@@ -76,7 +76,6 @@ from .hasse import (
     canonical_key,
     hasse_digraph,
     hpartition_of_cover,
-    make_hpartition,
 )
 from .snf import smith_normal_form
 from .spaces import (

@@ -5,7 +5,9 @@ infinite: intervals on a half-open segment or the line, arcs on a circle,
 and axis-aligned strict-inequality regions in the plane.  Density classes
 are read off the cells that the endpoints cut the domain into, each member
 a bitmask of cells over the endpoints' ranks, so only the order of
-endpoints matters and there are no floating-point ties.
+endpoints matters and there are no floating-point ties.  Each cell gives
+the class of the members that have it, a member bitmask as ``hasse``
+defines it.
 
 The segment [lo, hi) and the line have the same n-interval cover types,
 for every n.  Segment to line: send each closed [lo, b) to the ray
@@ -22,7 +24,7 @@ from itertools import combinations
 from typing import Iterator, List, NamedTuple, Optional
 
 from .errors import CapExceeded, EmptyMember, Frozen, InvalidArrangement, NotACover
-from .hasse import HPartition, canonical_key, make_hpartition
+from .hasse import HPartition, canonical_key, class_order
 
 DEFAULT_COVER_SIZE_CAP = 5
 
@@ -188,13 +190,10 @@ def _ranks(cuts) -> dict:
 
 
 def _by_cell(masks: list, cells) -> List[int]:
-    """For each cell, the bitmask of the members whose cell mask has it."""
-    return [sum(1 << i for i, m in enumerate(masks) if m >> c & 1) for c in cells]
-
-
-def _classes(by_cell: List[int], n: int, src: str) -> HPartition:
-    return make_hpartition({frozenset(i for i in range(n) if h >> i & 1)
-                            for h in set(by_cell)}, n, src)
+    """For each cell, the class of the members whose cell mask has it."""
+    last_first = masks[::-1]  # member i of n is bit n-1-i
+    return [sum(1 << i for i, m in enumerate(last_first) if m >> c & 1)
+            for c in cells]
 
 
 def hclasses_of_intervals(spec: IntervalSpec) -> HPartition:
@@ -231,8 +230,8 @@ def hclasses_of_intervals(spec: IntervalSpec) -> HPartition:
             c = domain.circumference
             points[0] = ((points[-2] + points[1] + c) / 2) % c
         raise NotACover(f"point {points[cell]}")
-    return _classes(by_cell, len(members),
-                    f"{domain.describe()} cover(n={len(members)})")
+    n = len(members)
+    return HPartition(n, class_order(by_cell), f"{domain.describe()} cover(n={n})")
 
 
 # -- axis-aligned plane covers ------------------------------------------------
@@ -265,7 +264,7 @@ def hclasses_axis2d(spec: AxisAlignedSpec) -> HPartition:
         i, j = divmod(by_cell.index(0), len(ys))
         raise NotACover(f"point ({_samples(cuts['x'])[i]}, {_samples(cuts['y'])[j]})")
     n = len(spec.members)
-    return _classes(by_cell, n, f"plane cover(n={n})")
+    return HPartition(n, class_order(by_cell), f"plane cover(n={n})")
 
 
 def hclasses_of_spec(spec) -> HPartition:

@@ -36,6 +36,11 @@ class SpaceSide(NamedTuple):
     space: FiniteSpace
     exhaustive = True
 
+    @property
+    def largest_cover(self) -> int:
+        """k nonempty opens give covers of every size 1..k."""
+        return len(self.space.nonempty_opens)
+
     def fingerprints(self, n: Optional[int], level: str, cap_cover: int,
                      cap_vertices: int):
         """(fingerprint set, family text) over the covers with ``n`` members
@@ -51,6 +56,7 @@ class DomainSide(NamedTuple):
     name: str
     domain: Union[Segment, FullLine]
     exhaustive = True
+    largest_cover = None  # a domain has covers of every size
 
     def fingerprints(self, n: int, level: str, cap_cover: int,
                      cap_vertices: int):
@@ -69,6 +75,10 @@ class WitnessSide(NamedTuple):
     name: str
     covers: tuple  # of IntervalSpec | AxisAlignedSpec
     exhaustive = False
+
+    @property
+    def largest_cover(self) -> int:
+        return max((len(s.members) for s in self.covers), default=0)
 
     def _sized(self, n: Optional[int]) -> list:
         if n is not None and n < 1:
@@ -123,7 +133,8 @@ def nonhomeo_certificate(side_a: Side, side_b: Side, n_range: Tuple[int, int],
 
     At least one side must be exhaustible; a witness-only side can only
     supply the distinguishing fingerprint.  Returns None when nothing in the
-    range separates the sides.
+    range separates the sides.  Sizes past both sides' largest covers give two
+    empty sets and are skipped; a domain side's search ends at its cap.
     """
     if not (side_a.exhaustive or side_b.exhaustive):
         raise NotExhaustible(side_b.name)
@@ -131,6 +142,9 @@ def nonhomeo_certificate(side_a: Side, side_b: Side, n_range: Tuple[int, int],
     if lo < 1 or hi < lo:
         raise ValueError("n_range must be 1 <= lo <= hi")
     caps = {"cap_cover": cap_cover, "cap_vertices": cap_vertices}
+    limits = (side_a.largest_cover, side_b.largest_cover)
+    if None not in limits:
+        hi = min(hi, max(limits))
     for n in range(lo, hi + 1):
         fa, fam_a = side_a.fingerprints(n, level, cap_cover, cap_vertices)
         fb, fam_b = side_b.fingerprints(n, level, cap_cover, cap_vertices)

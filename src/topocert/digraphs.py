@@ -34,9 +34,9 @@ class CanonicalCert(NamedTuple):
 class DiGraph(Frozen):
     """Immutable digraph on vertices 0..n-1 without self-loops.
 
-    ``labels``, when present, carries one frozenset per vertex (the h-class
-    behind the vertex); it is ignored by equality, isomorphism and
-    certificates.
+    ``labels``, when present, carries one set of member indices per vertex
+    (the class behind the vertex); it is ignored by equality, isomorphism
+    and certificates.
     """
 
     def __init__(self, n: int, edges: frozenset, labels: Optional[tuple] = None):

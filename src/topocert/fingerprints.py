@@ -15,7 +15,7 @@ covers of a given size, projected to one of three comparison levels:
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .arrangements import (
     DEFAULT_COVER_SIZE_CAP,
@@ -30,29 +30,18 @@ from .hasse import (
     cover_neighbourhoods,
     hasse_digraph,
     hasse_edges,
-    make_hpartition,
 )
 from .spaces import Cover, FiniteSpace, enumerate_covers
 
 LEVELS = ("graph", "cstar", "ktheory")
 
 
-class Fingerprint(Frozen):
+class Fingerprint(NamedTuple):
     """Isomorphism invariants of one Hasse digraph; ``kpair`` and ``prim``
     are derived from the blocks."""
 
-    def __init__(self, graph_cert: CanonicalCert, blocks: BlockDecomposition):
-        d = self.__dict__
-        d["graph_cert"] = graph_cert
-        d["blocks"] = blocks
-
-    def __eq__(self, other):
-        if other.__class__ is not Fingerprint:
-            return NotImplemented
-        return (self.graph_cert, self.blocks) == (other.graph_cert, other.blocks)
-
-    def __hash__(self):
-        return hash((self.graph_cert, self.blocks))
+    graph_cert: CanonicalCert
+    blocks: BlockDecomposition
 
     @property
     def kpair(self) -> KPair:
@@ -122,7 +111,7 @@ def fingerprint_of(source: Union[Cover, HPartition],
 def singleton_fingerprint() -> Fingerprint:
     """The one-vertex fingerprint (trivial cover; also the empty-space
     convention)."""
-    return fingerprint_of(make_hpartition([frozenset({0})], 1))
+    return fingerprint_of(HPartition(1, (1,)))
 
 
 class FingerprintSet(Frozen):

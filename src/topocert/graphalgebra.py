@@ -58,24 +58,16 @@ class KPair(Frozen):
         }
 
 
-class PrimPoset(Frozen):
-    """Maximal tails with the specialization order (reverse containment)."""
+class PrimPoset(NamedTuple):
+    """Maximal tails with the specialization order (reverse containment).
 
-    def __init__(self, points: tuple, order: frozenset):
-        """``points``: frozensets of vertices, canonically sorted (in a
-        fingerprint's block picture, point i is the set {i} of block i);
-        ``order``: pairs (i, j) with points[i] strictly below points[j]."""
-        d = self.__dict__
-        d["points"] = points
-        d["order"] = order
+    ``points``: frozensets of vertices, canonically sorted (in a
+    fingerprint's block picture, point i is the set {i} of block i);
+    ``order``: pairs (i, j) with points[i] strictly below points[j].
+    """
 
-    def __eq__(self, other):
-        if other.__class__ is not PrimPoset:
-            return NotImplemented
-        return (self.points, self.order) == (other.points, other.order)
-
-    def __hash__(self):
-        return hash((self.points, self.order))
+    points: tuple
+    order: frozenset
 
     def to_json(self) -> dict:
         return {

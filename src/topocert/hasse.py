@@ -5,13 +5,12 @@ the distinct such sets, ordered by inclusion, form a finite poset whose Hasse
 diagram is the graph everything downstream consumes.  Elements comparable to
 nothing stay edgeless.
 
-Both steps run on integer bitmasks.  ``cover_class_masks`` gives each point
-the bitmask of the members that contain it, through the point indices the
-space keeps for each open, and returns the distinct masks in canonical class
-order; ``hasse_edges`` finds the cover pairs among bitmask sets.
-``hpartition_of_cover``, ``hasse_digraph`` and, on a memo miss,
-``fingerprints.fingerprint_of`` all go through these two, and the
-fingerprint of a finite-space cover builds no frozenset and no partition.
+A class is an integer bitmask of members, from every source (the cell walks
+in ``arrangements`` and ``cover_class_masks`` here): member i of n is bit
+n-1-i, so member 0 is the leading digit.  ``class_order`` is the one order
+of classes, by size and then by descending mask, which is the order of
+their sorted member indices; ``class_members`` is the one decoder, for
+output and ``canonical_key``.  ``hasse_edges`` finds the cover pairs.
 
 The class poset is the T0 quotient of the topology the members generate:
 points share a class when they have the same smallest neighbourhood in it,
@@ -29,8 +28,8 @@ from .spaces import Cover
 
 
 class HPartition(Frozen):
-    """The distinct member-index sets of a cover (frozensets of member
-    indices), canonically sorted; ``source`` is ignored by equality."""
+    """The distinct classes of a cover as member bitmasks, in
+    ``class_order``; ``source`` is ignored by equality."""
 
     def __init__(self, member_count: int, classes: tuple, source: str = ""):
         d = self.__dict__
@@ -47,41 +46,25 @@ class HPartition(Frozen):
         return hash((self.member_count, self.classes))
 
 
-def _class_key(c: frozenset) -> tuple:
-    return (len(c), tuple(sorted(c)))
+def class_order(masks: Iterable[int]) -> tuple:
+    """The distinct class masks in canonical order: by size, then by
+    descending mask."""
+    return tuple(sorted(sorted(set(masks), reverse=True), key=int.bit_count))
 
 
-def make_hpartition(classes: Iterable[frozenset], member_count: int,
-                    source: str = "") -> HPartition:
-    out = []
-    seen = set()
-    for c in classes:
-        fc = frozenset(c)
-        if not fc:
-            raise ValueError("density classes must be nonempty")
-        if fc in seen:
-            raise ValueError("density classes must be pairwise distinct")
-        if any(not (0 <= i < member_count) for i in fc):
-            raise ValueError("class mentions a member index out of range")
-        seen.add(fc)
-        out.append(fc)
-    if not out:
-        raise ValueError("a partition needs at least one class")
-    if len(out) > 2 ** member_count - 1:
-        raise ValueError("more classes than an n-member cover can produce")
-    out.sort(key=_class_key)
-    return HPartition(member_count=member_count, classes=tuple(out), source=source)
+def class_members(mask: int, n: int) -> tuple:
+    """The member indices, ascending, of a class of an n-member cover."""
+    members = []
+    while mask:  # the highest bit left is the lowest member left
+        members.append(n - mask.bit_length())
+        mask ^= 1 << n - 1 - members[-1]
+    return tuple(members)
 
 
-def cover_class_masks(cover: Cover) -> list:
-    """The classes of ``cover`` as bitmasks of members, in canonical class
-    order: by size, then by sorted member indices.
-
-    Member i of n is bit n-1-i, so a class reads as a binary word with member
-    0 as its leading digit, and classes of one size sort in descending order
-    of their masks.  Each point gets the mask of the members that contain
-    it, from the point indices the space lists for each open.
-    """
+def cover_class_masks(cover: Cover) -> tuple:
+    """The classes of ``cover`` in ``class_order``.  Each point gets the
+    mask of the members that contain it, from the point indices the space
+    lists for each open."""
     point_indices = cover.space.open_point_indices
     masks = [0] * len(cover.space.points)
     bit = 1 << len(cover.members)
@@ -90,7 +73,7 @@ def cover_class_masks(cover: Cover) -> list:
         for p in point_indices[member]:
             masks[p] |= bit
     # nonempty: cover members jointly contain every point
-    return sorted(sorted(set(masks), reverse=True), key=int.bit_count)
+    return class_order(masks)
 
 
 def cover_neighbourhoods(cover: Cover) -> tuple:
@@ -108,17 +91,10 @@ def cover_neighbourhoods(cover: Cover) -> tuple:
 
 
 def hpartition_of_cover(cover: Cover) -> HPartition:
-    """Classes of the map sending each point to its set of covering members.
-
-    Works on the classes directly, so no choice of class representatives ever
-    arises; the classes are those of ``cover_class_masks``, as frozensets of
-    member indices.
-    """
+    """The classes of ``cover``: the sets of members that contain a point."""
     n = len(cover.members)
-    classes = [frozenset(i for i in range(n) if c >> (n - 1 - i) & 1)
-               for c in cover_class_masks(cover)]
-    src = f"cover(n={n}) of space({len(cover.space.points)} points)"
-    return make_hpartition(classes, n, src)
+    return HPartition(n, cover_class_masks(cover),
+                      f"cover(n={n}) of space({len(cover.space.points)} points)")
 
 
 def hasse_edges(classes: Sequence[int]) -> frozenset:
@@ -150,9 +126,9 @@ def hasse_digraph(partition: HPartition) -> DiGraph:
     Vertex i is the i-th canonical class; edge i->j means class i is a
     maximal proper subset of class j among the classes.
     """
-    cls = partition.classes
-    masks = [sum(1 << i for i in c) for c in cls]
-    return DiGraph(n=len(cls), edges=hasse_edges(masks), labels=cls)
+    cls, n = partition.classes, partition.member_count
+    return DiGraph(n=len(cls), edges=hasse_edges(cls),
+                   labels=tuple(class_members(c, n) for c in cls))
 
 
 def canonical_key(partition: HPartition) -> CanonicalCert:
@@ -167,7 +143,6 @@ def canonical_key(partition: HPartition) -> CanonicalCert:
     Each partition arrives here once, so the canonicalisation is not cached.
     """
     n = partition.member_count
-    edges = frozenset(
-        (i, n + j) for j, c in enumerate(partition.classes) for i in c
-    )
+    edges = frozenset((i, n + j) for j, c in enumerate(partition.classes)
+                      for i in class_members(c, n))
     return uncached_cert(DiGraph(n=n + len(partition.classes), edges=edges))

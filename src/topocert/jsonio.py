@@ -1,8 +1,9 @@
 """JSON input/output for spaces, covers, arrangements and graphs.
 
 Rationals are serialized as strings ("3/4", "-6"); infinite interval ends as
-"-inf" (lo) and "inf" (hi), and "+inf" or null are read too.  Loaders report a failure as a ParseError naming the file;
-a CapExceeded or a NotACover keeps its own kind.
+"-inf" (lo) and "inf" (hi), and "+inf" or null are read too.  Loaders report
+a failure as a ParseError naming the file; a CapExceeded or a NotACover
+keeps its own kind.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .arrangements import (
 )
 from .digraphs import DiGraph
 from .errors import CapExceeded, NotACover, ParseError, TopocertError, TopologyError
-from .hasse import HPartition
+from .hasse import HPartition, class_members
 from .spaces import Cover, FiniteSpace, make_cover, generate_topology, validate_topology
 
 
@@ -285,7 +286,7 @@ def cover_json(cover: Cover) -> dict:
 def partition_json(p: HPartition) -> dict:
     return {
         "members": p.member_count,
-        "classes": [sorted(c) for c in p.classes],
+        "classes": [list(class_members(c, p.member_count)) for c in p.classes],
         "source": p.source,
     }
 

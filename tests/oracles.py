@@ -13,14 +13,32 @@ from topocert import (
     Circle,
     DiGraph,
     FullLine,
+    HPartition,
     Interval,
     IntervalSpec,
     Segment,
     TopocertError,
     canonical_key,
-    make_hpartition,
 )
+from topocert.hasse import class_order
 from topocert.spaces import Cover, FiniteSpace
+
+
+def class_sets(partition) -> list:
+    """The classes of ``partition`` as frozensets of member indices, decoded
+    here rather than by ``hasse.class_members``: member i of n is bit
+    n-1-i."""
+    n = partition.member_count
+    return [frozenset(i for i in range(n) if c >> (n - 1 - i) & 1)
+            for c in partition.classes]
+
+
+def partition_of_sets(sets, member_count: int, source: str = "") -> HPartition:
+    """The partition whose classes are the frozensets of member indices
+    ``sets``, encoded as ``class_sets`` decodes them."""
+    top = member_count - 1
+    return HPartition(member_count,
+                      class_order(sum(1 << (top - i) for i in c) for c in sets), source)
 
 
 def brute_force_isomorphic(g1: DiGraph, g2: DiGraph) -> bool:
@@ -175,7 +193,7 @@ def brute_force_type_key(partition) -> tuple:
     class list over all n! member permutations."""
     n = partition.member_count
     return (n, min(
-        tuple(sorted(tuple(sorted(perm[i] for i in c)) for c in partition.classes))
+        tuple(sorted(tuple(sorted(perm[i] for i in c)) for c in class_sets(partition)))
         for perm in permutations(range(n))
     ))
 
@@ -271,7 +289,7 @@ def weak_order_type_keys(domain, n: int) -> set:
                                               for lo, hi, closed in order))
             classes = sampled_interval_classes(spec)
             if frozenset() not in classes:
-                keys.add(canonical_key(make_hpartition(classes, n)))
+                keys.add(canonical_key(partition_of_sets(classes, n)))
     return keys
 
 
@@ -350,8 +368,8 @@ def random_partition(rng, max_members: int = 4):
     perm = list(range(n))
     rng.shuffle(perm)
     return tuple(
-        make_hpartition([frozenset(p[i] for i in range(n) if m >> i & 1)
-                         for m in masks], n)
+        partition_of_sets([frozenset(p[i] for i in range(n) if m >> i & 1)
+                           for m in masks], n)
         for p in (range(n), perm)
     )
 

@@ -3,7 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from topocert import certificates
 from topocert import (
+    CapExceeded,
     DomainSide,
     FullLine,
     NotExhaustible,
@@ -111,6 +113,34 @@ class TestSearchBehavior:
         a = SpaceSide(name="a", space=s)
         with pytest.raises(ValueError):
             nonhomeo_certificate(a, a, (0, 1), "graph")
+
+    def test_search_stops_past_the_largest_cover(self, monkeypatch):
+        chain = SpaceSide(name="chain", space=load_input(
+            str(FIXTURES / "chain_3.json")).space)
+        assert chain.largest_cover == 3
+        assert line_witness_side().largest_cover == 7
+        assert LINE.largest_cover is None
+        sizes = []
+        real = certificates.fingerprints_of_space
+
+        def counted(space, n, *args):
+            sizes.append(n)
+            return real(space, n, *args)
+
+        monkeypatch.setattr(certificates, "fingerprints_of_space", counted)
+        assert nonhomeo_certificate(chain, chain, (1, 1000), "graph") is None
+        assert sizes == [1, 1, 2, 2, 3, 3]
+        sizes.clear()
+        # the witness side's 7-member covers keep the sizes past the chain's
+        # largest cover in the search
+        assert nonhomeo_certificate(line_witness_side(), chain, (2, 10 ** 11),
+                                    "graph").n == 7
+        assert nonhomeo_certificate(line_witness_side(), three_point_side(),
+                                    (8, 10 ** 11), "graph") is None
+        assert sizes == [2, 3, 4, 5, 6, 7]
+        # a domain side realizes every size: its cap ends the search
+        with pytest.raises(CapExceeded):
+            nonhomeo_certificate(LINE, three_point_side(), (6, 10 ** 11), "graph")
 
     def test_space_vs_space_both_directions(self):
         # trivial vs chain-2: the distinguishing fingerprint lives on the

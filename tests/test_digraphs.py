@@ -18,7 +18,7 @@ from topocert import (
 
 from topocert.digraphs import canonical_order
 
-from oracles import brute_force_isomorphic, random_dag, random_digraph
+from oracles import brute_force_isomorphic, class_sets, random_dag, random_digraph
 
 
 def path(n):
@@ -190,7 +190,7 @@ def pin_corpus():
     for n in range(1, 5):
         for t in enumerate_interval_cover_types(FullLine(), n):
             yield DiGraph(n=n + len(t.classes), edges=frozenset(
-                (i, n + j) for j, c in enumerate(t.classes) for i in c))
+                (i, n + j) for j, c in enumerate(class_sets(t)) for i in c))
 
 
 class TestCanonicalOrderPin:

@@ -115,7 +115,7 @@ class TestFingerprintOf:
 
     def test_equality_reads_the_graph_and_the_blocks_only(self):
         fp = singleton_fingerprint()
-        assert Fingerprint(**vars(fp)) == fp and hash(Fingerprint(**vars(fp))) == hash(fp)
+        assert Fingerprint(**fp._asdict()) == fp and hash(Fingerprint(**fp._asdict())) == hash(fp)
         assert Fingerprint(fp.graph_cert, BlockDecomposition((2,))) != fp
         assert Fingerprint(CanonicalCert(1, b"x"), fp.blocks) != fp
 

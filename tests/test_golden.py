@@ -85,6 +85,9 @@ _SIDE_CALLS = [
     " --input-b fixtures/line_domain.json --n-range 1..3",  # exit 2
     "certify --input fixtures/circle_cover.json"
     " --input-b fixtures/three_point_model.json --n-range 4..4",
+    # exit 2 at once: no size past a space's nonempty opens is searched
+    "certify --input fixtures/chain_3.json"
+    " --input-b fixtures/chain_3.json --n-range 1..100000000000",
     "hclasses --input fixtures/line_witness_covers.json",  # several covers, exit 3
     "hclasses --input fixtures/plane_cover.json --format text",
     "enumerate --input fixtures/chain_3.json",

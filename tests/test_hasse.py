@@ -8,6 +8,8 @@ from topocert import (
     CapExceeded,
     DiGraph,
     FullLine,
+    HPartition,
+    NotACover,
     canonical_cert,
     canonical_key,
     enumerate_covers,
@@ -15,17 +17,26 @@ from topocert import (
     fingerprint_of,
     generate_topology,
     hasse_digraph,
+    hclasses_of_spec,
     hpartition_of_cover,
     make_cover,
-    make_hpartition,
     relabel,
     validate_topology,
 )
-from topocert.hasse import cover_class_masks, cover_neighbourhoods, hasse_edges
+from topocert.hasse import (
+    class_members,
+    class_order,
+    cover_class_masks,
+    cover_neighbourhoods,
+    hasse_edges,
+)
+from topocert.jsonio import load_input
 
-from conftest import space_fixtures
+from conftest import FIXTURES, space_fixtures
 from oracles import (
     brute_force_type_key,
+    class_sets,
+    partition_of_sets,
     random_partition,
     random_space,
     transitive_reduction,
@@ -43,13 +54,14 @@ class TestHPartitionOfCover:
         s = validate_topology(["a", "b"], [[], ["a", "b"]])
         cover = make_cover(s, [["a", "b"]])
         part = hpartition_of_cover(cover)
-        assert part.classes == (frozenset({0}),)
+        assert part.classes == (0b1,)
 
     def test_chain_cover_two_classes(self):
         s = chain_space(3)
         cover = make_cover(s, [["p1", "p2", "p3"], ["p1"]])
         part = hpartition_of_cover(cover)
-        assert set(part.classes) == {frozenset({0}), frozenset({0, 1})}
+        # member 0 (all three points) is the leading bit: {0}, then {0, 1}
+        assert part.classes == (0b10, 0b11)
 
     def test_three_point_model_classes_match_density_table(self):
         s = generate_topology(["neg", "zero", "pos"], [["neg"], ["pos"], ["zero"]])
@@ -62,19 +74,14 @@ class TestHPartitionOfCover:
                 i for m, i in member_index.items() if point in m
             )
 
-        assert set(part.classes) == {h("neg"), h("zero"), h("pos")}
-        assert all(len(c) == 4 for c in part.classes)
-
-    def test_class_count_bound(self):
-        with pytest.raises(ValueError):
-            make_hpartition([frozenset({0}), frozenset({0, 1}), frozenset({1}),
-                             frozenset({0, 2})], member_count=2)
+        assert set(class_sets(part)) == {h("neg"), h("zero"), h("pos")}
+        assert all(c.bit_count() == 4 for c in part.classes)
 
 
 class TestHasseDigraph:
     def test_two_path_poset(self):
         # x < z < y and v < w, nothing else
-        part = make_hpartition(
+        part = partition_of_sets(
             [frozenset({0}), frozenset({0, 1}), frozenset({0, 1, 2}),
              frozenset({3}), frozenset({3, 4})],
             member_count=5,
@@ -84,7 +91,7 @@ class TestHasseDigraph:
         assert len(g.edges) == 3  # two chains: length 2 and length 1
 
     def test_antichain_has_no_edges(self):
-        part = make_hpartition(
+        part = partition_of_sets(
             [frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2})],
             member_count=3,
         )
@@ -93,7 +100,7 @@ class TestHasseDigraph:
 
     def test_third_cover_shape(self):
         # classes {0},{0,1},{0,2},{0,3},{0,1,2},{0,2,3}: 6 vertices 7 edges
-        part = make_hpartition(
+        part = partition_of_sets(
             [frozenset({0}), frozenset({0, 1}), frozenset({0, 2}),
              frozenset({0, 3}), frozenset({0, 1, 2}), frozenset({0, 2, 3})],
             member_count=4,
@@ -111,14 +118,15 @@ class TestHasseDigraph:
                 from topocert import topological_order
 
                 assert topological_order(g) is not None
+                sets = class_sets(part)
                 order_pairs = {
                     (i, j)
-                    for i in range(len(part.classes))
-                    for j in range(len(part.classes))
-                    if part.classes[i] < part.classes[j]
+                    for i in range(len(sets))
+                    for j in range(len(sets))
+                    if sets[i] < sets[j]
                 }
                 assert g.edges == frozenset(
-                    transitive_reduction(len(part.classes), order_pairs)
+                    transitive_reduction(len(sets), order_pairs)
                 )
 
     def test_relabeling_gives_isomorphic_graph(self):
@@ -220,13 +228,13 @@ class TestCoverNeighbourhoods:
 
 class TestCanonicalKey:
     def test_member_relabel_same_type(self):
-        p1 = make_hpartition([frozenset({0}), frozenset({0, 1})], member_count=2)
-        p2 = make_hpartition([frozenset({1}), frozenset({0, 1})], member_count=2)
+        p1 = partition_of_sets([frozenset({0}), frozenset({0, 1})], member_count=2)
+        p2 = partition_of_sets([frozenset({1}), frozenset({0, 1})], member_count=2)
         assert canonical_key(p1) == canonical_key(p2)
 
     def test_different_types_differ(self):
-        p1 = make_hpartition([frozenset({0}), frozenset({0, 1})], member_count=2)
-        p2 = make_hpartition([frozenset({0}), frozenset({1})], member_count=2)
+        p1 = partition_of_sets([frozenset({0}), frozenset({0, 1})], member_count=2)
+        p2 = partition_of_sets([frozenset({0}), frozenset({1})], member_count=2)
         assert canonical_key(p1) != canonical_key(p2)
 
     def test_agrees_with_brute_force_key_on_random_partitions(self):
@@ -251,4 +259,56 @@ class TestCanonicalKey:
         # default cap of 40
         classes = [frozenset(c) for k in (1, 2, 3) for c in combinations(range(6), k)]
         with pytest.raises(CapExceeded):
-            canonical_key(make_hpartition(classes[:35], member_count=6))
+            canonical_key(partition_of_sets(classes[:35], member_count=6))
+
+
+WITNESS_FIXTURES = ["segment_cover_first", "segment_cover_second",
+                    "segment_cover_third", "segment_gap", "circle_cover",
+                    "plane_cover", "line_witness_covers"]
+
+
+def _assert_well_formed(part):
+    """The classes are distinct nonzero member masks of an n-member cover,
+    in ``class_order``."""
+    n = part.member_count
+    assert isinstance(part.classes, tuple) and part.classes
+    assert all(0 < c < 1 << n for c in part.classes)
+    assert len(set(part.classes)) == len(part.classes)
+    assert part.classes == class_order(part.classes)
+
+
+class TestClassFormat:
+    def test_order_and_members_agree_with_sorted_member_sets(self):
+        # class_order is the order by size, then by sorted member indices;
+        # class_members decodes as the oracle does
+        for n in range(1, 6):
+            masks = range(1, 1 << n)
+            sets = class_sets(HPartition(n, tuple(masks)))
+            assert [frozenset(class_members(c, n)) for c in masks] == sets
+            assert all(list(class_members(c, n)) == sorted(s)
+                       for c, s in zip(masks, sets))
+            by_members = sorted(masks, key=lambda c: (c.bit_count(), class_members(c, n)))
+            assert class_order(masks) == tuple(by_members)
+            assert class_order(reversed(by_members)) == tuple(by_members)
+
+    def test_every_source_gives_well_formed_classes(self):
+        count = 0
+        for space in _space_fixtures():
+            for cover in enumerate_covers(space):
+                _assert_well_formed(hpartition_of_cover(cover))
+                count += 1
+        assert count > 2944  # six_point_space alone has 2,944
+        refused, specs = 0, 0
+        for name in WITNESS_FIXTURES:
+            for spec in load_input(str(FIXTURES / f"{name}.json")).specs:
+                try:
+                    part = hclasses_of_spec(spec)
+                except NotACover:
+                    refused += 1
+                    continue
+                _assert_well_formed(part)
+                specs += 1
+        assert (specs, refused) == (7, 1)  # segment_gap.json is no cover
+        for n in range(1, 5):
+            for part in enumerate_interval_cover_types(FullLine(), n):
+                _assert_well_formed(part)

@@ -17,6 +17,7 @@ from topocert import (
     DiGraph,
     DomainSide,
     FiniteSpace,
+    Fingerprint,
     FingerprintSet,
     FullLine,
     HPartition,
@@ -28,7 +29,6 @@ from topocert import (
     SpaceSide,
     WitnessSide,
     make_cover,
-    make_hpartition,
     singleton_fingerprint,
     validate_topology,
 )
@@ -59,7 +59,7 @@ RECORDS = [
     (BlockDecomposition((1,)), "blocks"),
     (KPair(1, (), 0), "k0_rank"),
     (PrimPoset((frozenset({0}),), frozenset()), "points"),
-    (make_hpartition([frozenset({0})], 1), "classes"),
+    (HPartition(1, (0b1,)), "classes"),
     (LoadedInput("domain", domain=FullLine()), "domain"),
     (SPACE, "opens"),
     (make_cover(SPACE, [frozenset({"a", "b"})]), "members"),
@@ -83,7 +83,7 @@ def test_run_config_stays_mutable():
 
 @pytest.mark.parametrize("a, b", [
     (DiGraph(2, EDGE, labels=(frozenset({0}), frozenset({1}))), DiGraph(2, EDGE)),
-    (HPartition(1, (frozenset({0}),), "one"), HPartition(1, (frozenset({0}),), "two")),
+    (HPartition(1, (0b1,), "one"), HPartition(1, (0b1,), "two")),
     (Cover(SPACE, (frozenset({"a", "b"}),)),
      Cover(validate_topology(["a", "b"], [[], ["a", "b"]]), (frozenset({"a", "b"}),))),
     (FingerprintSet("graph", 1, ((1, b""),), details=({"graph": 1},)),
@@ -96,17 +96,21 @@ def test_equality_and_hash_leave_a_field_out(a, b):
 
 @pytest.mark.parametrize("a, b", [
     (DiGraph(2, EDGE), DiGraph(2, frozenset())),
-    (HPartition(1, (frozenset({0}),)), HPartition(2, (frozenset({0}),))),
+    (HPartition(1, (0b1,)), HPartition(2, (0b1,))),
     (Cover(SPACE, (frozenset({"a", "b"}),)),
      Cover(SPACE, (frozenset({"a"}), frozenset({"a", "b"})))),
     (FingerprintSet("graph", 1, ()), FingerprintSet("cstar", 1, ())),
     (Segment(F(0), F(1)), Segment(F(0), F(2))),
     (KPair(1, (), 0), KPair(1, (), 1)),
     (PrimPoset((frozenset({0}),), frozenset()), PrimPoset((frozenset({1}),), frozenset())),
+    (Fingerprint(CanonicalCert(1, b""), BlockDecomposition((1,))),
+     Fingerprint(CanonicalCert(1, b""), BlockDecomposition((2,)))),
 ])
 def test_equality_reads_the_other_fields(a, b):
     assert a != b
-    assert a == type(a)(**vars(a))
+    # a NamedTuple has no instance dict: rebuild it from its fields in order
+    fields = a if isinstance(a, tuple) else ()
+    assert a == type(a)(*fields, **({} if fields else vars(a)))
 
 
 def test_cached_properties_are_computed_once():
