@@ -101,6 +101,14 @@ _ALGEBRA_LEVEL_CALLS = [
     "certify --input fixtures/six_point_space.json"
     " --input-b fixtures/three_point_model.json --n-range 1..3 --level cstar",
 ]
+# graph files the block picture does not cover: a complete digraph, whose K0
+# has torsion, a cycle, whose K1 is free, and an edgeless graph, whose
+# adjacency matrix has no non-sink column
+_GENERAL_ALGEBRA_CALLS = [
+    "ktheory --input fixtures/complete_3.json",
+    "ktheory --input fixtures/errors/cycle_3.json",
+] + [f"{command} --input fixtures/antichain_3.json"
+     for command in ("cstar", "ktheory", "prim")]
 # a finite-space cover whose members are listed out of the space's order,
 # whose classes have several members and whose Hasse digraph has edges
 _SPACE_COVER_CALLS = [
@@ -126,6 +134,7 @@ CALLS = (
     + _SIDE_CALLS
     + _ALGEBRA_LEVEL_CALLS
     + _SPACE_COVER_CALLS
+    + _GENERAL_ALGEBRA_CALLS
 )
 
 
