@@ -63,7 +63,6 @@ from .fingerprints import (
     singleton_fingerprint,
 )
 from .graphalgebra import (
-    BlockDecomposition,
     KPair,
     PrimPoset,
     block_decomposition,

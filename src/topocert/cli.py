@@ -185,7 +185,7 @@ def _graph(config: RunConfig):
 
 
 def _cstar(config: RunConfig):
-    return block_decomposition(_graph_of_input(config)).to_json(), 0
+    return {"blocks": list(block_decomposition(_graph_of_input(config)))}, 0
 
 
 def _ktheory(config: RunConfig):
@@ -212,6 +212,8 @@ def _compare(config: RunConfig):
 
 def _certify(config: RunConfig):
     loaded_a, loaded_b = load_input(config.input), load_input(config.input_b)
+    if config.n is not None and config.n_range is not None:
+        raise TopocertError("give --n or --n-range, not both")
     side_a = _side_of_input("a", config.input, loaded_a)
     side_b = _side_of_input("b", config.input_b, loaded_b)
     n_range = config.n_range or ((1, config.cap_cover) if config.n is None

@@ -1,15 +1,16 @@
 """Invariant fingerprints of covers, and the comparable sets they form.
 
-A fingerprint keeps what the pipeline extracts from one cover: the canonical
-certificate of its Hasse digraph and the matrix-block multiset of its graph
+A fingerprint is what the comparison levels read off one cover: the
+canonical certificate of its Hasse digraph and the block sizes of its graph
 algebra.  That digraph is acyclic, so the algebra is a finite sum of matrix
 blocks, one per sink: its primitive spectrum is one point per block with no
-order, and its K-groups are (Z^blocks, 0).  The fingerprint reads both off
-the blocks.  Fingerprint sets collect the distinct fingerprints over all
-covers of a given size, projected to one of three comparison levels:
+order, and its K-groups are (Z^blocks, 0), both written from the block
+count.  Fingerprint sets collect the distinct fingerprints over all covers
+of a given size, projected to one of three comparison levels:
 
-  graph    - the isomorphism class of the Hasse digraph (finest),
-  cstar    - the block multiset,
+  graph    - the canonical certificate, the isomorphism class of the Hasse
+             digraph (finest),
+  cstar    - the block sizes,
   ktheory  - the number of blocks, one per maximal class (coarsest).
 """
 
@@ -22,8 +23,8 @@ from .arrangements import (
     enumerate_interval_cover_types,
 )
 from .digraphs import DEFAULT_VERTEX_CAP, CanonicalCert, DiGraph, canonical_cert
-from .errors import Frozen, LevelMismatch
-from .graphalgebra import BlockDecomposition, KPair, PrimPoset, block_decomposition
+from .errors import LevelMismatch
+from .graphalgebra import KPair, block_decomposition
 from .hasse import (
     HPartition,
     cover_class_masks,
@@ -37,45 +38,32 @@ LEVELS = ("graph", "cstar", "ktheory")
 
 
 class Fingerprint(NamedTuple):
-    """Isomorphism invariants of one Hasse digraph; ``kpair`` and ``prim``
-    are derived from the blocks."""
+    """Isomorphism invariants of one Hasse digraph: its canonical
+    certificate and its block sizes, ascending."""
 
     graph_cert: CanonicalCert
-    blocks: BlockDecomposition
+    blocks: tuple
 
-    @property
-    def kpair(self) -> KPair:
-        return KPair(k0_rank=len(self.blocks.blocks), k0_torsion=(), k1_rank=0)
-
-    @property
-    def prim(self) -> PrimPoset:
-        """One point per block, point i standing for block i, and no order."""
-        points = tuple(frozenset({i}) for i in range(len(self.blocks.blocks)))
-        return PrimPoset(points=points, order=frozenset())
-
-    def project(self, level: str) -> tuple:
+    def project(self, level: str):
         """Hashable, sortable key of the fingerprint at a comparison level."""
         if level == "graph":
-            return (self.graph_cert.vertex_count, self.graph_cert.blob)
-        k = len(self.blocks.blocks)
+            return self.graph_cert
         if level == "cstar":
-            # the spectrum's certificate: that of the edgeless digraph on k
-            # vertices, whose canonical adjacency rows are all zero
-            blob = k.to_bytes(4, "big") + bytes(k * ((k + 7) // 8))
-            return (self.blocks.blocks, k, blob)
+            return self.blocks
         if level == "ktheory":
-            return (k, (), 0)
+            return len(self.blocks)
         raise LevelMismatch(f"unknown level {level!r}")
 
     def to_json(self) -> dict:
+        k = len(self.blocks)
         return {
             "graph": {
                 "vertices": self.graph_cert.vertex_count,
                 "cert": self.graph_cert.hex(),
             },
-            "blocks": list(self.blocks.blocks),
-            "k": self.kpair.to_json(),
-            "prim": {"points": len(self.blocks.blocks), "order": []},
+            "blocks": list(self.blocks),
+            "k": KPair(k0_rank=k, k0_torsion=(), k1_rank=0).to_json(),
+            "prim": {"points": k, "order": []},
         }
 
 
@@ -114,29 +102,17 @@ def singleton_fingerprint() -> Fingerprint:
     return fingerprint_of(HPartition(1, (1,)))
 
 
-class FingerprintSet(Frozen):
+class FingerprintSet(NamedTuple):
     """Deduplicated, canonically sorted fingerprint keys at one level.
 
     ``n`` is the cover-size scope (None = union over every size).  ``details``
-    carries one readable fingerprint report per element, for output only,
-    and is ignored by equality.
+    carries one readable fingerprint report per element.
     """
 
-    def __init__(self, level: str, n: Optional[int], elements: tuple,
-                 details: tuple = ()):
-        d = self.__dict__
-        d["level"] = level
-        d["n"] = n
-        d["elements"] = elements
-        d["details"] = details
-
-    def __eq__(self, other):
-        if other.__class__ is not FingerprintSet:
-            return NotImplemented
-        return (self.level, self.n, self.elements) == (other.level, other.n, other.elements)
-
-    def __hash__(self):
-        return hash((self.level, self.n, self.elements))
+    level: str
+    n: Optional[int]
+    elements: tuple
+    details: tuple = ()
 
     def to_json(self) -> dict:
         return {
@@ -149,9 +125,9 @@ class FingerprintSet(Frozen):
 
 def collect_fingerprints(fps: Iterable[Fingerprint], level: str,
                          n: Optional[int]) -> FingerprintSet:
-    """Distinct keys at ``level``; each key's detail is the realizing
-    fingerprint with the smallest content, so it depends only on the set of
-    fingerprints and never on the order they arrive in."""
+    """Distinct keys at ``level``; each key's detail is the least realizing
+    fingerprint, so it depends only on the set of fingerprints and never on
+    the order they arrive in."""
     if level not in LEVELS:
         raise LevelMismatch(f"unknown level {level!r}")
     chosen = {}
@@ -163,16 +139,14 @@ def collect_fingerprints(fps: Iterable[Fingerprint], level: str,
             continue
         seen[id(fp)] = fp
         key = fp.project(level)
-        # everything to_json reports, as one sortable tuple
-        content = (fp.graph_cert.blob, fp.blocks.blocks)
-        if key not in chosen or content < chosen[key][0]:
-            chosen[key] = (content, fp)
+        if key not in chosen or fp < chosen[key]:
+            chosen[key] = fp
     keys = sorted(chosen)
     return FingerprintSet(
         level=level,
         n=n,
         elements=tuple(keys),
-        details=tuple(chosen[k][1].to_json() for k in keys),
+        details=tuple(chosen[k].to_json() for k in keys),
     )
 
 

@@ -2,12 +2,14 @@
 
 For the acyclic Hasse digraphs produced here, the associated algebra is a
 finite direct sum of matrix blocks, one per sink, of size equal to the number
-of directed paths into that sink (trivial path included); fingerprints read
-K-groups and spectrum off the blocks.  For any digraph (a graph file may be
-cyclic), K-groups come from the Smith normal form of the
-transposed-adjacency-minus-identity matrix restricted to non-sink columns,
-and the primitive spectrum is realized as a finite ordered set of maximal
-tails.
+of directed paths into that sink (trivial path included):
+``block_decomposition`` gives their sizes, which is all a fingerprint keeps.
+Its K-pair is then (Z^blocks, 0) and its primitive spectrum a discrete space
+with one point per block.  For any digraph (a graph file may be cyclic),
+``k_theory`` takes the Smith normal form of the
+transposed-adjacency-minus-identity matrix restricted to non-sink columns;
+``prim_space`` lists the maximal tails of an acyclic digraph, which are
+never nested, so the spectrum has no order.
 """
 
 from __future__ import annotations
@@ -15,41 +17,16 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .digraphs import DEFAULT_VERTEX_CAP, DiGraph, find_cycle, topological_order
-from .errors import CapExceeded, Frozen, NotAcyclic
+from .errors import CapExceeded, NotAcyclic
 from .snf import diagonal, smith_normal_form
 
 
-class BlockDecomposition(NamedTuple):
-    """Multiset of matrix-block sizes, sorted ascending."""
-
-    blocks: tuple
-
-    def to_json(self) -> dict:
-        return {"blocks": list(self.blocks)}
-
-
-class KPair(Frozen):
+class KPair(NamedTuple):
     """K0 as (free rank, torsion divisor chain), K1 as a free rank."""
 
-    def __init__(self, k0_rank: int, k0_torsion: tuple, k1_rank: int):
-        prev = None
-        for t in k0_torsion:
-            if t < 2 or (prev is not None and t % prev):
-                raise ValueError("torsion divisors must be >= 2 and form a chain")
-            prev = t
-        d = self.__dict__
-        d["k0_rank"] = k0_rank
-        d["k0_torsion"] = k0_torsion
-        d["k1_rank"] = k1_rank
-
-    def __eq__(self, other):
-        if other.__class__ is not KPair:
-            return NotImplemented
-        return ((self.k0_rank, self.k0_torsion, self.k1_rank)
-                == (other.k0_rank, other.k0_torsion, other.k1_rank))
-
-    def __hash__(self):
-        return hash((self.k0_rank, self.k0_torsion, self.k1_rank))
+    k0_rank: int
+    k0_torsion: tuple
+    k1_rank: int
 
     def to_json(self) -> dict:
         return {
@@ -59,21 +36,19 @@ class KPair(Frozen):
 
 
 class PrimPoset(NamedTuple):
-    """Maximal tails with the specialization order (reverse containment).
+    """Maximal tails, canonically sorted, as the points of the primitive
+    spectrum.
 
-    ``points``: frozensets of vertices, canonically sorted (in a
-    fingerprint's block picture, point i is the set {i} of block i);
-    ``order``: pairs (i, j) with points[i] strictly below points[j].
+    Its specialization order (reverse tail containment) is empty:
+    ``maximal_tails`` takes an acyclic graph, where each maximal tail is the
+    ancestor closure of one sink, and a sink reaches no other vertex, so no
+    tail contains another.  ``to_json`` writes that empty order.
     """
 
     points: tuple
-    order: frozenset
 
     def to_json(self) -> dict:
-        return {
-            "points": [sorted(t) for t in self.points],
-            "order": sorted([i, j] for i, j in self.order),
-        }
+        return {"points": [sorted(t) for t in self.points], "order": []}
 
 
 def _require_acyclic(g: DiGraph) -> list:
@@ -83,14 +58,14 @@ def _require_acyclic(g: DiGraph) -> list:
     return order
 
 
-def block_decomposition(g: DiGraph) -> BlockDecomposition:
-    """One block per sink; block size counts directed paths into the sink,
-    the trivial path included."""
+def block_decomposition(g: DiGraph) -> tuple:
+    """The block sizes, ascending: one block per sink, whose size counts the
+    directed paths into the sink, the trivial path included."""
     order = _require_acyclic(g)
     paths = [0] * g.n
     for v in order:
         paths[v] = 1 + sum(paths[u] for u in g.in_sets[v])
-    return BlockDecomposition(blocks=tuple(sorted(paths[s] for s in g.sinks)))
+    return tuple(sorted(paths[s] for s in g.sinks))
 
 
 def k_theory(g: DiGraph) -> KPair:
@@ -108,8 +83,6 @@ def k_theory(g: DiGraph) -> KPair:
         ]
         for i in range(g.n)
     ]
-    if not regular:
-        return KPair(k0_rank=g.n, k0_torsion=(), k1_rank=0)
     _, d, _ = smith_normal_form(mat)
     diag = diagonal(d)
     rank = sum(1 for x in diag if x)
@@ -151,13 +124,5 @@ def maximal_tails(g: DiGraph, cap: int = DEFAULT_VERTEX_CAP) -> list:
 
 
 def prim_space(g: DiGraph, cap: int = DEFAULT_VERTEX_CAP) -> PrimPoset:
-    """Primitive spectrum as a finite ordered space: one point per maximal
-    tail, ordered by reverse tail containment."""
-    tails = maximal_tails(g, cap)
-    order = frozenset(
-        (i, j)
-        for i in range(len(tails))
-        for j in range(len(tails))
-        if i != j and tails[i] > tails[j]
-    )
-    return PrimPoset(points=tuple(tails), order=order)
+    """Primitive spectrum: one point per maximal tail, with no order."""
+    return PrimPoset(points=tuple(maximal_tails(g, cap)))

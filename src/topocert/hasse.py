@@ -20,30 +20,19 @@ and a class lies below another when its neighbourhood is larger.  So
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .digraphs import CanonicalCert, DiGraph, uncached_cert
-from .errors import Frozen
 from .spaces import Cover
 
 
-class HPartition(Frozen):
+class HPartition(NamedTuple):
     """The distinct classes of a cover as member bitmasks, in
-    ``class_order``; ``source`` is ignored by equality."""
+    ``class_order``; ``source`` says where the cover came from."""
 
-    def __init__(self, member_count: int, classes: tuple, source: str = ""):
-        d = self.__dict__
-        d["member_count"] = member_count
-        d["classes"] = classes
-        d["source"] = source
-
-    def __eq__(self, other):
-        if other.__class__ is not HPartition:
-            return NotImplemented
-        return (self.member_count, self.classes) == (other.member_count, other.classes)
-
-    def __hash__(self):
-        return hash((self.member_count, self.classes))
+    member_count: int
+    classes: tuple
+    source: str = ""
 
 
 def class_order(masks: Iterable[int]) -> tuple:

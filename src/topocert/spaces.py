@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import combinations
 from math import comb
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
     CapExceeded,
@@ -85,22 +85,12 @@ class FiniteSpace(Frozen):
         return m
 
 
-class Cover(Frozen):
-    """An ordered family of distinct nonempty opens (frozensets) whose union
-    is the space; ``space`` is ignored by equality."""
+class Cover(NamedTuple):
+    """An ordered family of distinct nonempty opens (frozensets) of
+    ``space`` whose union is the space."""
 
-    def __init__(self, space: FiniteSpace, members: tuple):
-        d = self.__dict__
-        d["space"] = space
-        d["members"] = members
-
-    def __eq__(self, other):
-        if other.__class__ is not Cover:
-            return NotImplemented
-        return self.members == other.members
-
-    def __hash__(self):
-        return hash((self.members,))
+    space: FiniteSpace
+    members: tuple
 
 
 def _check_points(points: Sequence) -> tuple:

@@ -71,9 +71,9 @@ def test_c1_trivial_topology_full_pipeline():
     fp = fingerprint_of(loaded.cover)
     g = hasse_digraph(hpartition_of_cover(loaded.cover))
     assert g.n == 1 and not g.edges
-    assert fp.blocks.blocks == (1,)
-    assert (fp.kpair.k0_rank, fp.kpair.k0_torsion, fp.kpair.k1_rank) == (1, (), 0)
-    assert len(fp.prim.points) == 1
+    assert fp.blocks == (1,)
+    assert fp.to_json()["k"] == {"k0": {"rank": 1, "torsion": []}, "k1": {"rank": 0}}
+    assert fp.to_json()["prim"]["points"] == 1
     ok("C1", "trivial topology gives the one-vertex block-1 fingerprint")
 
 
@@ -88,7 +88,7 @@ def test_c2_chain_topologies_exhaustive():
             path = DiGraph(n=m, edges=frozenset((i, i + 1) for i in range(m - 1)))
             assert canonical_cert(g) == canonical_cert(path), "every graph is a path"
             fp = fingerprint_of(part)
-            assert fp.blocks.blocks == (m,)
+            assert fp.blocks == (m,)
             seen_blocks.add(m)
         assert seen_blocks == set(range(1, k + 1)), "exactly the k block sizes"
     ok("C2", "chains of depth 2,3,4 realize exactly the path fingerprints")
@@ -195,7 +195,7 @@ def test_c6_line_vs_three_point_model():
     assert set(class_sets(part)) == {h("neg"), h("zero"), h("pos")}
     g = hasse_digraph(part)
     assert g.n == 3 and not g.edges, "three incomparable classes"
-    assert fingerprint_of(part).blocks.blocks == (1, 1, 1)
+    assert fingerprint_of(part).blocks == (1, 1, 1)
     # no cover with more than 7 members exists
     for level in ("graph", "cstar", "ktheory"):
         assert fingerprints_of_space(model_space, 8, level).elements == ()

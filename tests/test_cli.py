@@ -137,6 +137,20 @@ class TestCompareAndCertify:
         assert code == 1 and out == ""
         assert "n_range" in json.loads(err)["error"]["message"]
 
+    def test_certify_refuses_n_with_n_range(self, capsys):
+        # a search of --n-range alone once ignored --n and certified at n = 4
+        code, out, err = run_cmd(capsys, command="certify",
+                                 input=fx("chain_3.json"),
+                                 input_b=fx("chain_4.json"), n=2, n_range=(3, 4))
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == {
+            "kind": "Error", "message": "give --n or --n-range, not both"}
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "--input", fx("chain_3.json"), "--input-b",
+                  fx("chain_4.json"), "--n", "2", "--n-range", "3..4"])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err == err
+
     def test_certify_nothing_found_exits_2(self, capsys):
         code, out, _ = run_cmd(capsys, command="certify",
                                input=fx("chain_3.json"),

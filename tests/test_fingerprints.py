@@ -5,7 +5,6 @@ from fractions import Fraction as F
 import pytest
 
 from topocert import (
-    BlockDecomposition,
     CanonicalCert,
     DiGraph,
     Fingerprint,
@@ -34,7 +33,6 @@ from topocert import (
 )
 
 from topocert import fingerprints
-from topocert.digraphs import DEFAULT_VERTEX_CAP
 from topocert.fingerprints import LEVELS, collect_fingerprints
 from topocert.jsonio import load_input
 
@@ -52,12 +50,28 @@ def chain_space(k):
 TRIVIAL = validate_topology(["p", "q"], [[], ["p", "q"]])
 
 
+@pytest.fixture(scope="module")
+def block_picture_sources():
+    """Every distinct Hasse digraph of the line types at n <= 5 and of all
+    covers of the space fixtures, each with one source that realizes it."""
+    sources = {}
+    for n in range(1, 6):
+        for p in enumerate_interval_cover_types(FullLine(), n):
+            sources.setdefault(hasse_digraph(p), p)
+    spaces = space_fixtures()
+    assert len(spaces) == 7
+    for s in spaces:
+        for c in enumerate_covers(s):
+            sources.setdefault(hasse_digraph(hpartition_of_cover(c)), c)
+    return sources
+
+
 class TestFingerprintOf:
     def test_trivial_cover(self):
         fp = fingerprint_of(make_cover(TRIVIAL, [["p", "q"]]))
-        assert fp.blocks.blocks == (1,)
-        assert (fp.kpair.k0_rank, fp.kpair.k1_rank) == (1, 0)
-        assert len(fp.prim.points) == 1
+        assert fp.blocks == (1,)
+        assert fp.to_json()["k"] == {"k0": {"rank": 1, "torsion": []}, "k1": {"rank": 0}}
+        assert fp.to_json()["prim"] == {"points": 1, "order": []}
         assert fp == singleton_fingerprint()
 
     def test_chain_cover_depth_k(self):
@@ -66,57 +80,71 @@ class TestFingerprintOf:
             cover = make_cover(s, [[f"p{i}" for i in range(1, j + 1)]
                                    for j in range(1, k + 1)])
             fp = fingerprint_of(cover)
-            assert fp.blocks.blocks == (k,)
-            assert fp.kpair.k0_rank == 1
-            assert len(fp.prim.points) == 1
+            assert fp.blocks == (k,)
+            assert fp.to_json()["k"]["k0"]["rank"] == 1
+            assert fp.to_json()["prim"]["points"] == 1
 
     def test_three_point_model_seven_cover(self):
         s = generate_topology(["neg", "zero", "pos"], [["neg"], ["pos"], ["zero"]])
         (cover,) = enumerate_covers(s, 7)
         fp = fingerprint_of(cover)
-        assert fp.blocks.blocks == (1, 1, 1)
-        assert fp.kpair.k0_rank == 3
-        assert len(fp.prim.points) == 3
+        assert fp.blocks == (1, 1, 1)
+        assert fp.to_json()["k"]["k0"]["rank"] == 3
+        assert fp.to_json()["prim"]["points"] == 3
         assert fp.graph_cert.vertex_count == 3
 
-    def test_block_picture_agrees_with_k_theory_and_prim_space(self):
-        # a fingerprint reads its K-pair and spectrum off the blocks; on every
-        # distinct Hasse digraph of the line types at n <= 5 and of all covers
-        # of the space fixtures, SNF and the maximal tails give the same
-        sources = {}
-        for n in range(1, 6):
-            for p in enumerate_interval_cover_types(FullLine(), n):
-                sources.setdefault(hasse_digraph(p), p)
-        spaces = space_fixtures()
-        assert len(spaces) == 7
-        for s in spaces:
-            for c in enumerate_covers(s):
-                sources.setdefault(hasse_digraph(hpartition_of_cover(c)), c)
-        assert len(sources) > 1134  # the line alone has 1,134 at n = 5
-        for g, source in sources.items():
+    def test_block_picture_agrees_with_k_theory_and_prim_space(self, block_picture_sources):
+        # a fingerprint writes its K-pair and spectrum from the block count;
+        # on every distinct Hasse digraph of the line types at n <= 5 and of
+        # all covers of the space fixtures, SNF and the maximal tails agree
+        assert len(block_picture_sources) > 1134  # the line alone has 1,134 at n = 5
+        for g, source in block_picture_sources.items():
             sinks = len(g.sinks)
             kp, ps = k_theory(g), prim_space(g)
             assert (kp.k0_rank, kp.k0_torsion, kp.k1_rank) == (sinks, (), 0)
-            assert len(ps.points) == sinks and ps.order == frozenset()
+            assert len(ps.points) == sinks
             fp = fingerprint_of(source)
             assert fp.blocks == block_decomposition(g)
-            assert fp.kpair == kp
             assert fp.to_json()["k"] == kp.to_json()
             assert fp.to_json()["prim"] == {"points": sinks, "order": []}
 
-    def test_cstar_key_carries_the_spectrum_certificate(self):
-        # the spectrum is k unordered points: the edgeless digraph on k vertices
-        graph_cert = singleton_fingerprint().graph_cert
-        for k in range(1, DEFAULT_VERTEX_CAP + 2):
-            fp = Fingerprint(graph_cert, BlockDecomposition((1,) * k))
-            spectrum = canonical_cert(DiGraph(n=k, edges=frozenset()), cap=k)
-            assert fp.project("cstar") == ((1,) * k, k, spectrum.blob)
-            assert len(fp.prim.points) == k and not fp.prim.order
+    def test_level_keys_order_as_the_old_tuple_keys(self, block_picture_sources):
+        # each level's key was once a tuple: (vertex count, blob) at graph;
+        # (blocks, k, the blob of the spectrum, the edgeless digraph on k
+        # vertices) at cstar; (k, (), 0) at ktheory.  Sorting and grouping by
+        # ``project`` must be sorting and grouping by those.
+        def old_key(fp, level):
+            k = len(fp.blocks)
+            if level == "graph":
+                return (fp.graph_cert.vertex_count, fp.graph_cert.blob)
+            if level == "cstar":
+                spectrum = canonical_cert(DiGraph(n=k, edges=frozenset()), cap=k)
+                return (fp.blocks, k, spectrum.blob)
+            return (k, (), 0)
+
+        fps = {fingerprint_of(source) for source in block_picture_sources.values()}
+        for level in LEVELS:
+            pairs = sorted({(old_key(fp, level), fp.project(level)) for fp in fps})
+            new_keys = [new for _, new in pairs]
+            # one new key per old key, in the same order
+            assert len({old for old, _ in pairs}) == len(pairs)
+            assert new_keys == sorted(set(new_keys))
+            # the detail each key keeps: the realizing fingerprint whose
+            # (blob, blocks) is least, listed in old key order
+            chosen = {}
+            for fp in fps:
+                key, content = old_key(fp, level), (fp.graph_cert.blob, fp.blocks)
+                if key not in chosen or content < chosen[key][0]:
+                    chosen[key] = (content, fp)
+            details = tuple(chosen[key][1].to_json() for key in sorted(chosen))
+            fs = collect_fingerprints(list(fps), level, None)
+            assert fs.elements == tuple(new_keys)
+            assert fs.details == details
 
     def test_equality_reads_the_graph_and_the_blocks_only(self):
         fp = singleton_fingerprint()
         assert Fingerprint(**fp._asdict()) == fp and hash(Fingerprint(**fp._asdict())) == hash(fp)
-        assert Fingerprint(fp.graph_cert, BlockDecomposition((2,))) != fp
+        assert Fingerprint(fp.graph_cert, (2,)) != fp
         assert Fingerprint(CanonicalCert(1, b"x"), fp.blocks) != fp
 
     def test_level_projections_are_monotone(self):
