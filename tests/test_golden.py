@@ -117,6 +117,21 @@ _SPACE_COVER_CALLS = [
     f"{command} --input fixtures/chain_3_cover.json"
     for command in ("hclasses", "graph", "graph --format dot")
 ]
+# command lines the parser refuses: a flag outside the command's row, in the
+# last two calls with a value the command would otherwise ignore, and a cap
+# below 1; all exit 1
+_FRONT_DOOR_CALLS = [
+    "pg --input fixtures/chain_3.json --n-range 9..9",
+    "validate --input fixtures/chain_3.json --n 7 --level cstar",
+    "pg --input fixtures/chain_4.json --cap-cover 0",
+]
+# a graph file that carries one label per vertex, and one whose labels are
+# too few (ParseError, exit 3)
+_LABELLED_GRAPH_CALLS = [
+    "graph --input fixtures/labelled_graph.json",
+    "graph --input fixtures/labelled_graph.json --format dot",
+    "graph --input fixtures/errors/labels_short.json",
+]
 
 CALLS = (
     _README_CERTIFY
@@ -137,6 +152,8 @@ CALLS = (
     + _ALGEBRA_LEVEL_CALLS
     + _SPACE_COVER_CALLS
     + _GENERAL_ALGEBRA_CALLS
+    + _FRONT_DOOR_CALLS
+    + _LABELLED_GRAPH_CALLS
 )
 
 
