@@ -32,14 +32,9 @@ class CanonicalCert(NamedTuple):
 
 
 class DiGraph(Frozen):
-    """Immutable digraph on vertices 0..n-1 without self-loops.
+    """Immutable digraph on vertices 0..n-1 without self-loops."""
 
-    ``labels``, when present, carries one set of member indices per vertex
-    (the class behind the vertex); it is ignored by equality, isomorphism
-    and certificates.
-    """
-
-    def __init__(self, n: int, edges: frozenset, labels: Optional[tuple] = None):
+    def __init__(self, n: int, edges: frozenset):
         if n < 1:
             raise ValueError("digraph needs at least one vertex")
         for u, v in edges:
@@ -47,12 +42,9 @@ class DiGraph(Frozen):
                 raise ValueError(f"edge ({u},{v}) out of range")
             if u == v:
                 raise ValueError(f"self-loop at {u} not allowed")
-        if labels is not None and len(labels) != n:
-            raise ValueError("labels must have one entry per vertex")
         d = self.__dict__
         d["n"] = n
         d["edges"] = edges
-        d["labels"] = labels
 
     def __eq__(self, other):
         if other.__class__ is not DiGraph:
@@ -83,14 +75,7 @@ class DiGraph(Frozen):
 
 def relabel(g: DiGraph, perm: Sequence[int]) -> DiGraph:
     """Relabeled copy: vertex v becomes perm[v]."""
-    edges = frozenset((perm[u], perm[v]) for u, v in g.edges)
-    labels = None
-    if g.labels is not None:
-        out = [None] * g.n
-        for v, lab in enumerate(g.labels):
-            out[perm[v]] = lab
-        labels = tuple(out)
-    return DiGraph(n=g.n, edges=edges, labels=labels)
+    return DiGraph(n=g.n, edges=frozenset((perm[u], perm[v]) for u, v in g.edges))
 
 
 def topological_order(g: DiGraph) -> Optional[list]:
@@ -263,10 +248,9 @@ def _canonical_order(g: DiGraph) -> tuple:
 
 
 # Process-wide, for graphs that recur across calls; a graph that is
-# canonicalised once (see ``uncached_cert``) stays out of it.  A DiGraph
-# hashes and compares on ``(n, edges)`` only, so labels do not split it.
-# Distinct neighbourhood tuples, the fingerprint memo's key for a finite-space
-# cover, often give the same labelled Hasse digraph: those repeats hit here.
+# canonicalised once (see ``uncached_cert``) stays out of it.  Distinct
+# neighbourhood tuples, the fingerprint memo's key for a finite-space cover,
+# often give the same Hasse digraph: those repeats hit here.
 _canonical_order_key = lru_cache(maxsize=65536)(_canonical_order)
 
 
@@ -320,16 +304,14 @@ def is_isomorphic(g1: DiGraph, g2: DiGraph,
     return True, mapping
 
 
-def _label_text(label) -> str:
-    return "{" + ",".join(str(x) for x in sorted(label)) + "}"
-
-
-def to_dot(g: DiGraph) -> str:
-    """Deterministic DOT rendering; vertices carry h-class labels if present."""
+def to_dot(g: DiGraph, labels: Optional[Sequence] = None) -> str:
+    """Deterministic DOT rendering; vertex v carries the set ``labels[v]``
+    of member indices when labels are given."""
     lines = ["digraph {"]
     for v in range(g.n):
-        if g.labels is not None:
-            lines.append(f'  v{v} [label="{_label_text(g.labels[v])}"];')
+        if labels is not None:
+            members = ",".join(str(x) for x in sorted(labels[v]))
+            lines.append(f'  v{v} [label="{{{members}}}"];')
         else:
             lines.append(f"  v{v};")
     for u, v in sorted(g.edges):

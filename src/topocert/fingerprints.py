@@ -75,11 +75,11 @@ def fingerprint_of(source: Union[Cover, HPartition],
     A fingerprint depends only on the isomorphism class of the Hasse
     digraph.  ``memo``, when given, maps each key already seen to its
     fingerprint: for a cover, its ``cover_neighbourhoods``, which fix that
-    class; for a partition, its labelled Hasse digraph (``DiGraph`` compares
-    on ``(n, edges)``).  The caller owns the memo for one fingerprint set;
-    results are the same with or without it.  A cover's Hasse digraph is
-    built from its class bitmasks only on a miss, with no partition and no
-    vertex labels.
+    class; for a partition, its Hasse digraph, vertex i being class i
+    (``DiGraph`` compares on ``(n, edges)``).  The caller owns the memo for
+    one fingerprint set; results are the same with or without it.  A cover's
+    Hasse digraph is built from its class bitmasks only on a miss, with no
+    partition.
     """
     is_cover = isinstance(source, Cover)
     key = cover_neighbourhoods(source) if is_cover else hasse_digraph(source)

@@ -115,9 +115,8 @@ def hasse_digraph(partition: HPartition) -> DiGraph:
     Vertex i is the i-th canonical class; edge i->j means class i is a
     maximal proper subset of class j among the classes.
     """
-    cls, n = partition.classes, partition.member_count
-    return DiGraph(n=len(cls), edges=hasse_edges(cls),
-                   labels=tuple(class_members(c, n) for c in cls))
+    cls = partition.classes
+    return DiGraph(n=len(cls), edges=hasse_edges(cls))
 
 
 def canonical_key(partition: HPartition) -> CanonicalCert:

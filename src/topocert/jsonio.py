@@ -177,7 +177,9 @@ class LoadedInput(NamedTuple):
     kind is one of "space" (``space``, and ``cover`` when the file has one),
     "covers" (``specs``: the witness covers of an interval, arc or plane
     file; an interval file may carry one cover under "members" or several
-    under "covers", a plane file carries one), "domain" or "graph".
+    under "covers", a plane file carries one), "domain" or "graph"
+    (``graph``, and ``vertex_labels``, one set of integers per vertex, when
+    the file has "labels").
     """
 
     kind: str
@@ -186,6 +188,7 @@ class LoadedInput(NamedTuple):
     specs: tuple = ()  # of IntervalSpec | AxisAlignedSpec
     domain: object = None
     graph: Optional[DiGraph] = None
+    vertex_labels: Optional[tuple] = None
 
 
 def _read(path: str, interpret, passes=()):
@@ -264,9 +267,10 @@ def _interpret(doc) -> LoadedInput:
             n=_integer(doc["n"]),
             edges=frozenset((_integer(u), _integer(v))
                             for u, v in _array(doc, "edges")),
-            labels=labels,
         )
-        return LoadedInput("graph", graph=graph)
+        if labels is not None and len(labels) != graph.n:
+            raise ValueError("labels must have one entry per vertex")
+        return LoadedInput("graph", graph=graph, vertex_labels=labels)
     raise ValueError("unrecognized input file shape")
 
 
@@ -291,10 +295,10 @@ def partition_json(p: HPartition) -> dict:
     }
 
 
-def graph_json(g: DiGraph) -> dict:
+def graph_json(g: DiGraph, labels: Optional[tuple] = None) -> dict:
     doc = {"n": g.n, "edges": sorted([u, v] for u, v in g.edges)}
-    if g.labels is not None:
-        doc["labels"] = [sorted(l) for l in g.labels]
+    if labels is not None:
+        doc["labels"] = [sorted(l) for l in labels]
     return doc
 
 

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from topocert.cli import RunConfig, main, run
+from topocert.cli import main, run
 from topocert.jsonio import parse_fraction
 from topocert.fingerprints import LEVELS
 
@@ -20,8 +20,21 @@ def fx(name):
     return str(FIXTURES / name)
 
 
+def argv_of(command, **kw):
+    """The command line giving each keyword that is not None as its flag:
+    ``fmt`` as --format, an ``n_range`` pair (lo, hi) as --n-range lo..hi."""
+    argv = [command]
+    for key, value in kw.items():
+        if value is not None:
+            if key == "n_range":
+                value = "%d..%d" % value
+            argv += ["--" + ("format" if key == "fmt" else key.replace("_", "-")),
+                     str(value)]
+    return argv
+
+
 def run_cmd(capsys, **kw):
-    code = run(RunConfig(**kw))
+    code = run(argv_of(**kw))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -310,7 +323,7 @@ class TestErrorMapping:
             else:
                 p.write_text(text)
             for command in ("validate", "hclasses", "graph", "pg"):
-                code = run(RunConfig(command=command, input=str(p)))
+                code = run([command, "--input", str(p)])
                 captured = capsys.readouterr()
                 assert code != 0
                 err_doc = json.loads(captured.err or captured.out)
@@ -494,18 +507,19 @@ _graph_doc = st.fixed_dictionaries(
     optional={"labels": _lists(_lists(_ints))})
 _SINGLE_INPUT = ("validate", "hclasses", "graph", "cstar", "ktheory", "prim",
                  "pg", "enumerate")
+_TAKES_N = ("pg", "enumerate")
 
 
 _doc = st.one_of(_space_doc, _interval_doc, _plane_doc, _graph_doc)
 
 
-def _assert_documented_exit(config, docs):
+def _assert_documented_exit(argv, docs):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run(config)
-    assert code in (0, 1, 2, 3, 4, 5), (config.command, docs)
+        code = run(argv)
+    assert code in (0, 1, 2, 3, 4, 5), (argv[0], docs)
     if code not in (0, 2):
-        assert out.getvalue() == "", (config.command, docs)
+        assert out.getvalue() == "", (argv[0], docs)
         error = json.loads(err.getvalue())
         assert list(error) == ["error"] and "kind" in error["error"]
 
@@ -518,8 +532,9 @@ class TestGeneratedInputs:
         path = tmp_path_factory.getbasetemp() / "generated.json"
         path.write_text(json.dumps(doc))
         for command in _SINGLE_INPUT:
-            _assert_documented_exit(RunConfig(command=command, input=str(path), n=n),
-                                    doc)
+            _assert_documented_exit(
+                argv_of(command, input=str(path), n=n if command in _TAKES_N else None),
+                doc)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     @given(doc=_doc, doc_b=_doc, n=st.sampled_from([None, 1, 2, 3]))
@@ -530,8 +545,8 @@ class TestGeneratedInputs:
         path.write_text(json.dumps(doc))
         path_b.write_text(json.dumps(doc_b))
         paths = dict(input=str(path), input_b=str(path_b))
-        _assert_documented_exit(RunConfig(command="compare", n=n, **paths), (doc, doc_b))
-        _assert_documented_exit(RunConfig(command="certify", n_range=(1, 2), **paths),
+        _assert_documented_exit(argv_of("compare", n=n, **paths), (doc, doc_b))
+        _assert_documented_exit(argv_of("certify", n_range=(1, 2), **paths),
                                 (doc, doc_b))
 
 
@@ -672,15 +687,32 @@ class TestDeterminism:
         assert written.value.code == printed.value.code
         assert path.read_bytes() == out.encode("utf-8") != b""
 
-    def test_run_config_rejects_what_the_parser_rejects(self):
-        # the library path used to accept these and print JSON with exit 0
+    def test_run_refuses_a_flag_outside_the_command_row(self, capsys):
+        # a library config once took every flag for every command: these
+        # printed JSON with exit 0, the last two ignoring --n-range, --n and
+        # --level
         chain = fx("chain_4.json")
         for kw in (dict(command="validate", fmt="text"),
                    dict(command="graph", fmt="text"),
                    dict(command="certify", input_b=chain, fmt="text"),
                    dict(command="pg", fmt="dot"),
-                   dict(command="bogus")):
-            with pytest.raises(ValueError):
-                RunConfig(input=chain, **kw)
-        for command, fmt in (("graph", "dot"), ("pg", "text"), ("validate", "json")):
-            assert RunConfig(command=command, input=chain, fmt=fmt).fmt == fmt
+                   dict(command="bogus"),
+                   dict(command="pg", n_range=(9, 9)),
+                   dict(command="validate", n=7, level="cstar")):
+            code, out, err = run_cmd(capsys, input=chain, **kw)
+            assert (code, out) == (1, ""), kw
+            assert json.loads(err)["error"]["kind"] == "Error"
+        for command, path, fmt in (("graph", fx("segment_cover_first.json"), "dot"),
+                                   ("pg", chain, "text"), ("validate", chain, "json")):
+            assert run_cmd(capsys, command=command, input=path, fmt=fmt)[0] == 0
+
+    def test_malformed_env_cap_leaves_version_and_help_alone(self):
+        for name in ("TOPOCERT_CAP_COVER", "TOPOCERT_CAP_VERTICES"):
+            for raw in ("x", "0"):
+                env = dict(os.environ, **{name: raw})
+                for flag, expected in (("--version", b"0.1.0\n"),
+                                       ("--help", b"usage: topocert")):
+                    out = subprocess.run([sys.executable, "-m", "topocert", flag],
+                                         capture_output=True, env=env)
+                    assert out.returncode == 0 and out.stderr == b"", (name, raw)
+                    assert out.stdout.startswith(expected)

@@ -25,16 +25,15 @@ def path(n):
     return DiGraph(n=n, edges=frozenset((i, i + 1) for i in range(n - 1)))
 
 
-@pytest.mark.parametrize("n, edges, labels", [
-    (2, {(0, 0)}, None),
-    (2, {(0, 2)}, None),
-    (2, {(-1, 0)}, None),
-    (0, set(), None),
-    (2, {(0, 1)}, (frozenset({0}),)),
-], ids=["self-loop", "edge-past-n", "negative-vertex", "no-vertex", "label-short"])
-def test_invalid_digraph_raises_when_built(n, edges, labels):
+@pytest.mark.parametrize("n, edges", [
+    (2, {(0, 0)}),
+    (2, {(0, 2)}),
+    (2, {(-1, 0)}),
+    (0, set()),
+], ids=["self-loop", "edge-past-n", "negative-vertex", "no-vertex"])
+def test_invalid_digraph_raises_when_built(n, edges):
     with pytest.raises(ValueError):
-        DiGraph(n=n, edges=frozenset(edges), labels=labels)
+        DiGraph(n=n, edges=frozenset(edges))
 
 
 def test_topological_order_none_on_cycle():
@@ -216,8 +215,7 @@ class TestToDot:
         assert "v0 -> v1;" in out
 
     def test_antichain_has_no_edge_lines(self):
-        g = DiGraph(n=3, edges=frozenset(),
-                    labels=(frozenset({0}), frozenset({1}), frozenset({2})))
-        out = to_dot(g)
+        out = to_dot(DiGraph(n=3, edges=frozenset()),
+                     (frozenset({0}), frozenset({1}), frozenset({2})))
         assert "->" not in out
         assert out.count("label=") == 3
