@@ -154,6 +154,19 @@ _CAP_AND_SIZE_CALLS = [
     "certify --input fixtures/chain_3.json --input-b fixtures/chain_4.json"
     " --n-range 2..2 --cap-vertices 1",
 ]
+# spellings at the input boundary: a rational end written as a decimal, with
+# a space or with a non-ASCII digit, a numerator past the digit limit, points
+# that are not strings, and counts written with a sign, a non-ASCII digit, a
+# leading zero or an underscore
+_SPELLING_CALLS = (
+    [f"hclasses --input fixtures/errors/{cover}.json"
+     for cover in ("decimal_end", "spaced_inf", "unicode_digit", "long_numerator")]
+    + ["validate --input fixtures/errors/points_not_strings.json"]
+    + [f"pg --input fixtures/chain_4.json --n {n}" for n in ("+2", "٢", "02")]
+    + ["graph --input fixtures/chain_3_cover.json --cap-vertices 4_0",
+       "certify --input fixtures/chain_3.json --input-b fixtures/chain_4.json"
+       " --n-range 1_0..1_0"]
+)
 
 CALLS = (
     _README_CERTIFY
@@ -177,6 +190,7 @@ CALLS = (
     + _FRONT_DOOR_CALLS
     + _LABELLED_GRAPH_CALLS
     + _CAP_AND_SIZE_CALLS
+    + _SPELLING_CALLS
 )
 
 
