@@ -18,6 +18,7 @@ and ends with the error's ``exit_code``:
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import Optional
@@ -47,6 +48,7 @@ from .jsonio import (
     graph_json,
     load_input,
     load_space,
+    parse_count,
     partition_json,
     space_json,
 )
@@ -55,11 +57,11 @@ from .spaces import enumerate_covers
 _EXIT_NEGATIVE = 2
 _FLAGS = {
     "input_b": dict(required=True),
-    "n": dict(type=int),
+    "n": dict(type=parse_count),
     "n_range": dict(help="inclusive range, e.g. 4..4"),
     "level": dict(choices=list(LEVELS), default="graph"),
-    "cap_cover": dict(type=int),
-    "cap_vertices": dict(type=int),
+    "cap_cover": dict(type=parse_count),
+    "cap_vertices": dict(type=parse_count),
 }
 _CAP_DEFAULTS = {"cap_cover": DEFAULT_COVER_SIZE_CAP,
                  "cap_vertices": DEFAULT_VERTEX_CAP}
@@ -68,13 +70,13 @@ _CAP_DEFAULTS = {"cap_cover": DEFAULT_COVER_SIZE_CAP,
 def _cap(given: Optional[int], flag: str) -> int:
     """``given`` if the flag was given, else the environment variable
     ``TOPOCERT_<FLAG>``, else the cap's default; a variable that is not a
-    positive integer is a ParseError even when the flag is given."""
+    positive count is a ParseError even when the flag is given."""
     name = "TOPOCERT_" + flag.upper()
     raw = os.environ.get(name)
     value = _CAP_DEFAULTS[flag]
     if raw is not None:
         try:
-            value = int(raw)
+            value = parse_count(raw)
         except ValueError:
             value = 0
         if value < 1:
@@ -205,7 +207,7 @@ def _certify(args):
     if args.n_range is not None:
         lo, _, hi = args.n_range.partition("..")
         try:
-            n_range = int(lo), int(hi)
+            n_range = parse_count(lo), parse_count(hi)
         except ValueError:
             raise ValueError(f"bad --n-range: {args.n_range!r}") from None
     side_a = _side_of_input("a", args.input, loaded_a)
@@ -296,7 +298,9 @@ class _Parser(argparse.ArgumentParser):
         raise TopocertError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = _Parser(prog="topocert", allow_abbrev=False, description=(
         "Open-cover invariants and non-homeomorphism certificates."))
     parser.add_argument("--version", action="version", version=__version__)

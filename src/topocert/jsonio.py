@@ -1,15 +1,15 @@
 """JSON input/output for spaces, covers, arrangements and graphs.
 
-Rationals are serialized as strings ("3/4", "-6"); infinite interval ends as
-"-inf" (lo) and "inf" (hi), and "+inf" or null are read too.  Loaders report
-a failure as a ParseError naming the file; a CapExceeded or a NotACover
-keeps its own kind.
+A rational is a JSON integer (not a boolean) or a string -?[0-9]+(/[0-9]+)?
+with a nonzero denominator, as it is written ("3/4", "-6").  An unbounded
+interval end is written as null, and read as null, "-inf" (lo) or "inf" or
+"+inf" (hi).  Points are JSON strings.  Loaders report a failure as a
+ParseError naming the file; a CapExceeded or a NotACover keeps its own kind.
 """
 
 from __future__ import annotations
 
 import json
-import re
 import sys
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -29,63 +29,39 @@ from .hasse import HPartition, class_members
 from .spaces import Cover, FiniteSpace, make_cover, generate_topology, validate_topology
 
 
-# a decimal with an exponent as Fraction reads it: whole part, decimal part
-# and exponent, each perhaps with underscores.  re compiles it on first use,
-# so that start-up does not pay for it.
-_EXPONENT_FORM = (
-    r"\s*[-+]?(?=\.?\d)(\d*(?:_\d+)*)(?:\.(\d*(?:_\d+)*))?[eE]([-+]?\d+(?:_\d+)*)\s*")
-
-
-def _too_long(text: str, limit: int) -> ValueError:
-    return ValueError(f"rational {text!r} has a numerator or denominator of "
-                      f"more than {limit} digits")
-
-
-def _exponent_checked(text: str, limit: int) -> str:
-    """``text``, a rational written with an exponent, unless the exponent
-    alone shows a numerator or denominator of more than ``limit`` digits;
-    Fraction would build 10**exponent first.  The value is int(digits) *
-    10**scale: its numerator has len(digits) + scale digits when scale >= 0,
-    and its denominator at least 1 - scale - len(digits) when scale < 0.  A
-    zero mantissa drops its exponent."""
-    form = re.fullmatch(_EXPONENT_FORM, text)
-    if form is None:
-        return text  # Fraction refuses it
-    whole, frac, exp = (part.replace("_", "") for part in form.groups(""))
-    digits = (whole + frac).lstrip("0")
-    if not digits:
-        return "0"
-    try:
-        scale = int(exp) - len(frac)
-    except ValueError:  # an exponent of more than ``limit`` digits
-        raise _too_long(text, limit) from None
-    if (len(digits) + scale if scale >= 0 else 1 - scale - len(digits)) > limit:
-        raise _too_long(text, limit)
-    return text
+def _digits(text: str) -> bool:
+    """Whether ``text`` is one or more ASCII digits, the one spelling of a
+    count and of each part of a rational."""
+    return text.isascii() and text.isdigit()
 
 
 def parse_fraction(value) -> Fraction:
-    """A JSON integer or rational string.  A numerator or denominator of more
-    than ``sys.get_int_max_str_digits()`` digits could not be printed, and
-    is refused; only a string with an exponent or longer than that limit can
-    have one."""
-    if isinstance(value, bool):
-        raise ValueError(f"not a rational: {value!r}")
-    if isinstance(value, int):
+    """A JSON integer that is not a boolean, or a string -?[0-9]+(/[0-9]+)?
+    with a nonzero denominator, as ``str`` writes a Fraction.  A numerator
+    or denominator of more than ``sys.get_int_max_str_digits()`` digits
+    could not be printed, and is refused by its length."""
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        limit = sys.get_int_max_str_digits()  # 0 when there is none
-        exponent = "e" in value or "E" in value
-        text = _exponent_checked(value, limit) if exponent and limit else value
-        try:
-            number = Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a rational: {value!r}") from exc
-        if (limit and (exponent or len(value) > limit)
-                and max(abs(number.numerator), number.denominator) >= 10 ** limit):
-            raise _too_long(value, limit)
-        return number
+        top, slash, bottom = value.partition("/")
+        digits = top.removeprefix("-")
+        if _digits(digits) and (not slash or _digits(bottom)):
+            limit = sys.get_int_max_str_digits()  # 0 when there is none
+            if limit and max(len(digits), len(bottom)) > limit:
+                raise ValueError(f"rational {value!r} has a numerator or "
+                                 f"denominator of more than {limit} digits")
+            denominator = int(bottom) if slash else 1
+            if denominator:
+                return Fraction(int(top), denominator)
     raise ValueError(f"not a rational: {value!r}")
+
+
+def parse_count(text: str) -> int:
+    """A count on the command line or in a TOPOCERT_CAP_* variable: ASCII
+    digits only, so that each value has one spelling."""
+    if not _digits(text):
+        raise ValueError(f"not a count: {text!r}")
+    return int(text)
 
 
 def _integer(value) -> int:
@@ -114,13 +90,11 @@ def _parse_end(member: dict, key: str) -> Optional[Fraction]:
     """End ``key`` ("lo" or "hi") of an interval member; null means
     unbounded, and so does "-inf" for lo and "inf" or "+inf" for hi."""
     value = member.get(key)
-    if value is None:
+    if value is None or value in _UNBOUNDED[key]:
         return None
-    if isinstance(value, str) and value.strip().lstrip("+-") == "inf":
-        if value.strip() not in _UNBOUNDED[key]:
-            raise ValueError(f'"{key}" cannot be {value!r}: it is unbounded as '
-                             f'null or {" or ".join(map(repr, _UNBOUNDED[key]))}')
-        return None
+    if value in ("-inf", "inf", "+inf"):
+        raise ValueError(f'"{key}" cannot be {value!r}: it is unbounded as '
+                         f'null or {" or ".join(map(repr, _UNBOUNDED[key]))}')
     return parse_fraction(value)
 
 
@@ -229,6 +203,8 @@ def load_space(path: str) -> FiniteSpace:
 
 def _space(doc) -> FiniteSpace:
     points = _array(doc, "points", of_arrays=False)
+    if not all(isinstance(p, str) for p in points):
+        raise ValueError('each item of "points" must be a JSON string')
     if "opens" in doc:
         return validate_topology(points, _array(doc, "opens"))
     if "subbasis" in doc:

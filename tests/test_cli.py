@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -14,6 +15,10 @@ from topocert.jsonio import parse_fraction
 from topocert.fingerprints import LEVELS
 
 from conftest import FIXTURES
+
+
+# spellings of 2 or 10 that a count refuses
+_COUNT_SPELLINGS = (" 2", "+2", "1_0", "\u0662", "2.0")
 
 
 def fx(name):
@@ -255,8 +260,7 @@ class TestErrorMapping:
                  " null or '-inf'"),
                 ("hi_negative_inf", "\"hi\" cannot be '-inf': it is unbounded as"
                  " null or 'inf' or '+inf'"),
-                ("exponent_past_digit_limit", "rational '1e5000' has a numerator or"
-                 f" denominator of more than {sys.get_int_max_str_digits()} digits")):
+                ("exponent_past_digit_limit", "not a rational: '1e5000'")):
             code, out, err = run_cmd(capsys, command="hclasses",
                                      input=fx(f"errors/{name}.json"))
             assert (code, out) == (3, "")
@@ -264,17 +268,20 @@ class TestErrorMapping:
             assert (error["kind"], error["detail"]) == ("ParseError", detail)
 
     def test_rationals_past_the_digit_limit_are_refused(self):
+        # an exponent is no spelling of a rational, however short; a run of
+        # digits is judged by its length, before it is converted
         limit = sys.get_int_max_str_digits()
-        for text, value in (("2.5e-3", F(1, 400)), ("-1_0.5E2", F(-1050)),
-                            ("0e3000000", F(0)), (f"5e-{limit}", F(1, 2 * 10 ** (limit - 1))),
-                            (f"1.5e{limit - 1}", F(15 * 10 ** (limit - 2)))):
-            assert parse_fraction(text) == value
-        for text in ("1e3000000", "-1e-3000000", f"1.5e{limit}", f"3e-{limit}",
-                     "1e" + "9" * (limit + 1), "0." + "1" * limit):
-            with pytest.raises(ValueError, match="more than"):
-                parse_fraction(text)
-        for text in ("e5", ".e5", "1/2e3"):
+        for text in ("2.5e-3", "-1_0.5E2", "0e3000000", "1e3000000", "-1e-3000000",
+                     f"5e-{limit}", "1e" + "9" * (limit + 1), "0." + "1" * limit,
+                     "e5", ".e5", "1/2e3"):
             with pytest.raises(ValueError, match="not a rational"):
+                parse_fraction(text)
+        ones = "1" * limit
+        for text, value in ((ones, F(int(ones))), ("-" + ones, F(-int(ones))),
+                            ("3/" + ones, F(3, int(ones)))):
+            assert parse_fraction(text) == value
+        for text in (ones + "1", "-" + ones + "1", "3/" + ones + "1", "0" * (limit + 1)):
+            with pytest.raises(ValueError, match=f"more than {limit} digits"):
                 parse_fraction(text)
 
     def test_closed_lo_false_is_the_default(self, tmp_path, capsys):
@@ -431,7 +438,9 @@ class TestErrorMapping:
             assert doc["message"].startswith("cannot write file:")
 
     def test_bad_n_range_names_the_range(self, capsys):
-        for raw in ("2..", "a..b", "1..2..3", "4", "4:4"):
+        for raw in ("2..", "a..b", "1..2..3", "4", "4:4",
+                    *(f"{count}..2" for count in _COUNT_SPELLINGS),
+                    *(f"2..{count}" for count in _COUNT_SPELLINGS)):
             with pytest.raises(SystemExit) as exc:
                 main(["certify", "--input", fx("chain_2.json"), "--input-b",
                       fx("chain_3.json"), "--n-range", raw])
@@ -464,6 +473,82 @@ class TestErrorMapping:
             assert json.loads(err)["error"]["path"] == kw.get("input_b", kw["input"])
 
 
+def _line_cover(hi):
+    """A line cover file whose first member ends at ``hi``."""
+    return json.dumps({"domain": {"kind": "line"},
+                       "members": [{"lo": "-inf", "hi": hi}, {"lo": "-1", "hi": "inf"}]})
+
+
+# the grammar of a rational, written out independently of jsonio
+_RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
+
+
+class TestSpellings:
+    @pytest.mark.parametrize("value", [
+        "1.5", "1e3", "1_0", " 1", "+1", "\u0663", "--1", "3/-4", "/4", "3/", "",
+        "1/0", True, 1.5])
+    def test_a_rational_has_one_spelling(self, value, tmp_path, capsys):
+        # the first six used to be read as numbers
+        path = tmp_path / "cover.json"
+        path.write_text(_line_cover(value))
+        code, out, err = run_cmd(capsys, command="hclasses", input=str(path))
+        assert (code, out) == (3, "")
+        error = json.loads(err)["error"]
+        assert (error["kind"], error["detail"]) == (
+            "ParseError", f"not a rational: {value!r}")
+
+    def test_accepted_spellings_read_as_their_plain_form(self, tmp_path, capsys):
+        outputs = set()
+        for spelled, plain in (("-0", "0"), ("007", "7"), ("24/100", "6/25"),
+                               (5, "5")):
+            assert parse_fraction(spelled) == parse_fraction(plain)
+            for i, hi in enumerate((spelled, plain)):
+                path = tmp_path / f"cover{i}.json"
+                path.write_text(_line_cover(hi))
+                code, out, _ = run_cmd(capsys, command="hclasses", input=str(path))
+                assert code == 0
+                outputs.add(out)
+        assert len(outputs) == 1
+
+    @settings(derandomize=True, database=None)
+    @given(q=st.fractions())
+    def test_a_written_rational_reads_back(self, q):
+        assert parse_fraction(str(q)) == q
+
+    @settings(derandomize=True, database=None, max_examples=500)
+    @given(text=st.text(alphabet="0123456789-/.e_+ \u0663", max_size=8))
+    def test_exactly_the_grammar_is_read(self, text):
+        try:
+            parse_fraction(text)
+            read = True
+        except ValueError as exc:
+            assert str(exc) == f"not a rational: {text!r}"
+            read = False
+        assert read == (_RATIONAL.fullmatch(text) is not None), text
+
+    def test_a_count_flag_has_one_spelling(self, capsys):
+        chain = fx("chain_4.json")
+        for raw in _COUNT_SPELLINGS:
+            for flag in ("n", "cap_cover", "cap_vertices"):
+                code, out, err = run_cmd(capsys, command="pg", input=chain,
+                                         **{flag: raw})
+                assert (code, out) == (1, ""), (flag, raw)
+                assert "invalid" in json.loads(err)["error"]["message"]
+        # a leading zero is still the same count
+        assert run_cmd(capsys, command="pg", input=chain, n="02") == \
+            run_cmd(capsys, command="pg", input=chain, n="2")
+
+    def test_points_are_strings(self, tmp_path, capsys):
+        # 1 and "1" were one point twice over, and true was read as 1
+        path = tmp_path / "space.json"
+        path.write_text('{"points": [1, "1"], "opens": [[], [true], ["1"], [1, "1"]]}')
+        for command in ("validate", "enumerate"):
+            code, out, err = run_cmd(capsys, command=command, input=str(path))
+            assert (code, out) == (3, "")
+            assert json.loads(err)["error"]["detail"] == (
+                'each item of "points" must be a JSON string')
+
+
 # JSON documents shaped like each input kind: the right keys, values of the
 # right shape or now and then of some other JSON type, ints with |x| <= 60
 # (mostly small, so that drawn covers often cover), lists of at most 6 items
@@ -484,7 +569,9 @@ _rational = _or_junk(st.one_of(
     _ints, _ints.map(str),
     st.tuples(_ints, _ints).map(lambda t: f"{t[0]}/{t[1]}"),
     st.sampled_from(["inf", "-inf", "1.5", "x"])))
-_point = st.one_of(_ints, st.sampled_from("abcdef"))
+# a point is a string, and now and then an integer, which a space file refuses
+_point = st.integers(0, 7).flatmap(
+    lambda k: st.sampled_from("abcdef") if k else _ints)
 _space_doc = st.one_of(*(
     st.fixed_dictionaries({"points": _lists(_point, unique=True),
                            key: _lists(_lists(_point))},
@@ -608,7 +695,7 @@ class TestDeterminism:
         import os
 
         for name in ("TOPOCERT_CAP_COVER", "TOPOCERT_CAP_VERTICES"):
-            for raw in ("five", "0", "-3"):
+            for raw in ("five", "0", "-3", *_COUNT_SPELLINGS):
                 env = dict(os.environ, **{name: raw})
                 out = subprocess.run(
                     [sys.executable, "-m", "topocert", "pg",

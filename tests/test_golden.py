@@ -54,7 +54,7 @@ _ERROR_CALLS = (
                      "members_string", "members_numbers", "covers_object",
                      "covers_number_item", "lo_positive_inf", "hi_negative_inf",
                      "exponent_past_digit_limit")]
-    # a far larger exponent is refused as fast, before 10**exponent is built
+    # a far larger exponent is refused by its spelling, as fast
     + ["pg --input fixtures/errors/exponent_far_past_digit_limit.json"]  # exit 3
     + ["hclasses --input fixtures/errors/uncovered_point.json"]  # NotACover, exit 5
     + ["enumerate --input fixtures/errors/circle_domain.json --n 2",  # exit 1
@@ -154,10 +154,10 @@ _CAP_AND_SIZE_CALLS = [
     "certify --input fixtures/chain_3.json --input-b fixtures/chain_4.json"
     " --n-range 2..2 --cap-vertices 1",
 ]
-# spellings at the input boundary: a rational end written as a decimal, with
-# a space or with a non-ASCII digit, a numerator past the digit limit, points
-# that are not strings, and counts written with a sign, a non-ASCII digit, a
-# leading zero or an underscore
+# spellings at the input boundary.  Exit 3: a rational end written as a
+# decimal, with a space or with a non-ASCII digit, a numerator past the digit
+# limit and points that are not strings.  Exit 1: counts written with a sign,
+# a non-ASCII digit or an underscore; a leading zero is read (exit 0).
 _SPELLING_CALLS = (
     [f"hclasses --input fixtures/errors/{cover}.json"
      for cover in ("decimal_end", "spaced_inf", "unicode_digit", "long_numerator")]
