@@ -8,7 +8,8 @@ output on purpose, regenerate the file from the repository root with:
 
     PYTHONPATH=src:tests python3 -c "import test_golden; test_golden.regenerate()"
 
-and say in the change which calls moved and why.
+It prints each call whose exit code or digests moved, and each call added
+or dropped; say in the change which calls moved and why.
 """
 
 import contextlib
@@ -211,11 +212,28 @@ def run_call(call: str) -> dict:
             "stderr": _digest(err.getvalue())}
 
 
+def moved(old: dict, new: dict) -> list:
+    """One line per call whose record differs between two golden files,
+    sorted by call: its exit code and digest prefixes before and after,
+    "absent" on the side that does not list it."""
+    def brief(record):
+        if record is None:
+            return "absent"
+        return (f"exit {record['exit']} stdout {record['stdout'][:8]}"
+                f" stderr {record['stderr'][:8]}")
+    return [f"{call}: {brief(old.get(call))} -> {brief(new.get(call))}"
+            for call in sorted(old.keys() | new.keys())
+            if old.get(call) != new.get(call)]
+
+
 def regenerate() -> None:
     for name in ("TOPOCERT_CAP_COVER", "TOPOCERT_CAP_VERTICES"):
         os.environ.pop(name, None)
     os.chdir(ROOT)
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     doc = {call: run_call(call) for call in CALLS}
+    for line in moved(old, doc):
+        print(line)
     GOLDEN.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
@@ -226,6 +244,20 @@ def golden():
 
 def test_golden_file_lists_exactly_the_calls(golden):
     assert sorted(golden) == sorted(CALLS)
+
+
+def test_moved_names_each_changed_added_and_dropped_call():
+    same = {"exit": 0, "stdout": "a" * 64, "stderr": "b" * 64}
+    old = {"kept": same, "exit moved": same, "stdout moved": same, "dropped": same}
+    new = {"kept": same, "exit moved": {**same, "exit": 2},
+           "stdout moved": {**same, "stdout": "c" * 64}, "added": same}
+    record = "exit 0 stdout aaaaaaaa stderr bbbbbbbb"
+    assert moved(old, new) == [
+        f"added: absent -> {record}",
+        f"dropped: {record} -> absent",
+        f"exit moved: {record} -> exit 2 stdout aaaaaaaa stderr bbbbbbbb",
+        f"stdout moved: {record} -> exit 0 stdout cccccccc stderr bbbbbbbb",
+    ]
 
 
 @pytest.mark.parametrize("call", CALLS)
