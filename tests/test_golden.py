@@ -168,6 +168,14 @@ _SPELLING_CALLS = (
        "certify --input fixtures/chain_3.json --input-b fixtures/chain_4.json"
        " --n-range 1_0..1_0"]
 )
+# a point inside "opens", "subbasis" or "cover" that is not a JSON string:
+# a number spelling a point of the space, and a boolean
+_POINT_ITEM_CALLS = (
+    [f"validate --input fixtures/errors/{space}.json"
+     for space in ("opens_number_item", "subbasis_number_item")]
+    + [f"hclasses --input fixtures/errors/{cover}.json"
+       for cover in ("cover_number_item", "cover_boolean_item")]
+)
 
 CALLS = (
     _README_CERTIFY
@@ -192,6 +200,7 @@ CALLS = (
     + _LABELLED_GRAPH_CALLS
     + _CAP_AND_SIZE_CALLS
     + _SPELLING_CALLS
+    + _POINT_ITEM_CALLS
 )
 
 
