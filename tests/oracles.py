@@ -293,6 +293,83 @@ def weak_order_type_keys(domain, n: int) -> set:
     return keys
 
 
+# -- the slot pool: line covers as combinations of slot members ---------------
+
+def slot_members(m: int) -> list:
+    """Every open member of the line over slots 0..m+1 as (Interval,
+    bitmask of the interior slots 1..m it uses, start slot, bitmask of the
+    cells it covers).
+
+    The end slots 0 and m+1 are unbounded and slot s is the point s in
+    between, so start slots never decrease along the pool.  The 2m + 1
+    cells are the points and the gaps that the slots cut the line into,
+    numbered from the left: cell 2s is the gap right of slot s and cell
+    2s - 1 is slot s itself, so (a, b) covers cells 2a .. 2b - 2.
+    """
+    values = [None, *range(1, m + 1), None]
+    return [(Interval(values[a], values[b]),
+             sum(1 << (s - 1) for s in (a, b) if 1 <= s <= m),
+             a,
+             (1 << (2 * b - 1)) - (1 << 2 * a))
+            for a in range(m + 1) for b in range(a + 1, m + 2)]
+
+
+def surjective_choices(pool: list, n: int, m: int):
+    """The n-subsets of a ``slot_members`` pool that use every interior
+    slot 1..m, in ``combinations(pool, n)`` order."""
+    return extend_choices(pool, (1 << m) - 1, 0, n, 0, ())
+
+
+def extend_choices(pool: list, full: int, start: int, left: int, used: int,
+                   chosen: tuple):
+    """Complete ``chosen`` with ``left`` members from ``pool[start:]``.
+
+    A prefix is abandoned once it cannot be completed: when the unused
+    interior slots outnumber twice the members left (a member uses at most
+    two), and when the next member starts right of the lowest unused slot
+    (start slots never decrease along the pool, so that slot stays unused).
+    """
+    free = full & ~used
+    if free.bit_count() > 2 * left:
+        return
+    if not left:
+        yield chosen
+        return
+    lowest = (free & -free).bit_length()  # slot s is bit s - 1; 0: none free
+    for j in range(start, len(pool) - left + 1):
+        member = pool[j]
+        if lowest and member[2] > lowest:
+            return
+        yield from extend_choices(pool, full, j + 1, left - 1, used | member[1],
+                                  chosen + (member,))
+
+
+def slot_pool_labelled_sets(n: int):
+    """The labelled class set of each n-member cover of the line in the
+    slot pool, in the order its surjective choices come: the class mask
+    (member i of n is bit n-1-i) of every cell.  A choice with a cell that
+    no member covers is not a cover and is skipped."""
+    for m in range(2 * n + 1):
+        cells = range(2 * m + 1)
+        for choice in surjective_choices(slot_members(m), n, m):
+            labelled = [sum(1 << (n - 1 - i) for i, member in enumerate(choice)
+                            if member[3] >> c & 1) for c in cells]
+            if 0 not in labelled:
+                yield frozenset(labelled)
+
+
+def slot_pool_types(n: int, source: str = ""):
+    """The line's n-interval cover types, each the partition of the first
+    labelled class set of its key in ``slot_pool_labelled_sets`` order."""
+    keys = set()
+    for labelled in dict.fromkeys(slot_pool_labelled_sets(n)):
+        partition = HPartition(n, class_order(labelled), source)
+        key = canonical_key(partition)
+        if key not in keys:
+            keys.add(key)
+            yield partition
+
+
 def in_domain(domain, x: Fraction) -> bool:
     if isinstance(domain, Segment):
         return domain.lo <= x < domain.hi

@@ -24,10 +24,9 @@ from topocert import (
     hclasses_axis2d,
     hclasses_of_intervals,
 )
-from topocert import arrangements
-from topocert.arrangements import _slot_members, _surjective_choices
 from topocert.jsonio import load_input
 
+import oracles
 from oracles import (
     brute_force_type_key,
     class_sets,
@@ -36,6 +35,9 @@ from oracles import (
     region_contains,
     sampled_interval_classes,
     sampled_plane_classes,
+    slot_members,
+    slot_pool_types,
+    surjective_choices,
     weak_order_type_keys,
 )
 
@@ -476,38 +478,45 @@ def cell_points(slots):
 
 
 class TestSlotPool:
+    # the oracle in ``oracles``: line covers as combinations of slot members
+
     def test_recursion_yields_the_surjective_combinations_in_order(self):
         for n in range(1, 5):
             for m in range(2 * n + 1):
-                pool = _slot_members(m)
+                pool = slot_members(m)
                 full = (1 << m) - 1
                 expected = [c for c in combinations(pool, n)
                             if reduce(or_, (slots for _, slots, *_ in c)) == full]
-                assert list(_surjective_choices(pool, n, m)) == expected
+                assert list(surjective_choices(pool, n, m)) == expected
 
     def test_both_prunes_bound_the_recursion(self, monkeypatch):
         # without the slot-count prune the line at n = 4 makes about 15
         # calls per surjective choice, without the start-slot prune about 12
         calls = 0
-        extend = arrangements._extend
+        extend = oracles.extend_choices
 
         def counted(*args):
             nonlocal calls
             calls += 1
             return extend(*args)
 
-        monkeypatch.setattr(arrangements, "_extend", counted)
+        monkeypatch.setattr(oracles, "extend_choices", counted)
         surjective = {3: 248, 4: 3600}
         for n in (3, 4):
             calls = 0
             choices = sum(1 for m in range(2 * n + 1) for _ in
-                          _surjective_choices(_slot_members(m), n, m))
+                          surjective_choices(slot_members(m), n, m))
             assert choices == surjective[n]
             assert calls < 5 * choices
 
+    def test_oracle_finds_the_enumerated_types(self):
+        for n in range(1, 5):
+            assert ({canonical_key(t) for t in slot_pool_types(n)}
+                    == {canonical_key(t) for t in types_of(FullLine(), n)})
+
     def test_cell_masks_agree_with_membership_at_one_point_per_cell(self):
         for m in range(9):
-            pool = _slot_members(m)
+            pool = slot_members(m)
             slots = slot_values(pool)
             points = cell_points(slots)
             assert len(slots) == m + 2

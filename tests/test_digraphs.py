@@ -7,9 +7,7 @@ import pytest
 from topocert import (
     CapExceeded,
     DiGraph,
-    FullLine,
     canonical_cert,
-    enumerate_interval_cover_types,
     is_isomorphic,
     relabel,
     to_dot,
@@ -18,7 +16,13 @@ from topocert import (
 
 from topocert.digraphs import canonical_order
 
-from oracles import brute_force_isomorphic, class_sets, random_dag, random_digraph
+from oracles import (
+    brute_force_isomorphic,
+    class_sets,
+    random_dag,
+    random_digraph,
+    slot_pool_types,
+)
 
 
 def path(n):
@@ -174,7 +178,7 @@ def pin_corpus():
     """Seeded digraphs for the canonicaliser pin: random ones (most with a
     cycle), disjoint unions of relabelled isomorphic copies, the 30-vertex
     antichain, and the member->class incidence digraph of every line type
-    at n <= 4, taken as the enumerator's stream represents it."""
+    at n <= 4, taken as the slot pool oracle first meets it."""
     rng = random.Random(2024)
     for _ in range(300):
         yield random_digraph(rng, rng.randint(1, 9), rng.choice((0.2, 0.35, 0.5)))
@@ -187,7 +191,7 @@ def pin_corpus():
             for c in range(copies) for u, v in comp.edges))
     yield DiGraph(n=30, edges=frozenset())
     for n in range(1, 5):
-        for t in enumerate_interval_cover_types(FullLine(), n):
+        for t in slot_pool_types(n):
             yield DiGraph(n=n + len(t.classes), edges=frozenset(
                 (i, n + j) for j, c in enumerate(class_sets(t)) for i in c))
 
