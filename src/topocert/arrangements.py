@@ -24,7 +24,7 @@ from itertools import combinations
 from typing import Iterator, List, NamedTuple, Optional
 
 from .errors import CapExceeded, EmptyMember, Frozen, InvalidArrangement, NotACover
-from .hasse import HPartition, canonical_key, class_order
+from .hasse import HPartition, canonical_key, class_order, partition_of_key
 
 DEFAULT_COVER_SIZE_CAP = 5
 
@@ -329,7 +329,8 @@ def enumerate_interval_cover_types(domain, n: int,
                                    cap: int = DEFAULT_COVER_SIZE_CAP
                                    ) -> Iterator[HPartition]:
     """Every combinatorial type of n-interval cover of a segment or the
-    line, one representative per distinct partition identity.
+    line, each as the canonical representative of its key
+    (``hasse.partition_of_key``), in the order the types are found.
 
     A segment's covers have the line's types (the module docstring maps
     them both ways), so both domains walk the line's slot pool in the same
@@ -379,4 +380,4 @@ def enumerate_interval_cover_types(domain, n: int,
             if key in seen_keys:
                 continue
             seen_keys.add(key)
-            yield HPartition(partition.member_count, partition.classes, source)
+            yield partition_of_key(key, source)

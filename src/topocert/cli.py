@@ -229,8 +229,9 @@ def _enumerate(args):
     if loaded.kind == "domain":
         if args.n is None:
             raise ParseError(args.input, "domain enumeration needs --n")
-        types = [partition_json(p) for p in enumerate_interval_cover_types(
-            loaded.domain, args.n, args.cap_cover)]
+        # sorted, so the listing depends on the types and not on the stream
+        types = [partition_json(p) for p in sorted(enumerate_interval_cover_types(
+            loaded.domain, args.n, args.cap_cover))]
         return {"types": types, "count": len(types)}, 0
     raise ParseError(args.input, "enumerate needs a space or a bare domain")
 

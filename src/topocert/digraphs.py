@@ -280,6 +280,17 @@ def _cert(g: DiGraph, cap: int, order_key) -> CanonicalCert:
     return CanonicalCert(vertex_count=g.n, blob=blob)
 
 
+def digraph_of_cert(cert: CanonicalCert) -> DiGraph:
+    """The canonical digraph that ``cert`` encodes, vertex i at canonical
+    position i: the inverse of ``_cert``."""
+    n = cert.vertex_count
+    width = (n + 7) // 8
+    rows = [int.from_bytes(cert.blob[4 + width * u:4 + width * (u + 1)], "big")
+            for u in range(n)]
+    return DiGraph(n=n, edges=frozenset((u, v) for u in range(n) for v in range(n)
+                                        if rows[u] >> (n - 1 - v) & 1))
+
+
 def is_isomorphic(g1: DiGraph, g2: DiGraph,
                   cap: int = DEFAULT_VERTEX_CAP) -> tuple:
     """(True, witness bijection) when isomorphic, else (False, None).

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Sequence
 
-from .digraphs import CanonicalCert, DiGraph, uncached_cert
+from .digraphs import CanonicalCert, DiGraph, digraph_of_cert, uncached_cert
 from .spaces import Cover
 
 
@@ -128,9 +128,23 @@ def canonical_key(partition: HPartition) -> CanonicalCert:
     i lies in class j.  Members are exactly the vertices of in-degree 0, so
     two keys are equal exactly when the partitions agree up to relabeling
     the members.  A digraph above the default vertex cap raises CapExceeded.
-    Each partition arrives here once, so the canonicalisation is not cached.
+    Each partition arrives here once, so the canonicalisation is not cached;
+    ``partition_of_key`` reads the key back as a partition.
     """
     n = partition.member_count
     edges = frozenset((i, n + j) for j, c in enumerate(partition.classes)
                       for i in class_members(c, n))
     return uncached_cert(DiGraph(n=n + len(partition.classes), edges=edges))
+
+
+def partition_of_key(key: CanonicalCert, source: str = "") -> HPartition:
+    """The canonical representative of a ``canonical_key``: the partition
+    whose incidence digraph is the key's canonical digraph.  The vertices
+    with out-edges are the members, numbered in canonical order."""
+    g = digraph_of_cert(key)
+    members = [v for v in range(g.n) if g.out_sets[v]]
+    n = len(members)
+    bit = {v: 1 << n - 1 - i for i, v in enumerate(members)}
+    return HPartition(n, class_order(sum(map(bit.__getitem__, g.in_sets[v]))
+                                     for v in range(g.n) if not g.out_sets[v]),
+                      source)

@@ -24,6 +24,7 @@ from topocert import (
     hclasses_axis2d,
     hclasses_of_intervals,
 )
+from topocert.hasse import HPartition, class_order, partition_of_key
 from topocert.jsonio import load_input
 
 import oracles
@@ -444,11 +445,24 @@ class TestEnumerateTypes:
                 f"segment[-1/3,5/2) cover(n={n})"}
 
     def test_every_type_is_realized_by_its_own_walk(self):
-        # stream members are partitions produced by the cell walk, so each
-        # satisfies the partition invariants
+        # each type is read off the key of a cover that the cell walk
+        # classified, so it keeps the walk's invariants: distinct nonempty
+        # classes that together hold every member
         for t in enumerate_interval_cover_types(SEG, 3):
             assert all(t.classes)
             assert len(set(t.classes)) == len(t.classes)
+            assert reduce(or_, t.classes) == (1 << t.member_count) - 1
+
+    def test_each_labelled_set_decodes_to_its_types_representative(self):
+        # the representative is read off the key, so it depends on the type
+        # and not on the labelled class set the stream met first
+        for n in range(1, 5):
+            types = {canonical_key(t): t for t in types_of(FullLine(), n)}
+            for key, t in types.items():
+                assert partition_of_key(key, t.source) == t
+            for labelled in oracles.slot_pool_labelled_sets(n):
+                key = canonical_key(HPartition(n, class_order(labelled)))
+                assert partition_of_key(key, types[key].source) == types[key]
 
     def test_line_n5_type_set(self):
         # the slow test (about 3 s): the type set, independent of stream

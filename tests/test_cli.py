@@ -193,6 +193,20 @@ class TestEnumerate:
         assert code == 0
         assert json.loads(out)["count"] == 2
 
+    def test_domain_listing_does_not_depend_on_the_stream_order(
+            self, capsys, monkeypatch):
+        from topocert import cli
+
+        stream = cli.enumerate_interval_cover_types
+        for domain in ("segment_domain.json", "line_domain.json"):
+            kw = dict(command="enumerate", input=fx(domain), n=4)
+            monkeypatch.setattr(cli, "enumerate_interval_cover_types", stream)
+            forward = run_cmd(capsys, **kw)
+            monkeypatch.setattr(cli, "enumerate_interval_cover_types",
+                                lambda *a: reversed(list(stream(*a))))
+            assert run_cmd(capsys, **kw) == forward
+            assert forward[0] == 0 and json.loads(forward[1])["count"] == 114
+
 
 def test_import_leaves_out_dataclasses_and_inspect():
     # both cost start-up time on every call; a fresh interpreter shows them

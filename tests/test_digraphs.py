@@ -14,7 +14,7 @@ from topocert import (
     topological_order,
 )
 
-from topocert.digraphs import canonical_order
+from topocert.digraphs import canonical_order, digraph_of_cert
 
 from oracles import (
     brute_force_isomorphic,
@@ -208,6 +208,15 @@ class TestCanonicalOrderPin:
         assert (graphs, cyclic > 150) == (490, True)
         assert digest.hexdigest() == (
             "6a8690f897d11c5c80b33b99df02b9548ed0fc0de2fbbd224cbfc04c0046242d")
+
+
+class TestDigraphOfCert:
+    def test_the_decoded_digraph_is_canonical_and_isomorphic(self):
+        for g in pin_corpus():
+            cert = canonical_cert(g)
+            decoded = digraph_of_cert(cert)
+            assert canonical_cert(decoded) == cert
+            assert is_isomorphic(g, decoded)[0]
 
 
 class TestToDot:
