@@ -184,6 +184,7 @@ CALLS = (
        for level in ("graph", "cstar", "ktheory")]
     + [f"enumerate --input fixtures/{domain}.json --n {n}"
        for domain in ("segment_domain", "line_domain") for n in range(1, 5)]
+    + ["enumerate --input fixtures/line_domain.json --n 5"]  # about 2 s
     + [f"{command} --input fixtures/{cover}.json"
        for cover in _COVERS
        for command in ("hclasses", "graph", "graph --format dot", "cstar",
