@@ -14,13 +14,14 @@ for every n.  Segment to line: send each closed [lo, b) to the ray
 (-inf, b), each open (lo, b) to (eps, b) for a new cut eps just right of
 lo, and every other end by an order-preserving map that sends hi to +inf.
 Every density class is kept.  Line to segment: the inverse map does the
-same.  So one enumerator, over the line, serves both domains.
+same.  So one enumerator serves both domains: a left-to-right sweep over
+the line's endpoint slots, which reads each cell's class on its way.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterator, List, NamedTuple, Optional
 
 from .errors import CapExceeded, EmptyMember, Frozen, InvalidArrangement, NotACover
@@ -276,53 +277,46 @@ def hclasses_of_spec(spec) -> HPartition:
 
 # -- exhaustive combinatorial types of interval covers ------------------------
 
-def _slot_members(m: int) -> List[tuple]:
-    """Every open member of the line over slots 0..m+1 as (Interval,
-    bitmask of the interior slots 1..m it uses, start slot, bitmask of the
-    cells it covers), built once per slot count.
+def _line_covers(n: int) -> Iterator[tuple]:
+    """Every cover of the line by n distinct open intervals whose ends take
+    slots 0..m+1 and use each interior slot 1..m, for every m, as (its
+    labelled class set, its members as (lo, hi) slots, None unbounded).
 
-    The end slots 0 and m+1 are unbounded and slot s is the point s in
-    between, so start slots never decrease along the pool.  The 2m + 1
-    cells are the points and the gaps that the slots cut the line into,
-    numbered from the left: cell 2s is the gap right of slot s and cell
-    2s - 1 is slot s itself, so (a, b) covers cells 2a .. 2b - 2.
+    Slots 0 and m+1 are the unbounded ends and slot s is the point s.  The
+    walk goes from left to right.  Some members start at slot 0.  At each
+    interior slot some members end, at most one from each start group, so
+    no two members are equal; some start; and at least one of the two
+    happens.  The slot's point gets the mask of the members still open
+    across it, and the gap to its right gets those plus the new ones; an
+    empty cell cuts the walk.  Once all n members have started and no two
+    open ones share a start, they may all end at slot m+1 = s + 1.
+
+    Members are numbered in (start, end) order, member i of n being bit
+    n-1-i: a start group takes the next indices, and its lowest open index
+    ends first.
     """
-    values = [None, *range(1, m + 1), None]
-    return [(Interval(values[a], values[b]),
-             sum(1 << (s - 1) for s in (a, b) if 1 <= s <= m),
-             a,
-             (1 << (2 * b - 1)) - (1 << 2 * a))
-            for a in range(m + 1) for b in range(a + 1, m + 2)]
+    def walk(s, groups, made, labels, spans):
+        if made == n and all(not g & g - 1 for g in groups):
+            yield frozenset(labels), spans
+        s += 1
+        active = sum(groups)
+        for ends in product(*((0, 1 << g.bit_length() - 1) for g in groups)):
+            across = active - sum(ends)
+            if not across:
+                continue
+            ended = {n - e.bit_length() for e in ends if e}
+            closed = tuple((lo, s) if i in ended else (lo, hi)
+                           for i, (lo, hi) in enumerate(spans))
+            still = tuple(g - e for g, e in zip(groups, ends) if g - e)
+            for k in range(0 if ended else 1, n - made + 1):
+                new = (1 << n - made) - (1 << n - made - k)
+                yield from walk(s, still + (new,) if k else still, made + k,
+                                labels + (across, across | new),
+                                closed + ((s, None),) * k)
 
-
-def _surjective_choices(pool: List[tuple], n: int, m: int) -> Iterator[tuple]:
-    """The n-subsets of a ``_slot_members`` pool that use every interior
-    slot 1..m, in ``combinations(pool, n)`` order."""
-    return _extend(pool, (1 << m) - 1, 0, n, 0, ())
-
-
-def _extend(pool: List[tuple], full: int, start: int, left: int, used: int,
-            chosen: tuple) -> Iterator[tuple]:
-    """Complete ``chosen`` with ``left`` members from ``pool[start:]``.
-
-    A prefix is abandoned once it cannot be completed: when the unused
-    interior slots outnumber twice the members left (a member uses at most
-    two), and when the next member starts right of the lowest unused slot
-    (start slots never decrease along the pool, so that slot stays unused).
-    """
-    free = full & ~used
-    if free.bit_count() > 2 * left:
-        return
-    if not left:
-        yield chosen
-        return
-    lowest = (free & -free).bit_length()  # slot s is bit s - 1; 0: none free
-    for j in range(start, len(pool) - left + 1):
-        member = pool[j]
-        if lowest and member[2] > lowest:
-            return
-        yield from _extend(pool, full, j + 1, left - 1, used | member[1],
-                           chosen + (member,))
+    for k in range(1, n + 1):
+        new = (1 << n) - (1 << n - k)
+        yield from walk(0, (new,), k, (new,), ((None, None),) * k)
 
 
 def enumerate_interval_cover_types(domain, n: int,
@@ -333,23 +327,13 @@ def enumerate_interval_cover_types(domain, n: int,
     (``hasse.partition_of_key``), in the order the types are found.
 
     A segment's covers have the line's types (the module docstring maps
-    them both ways), so both domains walk the line's slot pool in the same
-    order, and the domain only names the ``source`` of each type.
-
-    Endpoint weak orders (ties allowed) are enumerated as slot assignments:
-    each endpoint takes an unbounded end slot or one of m interior slots,
-    every interior slot is used, and members respect lo < hi.  Any
-    n-interval cover realizes some assignment, so the stream is exhaustive.
-    Three filters on integer masks come before any cell walk:
-
-    * ``_surjective_choices`` keeps the member sets that use every interior
-      slot (an unused slot reproduces a smaller m);
-    * a set whose cell masks do not cover every cell is not a cover;
-    * a labelled class set (one member bitmask per cell) that was seen
-      before gives the same partition again.
-
-    Only a new labelled class set is walked by ``hclasses_of_intervals``,
-    and duplicates are then removed by label-independent partition identity.
+    them both ways), so both domains take the line's covers from
+    ``_line_covers``, and the domain only names the ``source`` of each type.
+    Any n-interval cover of the line has its ends in some weak order, which
+    puts them on slots, so the sweep is exhaustive.  Each of its covers
+    arrives with its labelled class set; only a new one is checked as an
+    ``IntervalSpec``, walked by ``hclasses_of_intervals`` and keyed by
+    ``canonical_key``, and a key seen before is the same type again.
     """
     if n < 1:
         raise ValueError("cover size must be positive")
@@ -360,24 +344,12 @@ def enumerate_interval_cover_types(domain, n: int,
                                  "and line domains")
     source = f"{domain.describe()} cover(n={n})"
     seen_keys, seen_sets = set(), set()
-    for m in range(0, 2 * n + 1):
-        pool = _slot_members(m)
-        cells = range(2 * m + 1)
-        every_cell = (1 << len(cells)) - 1
-        for choice in _surjective_choices(pool, n, m):
-            covered = 0
-            for member in choice:
-                covered |= member[3]
-            if covered != every_cell:
-                continue
-            labelled = frozenset(_by_cell([member[3] for member in choice], cells))
-            if labelled in seen_sets:
-                continue
-            seen_sets.add(labelled)
-            partition = hclasses_of_intervals(
-                IntervalSpec(FullLine(), tuple(member[0] for member in choice)))
-            key = canonical_key(partition)
-            if key in seen_keys:
-                continue
+    for labelled, spans in _line_covers(n):
+        if labelled in seen_sets:
+            continue
+        seen_sets.add(labelled)
+        key = canonical_key(hclasses_of_intervals(IntervalSpec(
+            FullLine(), tuple(Interval(lo, hi) for lo, hi in spans))))
+        if key not in seen_keys:
             seen_keys.add(key)
             yield partition_of_key(key, source)

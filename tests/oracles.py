@@ -7,7 +7,9 @@ fraction-free elimination, and h-classes by dense rational sampling.
 """
 
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, permutations
+from operator import or_
 
 from topocert import (
     Circle,
@@ -350,12 +352,13 @@ def slot_pool_labelled_sets(n: int):
     (member i of n is bit n-1-i) of every cell.  A choice with a cell that
     no member covers is not a cover and is skipped."""
     for m in range(2 * n + 1):
-        cells = range(2 * m + 1)
+        every_cell = (1 << 2 * m + 1) - 1
         for choice in surjective_choices(slot_members(m), n, m):
-            labelled = [sum(1 << (n - 1 - i) for i, member in enumerate(choice)
-                            if member[3] >> c & 1) for c in cells]
-            if 0 not in labelled:
-                yield frozenset(labelled)
+            masks = [member[3] for member in choice]
+            if reduce(or_, masks) == every_cell:
+                yield frozenset(
+                    sum(1 << (n - 1 - i) for i, mask in enumerate(masks) if mask >> c & 1)
+                    for c in range(2 * m + 1))
 
 
 def slot_pool_types(n: int, source: str = ""):

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction as F
 from functools import lru_cache, reduce
 from itertools import combinations
@@ -24,6 +25,7 @@ from topocert import (
     hclasses_axis2d,
     hclasses_of_intervals,
 )
+from topocert import arrangements
 from topocert.hasse import HPartition, class_order, partition_of_key
 from topocert.jsonio import load_input
 
@@ -37,7 +39,6 @@ from oracles import (
     sampled_interval_classes,
     sampled_plane_classes,
     slot_members,
-    slot_pool_types,
     surjective_choices,
     weak_order_type_keys,
 )
@@ -433,8 +434,8 @@ class TestEnumerateTypes:
             list(enumerate_interval_cover_types(Circle(F(1)), 2))
 
     def test_segment_lists_the_line_types_in_order(self):
-        # a segment's covers have the line's types, so it walks the line's
-        # slot pool and only names its own source
+        # a segment's covers have the line's types, so it sweeps the line's
+        # covers and only names its own source
         domain = Segment(F(-1, 3), F(5, 2))
         for n in range(1, 5):
             segment, line = types_of(domain, n), types_of(FullLine(), n)
@@ -523,10 +524,20 @@ class TestSlotPool:
             assert choices == surjective[n]
             assert calls < 5 * choices
 
-    def test_oracle_finds_the_enumerated_types(self):
+    def test_the_sweep_meets_the_pool_covers(self):
+        # one sweep leaf per covering choice of the pool, with the same
+        # labelled class set, counted with multiplicity; the two share no code
+        for n in range(1, 6):
+            sweep = Counter(labelled for labelled, _ in arrangements._line_covers(n))
+            assert sweep == Counter(oracles.slot_pool_labelled_sets(n))
+            assert (sum(sweep.values()), len(sweep)) == (
+                (1, 1), (4, 3), (42, 23), (644, 277), (12736, 4399))[n - 1]
+
+    def test_each_sweep_cover_walks_to_its_labelled_set(self):
         for n in range(1, 5):
-            assert ({canonical_key(t) for t in slot_pool_types(n)}
-                    == {canonical_key(t) for t in types_of(FullLine(), n)})
+            for labelled, spans in arrangements._line_covers(n):
+                spec = IntervalSpec(FullLine(), tuple(Interval(*s) for s in spans))
+                assert hclasses_of_intervals(spec).classes == class_order(labelled)
 
     def test_cell_masks_agree_with_membership_at_one_point_per_cell(self):
         for m in range(9):
