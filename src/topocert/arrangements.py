@@ -14,8 +14,7 @@ for every n.  Segment to line: send each closed [lo, b) to the ray
 (-inf, b), each open (lo, b) to (eps, b) for a new cut eps just right of
 lo, and every other end by an order-preserving map that sends hi to +inf.
 Every density class is kept.  Line to segment: the inverse map does the
-same.  So one enumerator serves both domains: a left-to-right sweep over
-the line's endpoint slots, which reads each cell's class on its way.
+same.  So one enumerator, a sweep over the line, serves both domains.
 """
 
 from __future__ import annotations
@@ -278,22 +277,18 @@ def hclasses_of_spec(spec) -> HPartition:
 # -- exhaustive combinatorial types of interval covers ------------------------
 
 def _line_covers(n: int) -> Iterator[tuple]:
-    """Every cover of the line by n distinct open intervals whose ends take
-    slots 0..m+1 and use each interior slot 1..m, for every m, as (its
-    labelled class set, its members as (lo, hi) slots, None unbounded).
+    """Every cover of the line by n distinct open intervals with ends on
+    slots 0..m+1 that use each interior slot, as (its labelled class set,
+    its members as (lo, hi) slots, None for slots 0 and m+1).
 
-    Slots 0 and m+1 are the unbounded ends and slot s is the point s.  The
-    walk goes from left to right.  Some members start at slot 0.  At each
-    interior slot some members end, at most one from each start group, so
-    no two members are equal; some start; and at least one of the two
-    happens.  The slot's point gets the mask of the members still open
-    across it, and the gap to its right gets those plus the new ones; an
-    empty cell cuts the walk.  Once all n members have started and no two
-    open ones share a start, they may all end at slot m+1 = s + 1.
-
-    Members are numbered in (start, end) order, member i of n being bit
-    n-1-i: a start group takes the next indices, and its lowest open index
-    ends first.
+    The walk goes left to right.  Some members start at slot 0.  At each
+    interior slot s some members end, at most one from each start group
+    (so no two members are equal), some start, and one of the two happens.
+    Point s gets the mask of the members still open across it and the gap
+    right of it those plus the new ones; an empty cell cuts the walk.  It
+    may stop at m = s once all n have started and no two open ones share a
+    start.  Members are numbered in (start, end) order, member i of n being
+    bit n-1-i: a start group takes the next indices, the lowest ends first.
     """
     def walk(s, groups, made, labels, spans):
         if made == n and all(not g & g - 1 for g in groups):
@@ -326,14 +321,12 @@ def enumerate_interval_cover_types(domain, n: int,
     line, each as the canonical representative of its key
     (``hasse.partition_of_key``), in the order the types are found.
 
-    A segment's covers have the line's types (the module docstring maps
-    them both ways), so both domains take the line's covers from
-    ``_line_covers``, and the domain only names the ``source`` of each type.
-    Any n-interval cover of the line has its ends in some weak order, which
-    puts them on slots, so the sweep is exhaustive.  Each of its covers
-    arrives with its labelled class set; only a new one is checked as an
-    ``IntervalSpec``, walked by ``hclasses_of_intervals`` and keyed by
-    ``canonical_key``, and a key seen before is the same type again.
+    A segment's covers have the line's types (see the module docstring), so
+    both domains sweep the line's covers and the domain names only the
+    ``source``.  Every cover has its ends in some weak order, on slots, so
+    the sweep is exhaustive.  Only a new labelled class set is checked as
+    an ``IntervalSpec``, walked and keyed; a key seen before is a type
+    seen before.
     """
     if n < 1:
         raise ValueError("cover size must be positive")

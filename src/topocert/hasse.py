@@ -143,8 +143,6 @@ def partition_of_key(key: CanonicalCert, source: str = "") -> HPartition:
     with out-edges are the members, numbered in canonical order."""
     g = digraph_of_cert(key)
     members = [v for v in range(g.n) if g.out_sets[v]]
-    n = len(members)
-    bit = {v: 1 << n - 1 - i for i, v in enumerate(members)}
-    return HPartition(n, class_order(sum(map(bit.__getitem__, g.in_sets[v]))
-                                     for v in range(g.n) if not g.out_sets[v]),
-                      source)
+    bit = {v: 1 << len(members) - 1 - i for i, v in enumerate(members)}
+    classes = (sum(map(bit.get, g.in_sets[v])) for v in range(g.n) if v not in bit)
+    return HPartition(len(members), class_order(classes), source)
