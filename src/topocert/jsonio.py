@@ -201,14 +201,22 @@ def load_space(path: str) -> FiniteSpace:
     return _read(path, space_file, (TopologyError,))
 
 
+def _point_sets(doc: dict, key: str) -> list:
+    """``doc[key]``, checked to be a JSON array of arrays of JSON strings."""
+    sets = _array(doc, key)
+    if not all(isinstance(p, str) for points in sets for p in points):
+        raise ValueError(f'each point in "{key}" must be a JSON string')
+    return sets
+
+
 def _space(doc) -> FiniteSpace:
     points = _array(doc, "points", of_arrays=False)
     if not all(isinstance(p, str) for p in points):
         raise ValueError('each item of "points" must be a JSON string')
     if "opens" in doc:
-        return validate_topology(points, _array(doc, "opens"))
+        return validate_topology(points, _point_sets(doc, "opens"))
     if "subbasis" in doc:
-        return generate_topology(points, _array(doc, "subbasis"))
+        return generate_topology(points, _point_sets(doc, "subbasis"))
     raise ValueError('space files need "opens" or "subbasis"')
 
 
@@ -219,7 +227,7 @@ def _interpret(doc) -> LoadedInput:
         space = _space(doc)
         cover = None
         if "cover" in doc:
-            cover = make_cover(space, [frozenset(m) for m in _array(doc, "cover")])
+            cover = make_cover(space, [frozenset(m) for m in _point_sets(doc, "cover")])
         return LoadedInput("space", space=space, cover=cover)
     if "domain" in doc:
         domain = _load_domain(doc["domain"])

@@ -562,6 +562,23 @@ class TestSpellings:
             assert json.loads(err)["error"]["detail"] == (
                 'each item of "points" must be a JSON string')
 
+    def test_points_in_opens_subbasis_and_cover_are_strings(self, tmp_path, capsys):
+        # a number spelling a point of the space was reported as a point
+        # outside it, and true as the point True
+        space = '"points": ["1", "b"], "opens": [[], ["1"], ["1", "b"]]'
+        cases = [("validate", "opens", '"points": ["1"], "opens": [[], [1], ["1"]]'),
+                 ("validate", "subbasis", '"points": ["1", "b"], "subbasis": [[1]]'),
+                 ("hclasses", "cover", space + ', "cover": [[1], ["1", "b"]]'),
+                 ("hclasses", "cover", space + ', "cover": [[true], ["b"]]'),
+                 ("enumerate", "opens", '"points": ["a"], "opens": [[], [null]]')]
+        path = tmp_path / "space.json"
+        for command, key, body in cases:
+            path.write_text("{" + body + "}")
+            code, out, err = run_cmd(capsys, command=command, input=str(path))
+            assert (code, out) == (3, ""), body
+            assert json.loads(err)["error"]["detail"] == (
+                f'each point in "{key}" must be a JSON string')
+
 
 # JSON documents shaped like each input kind: the right keys, values of the
 # right shape or now and then of some other JSON type, ints with |x| <= 60
