@@ -597,6 +597,12 @@ class TestExhaustiveness:
                     assert ref_to_new.setdefault(ref, new) == new
         assert len(new_to_ref) == 1 + 2 + 12 + 114
 
+    def test_key_agrees_with_brute_force_at_n5(self):
+        # about 4 * 10^5 relabellings: no two of the 1,640 types share a
+        # brute-force key, so canonical_key merges none of them
+        types = types_of(self.DOMAINS[0], 5)
+        assert len({brute_force_type_key(t) for t in types}) == len(types) == 1640
+
     def test_weak_order_oracle_finds_exactly_the_enumerated_types(self):
         # the oracle walks endpoint weak orders and reads classes by dense
         # sampling, so it shares no slot pool, cell mask or cell walk; the
