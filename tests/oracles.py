@@ -361,12 +361,12 @@ def slot_pool_labelled_sets(n: int):
                     for c in range(2 * m + 1))
 
 
-def slot_pool_types(n: int, source: str = ""):
+def slot_pool_types(n: int):
     """The line's n-interval cover types, each the partition of the first
     labelled class set of its key in ``slot_pool_labelled_sets`` order."""
     keys = set()
     for labelled in dict.fromkeys(slot_pool_labelled_sets(n)):
-        partition = HPartition(n, class_order(labelled), source)
+        partition = HPartition(n, class_order(labelled))
         key = canonical_key(partition)
         if key not in keys:
             keys.add(key)

@@ -10,6 +10,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from topocert import cli
 from topocert.cli import _COMMANDS, main, run
 from topocert.jsonio import parse_fraction
 from topocert.fingerprints import LEVELS
@@ -195,8 +196,6 @@ class TestEnumerate:
 
     def test_domain_listing_does_not_depend_on_the_stream_order(
             self, capsys, monkeypatch):
-        from topocert import cli
-
         stream = cli.enumerate_interval_cover_types
         for domain in ("segment_domain.json", "line_domain.json"):
             kw = dict(command="enumerate", input=fx(domain), n=4)
