@@ -155,6 +155,12 @@ _CAP_AND_SIZE_CALLS = [
     "certify --input fixtures/chain_3.json --input-b fixtures/chain_4.json"
     " --n-range 2..2 --cap-vertices 1",
 ]
+# a cover whose Hasse digraph has 41 vertices, one past the default cap,
+# and the same call with the cap raised
+_OVER_CAP_COVER_CALLS = [
+    "ktheory --input fixtures/line_chain_cover.json",
+    "ktheory --input fixtures/line_chain_cover.json --cap-vertices 1000",
+]
 # spellings at the input boundary.  Exit 3: a rational end written as a
 # decimal, with a space or with a non-ASCII digit, a numerator past the digit
 # limit and points that are not strings.  Exit 1: counts written with a sign,
@@ -200,6 +206,7 @@ CALLS = (
     + _FRONT_DOOR_CALLS
     + _LABELLED_GRAPH_CALLS
     + _CAP_AND_SIZE_CALLS
+    + _OVER_CAP_COVER_CALLS
     + _SPELLING_CALLS
     + _POINT_ITEM_CALLS
 )
