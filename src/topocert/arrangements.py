@@ -24,7 +24,7 @@ from itertools import combinations, product
 from typing import Iterator, List, NamedTuple, Optional
 
 from .errors import CapExceeded, EmptyMember, Frozen, InvalidArrangement, NotACover
-from .hasse import HPartition, canonical_key, class_order, partition_of_key
+from .hasse import HPartition, canonical_key, class_order
 
 DEFAULT_COVER_SIZE_CAP = 5
 
@@ -318,8 +318,8 @@ def enumerate_interval_cover_types(domain, n: int,
                                    cap: int = DEFAULT_COVER_SIZE_CAP
                                    ) -> Iterator[HPartition]:
     """Every combinatorial type of n-interval cover of a segment or the
-    line, each as the canonical representative of its key
-    (``hasse.partition_of_key``), in the order the types are found.
+    line, each as its ``canonical_key``, the type's canonical
+    representative, in the order the types are found.
 
     A segment's covers have the line's types (see the module docstring), so
     both domains sweep the line's covers and the domain names only the
@@ -345,4 +345,4 @@ def enumerate_interval_cover_types(domain, n: int,
             FullLine(), tuple(Interval(lo, hi) for lo, hi in spans))))
         if key not in seen_keys:
             seen_keys.add(key)
-            yield partition_of_key(key, source)
+            yield key._replace(source=source)

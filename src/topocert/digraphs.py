@@ -248,7 +248,7 @@ def _canonical_order(g: DiGraph) -> tuple:
 
 
 # Process-wide, for graphs that recur across calls; a graph that is
-# canonicalised once (see ``uncached_cert``) stays out of it.  Distinct
+# canonicalised once (see ``canonical_form``) stays out of it.  Distinct
 # neighbourhood tuples, the fingerprint memo's key for a finite-space cover,
 # often give the same Hasse digraph: those repeats hit here.
 _canonical_order_key = lru_cache(maxsize=65536)(_canonical_order)
@@ -260,35 +260,23 @@ def canonical_order(g: DiGraph) -> list:
     return list(order)
 
 
-def canonical_cert(g: DiGraph, cap: int = DEFAULT_VERTEX_CAP) -> CanonicalCert:
-    """Canonical certificate of ``g``; equal certs iff isomorphic graphs."""
-    return _cert(g, cap, _canonical_order_key)
-
-
-def uncached_cert(g: DiGraph, cap: int = DEFAULT_VERTEX_CAP) -> CanonicalCert:
-    """``canonical_cert`` without the process-wide cache, for a caller that
-    never asks about the same graph twice."""
-    return _cert(g, cap, _canonical_order)
-
-
-def _cert(g: DiGraph, cap: int, order_key) -> CanonicalCert:
+def canonical_form(g: DiGraph, cap: int = DEFAULT_VERTEX_CAP) -> tuple:
+    """(canonical adjacency rows, the vertex order realizing them) of ``g``,
+    without the process-wide cache, for a caller that never asks about the
+    same graph twice."""
     if g.n > cap:
         raise CapExceeded("graph vertices for canonicalization", cap, g.n)
-    rows, _ = order_key(g)
+    return _canonical_order(g)
+
+
+def canonical_cert(g: DiGraph, cap: int = DEFAULT_VERTEX_CAP) -> CanonicalCert:
+    """Canonical certificate of ``g``; equal certs iff isomorphic graphs."""
+    if g.n > cap:
+        raise CapExceeded("graph vertices for canonicalization", cap, g.n)
+    rows, _ = _canonical_order_key(g)
     width = (g.n + 7) // 8
     blob = g.n.to_bytes(4, "big") + b"".join(r.to_bytes(width, "big") for r in rows)
     return CanonicalCert(vertex_count=g.n, blob=blob)
-
-
-def digraph_of_cert(cert: CanonicalCert) -> DiGraph:
-    """The canonical digraph that ``cert`` encodes, vertex i at canonical
-    position i: the inverse of ``_cert``."""
-    n = cert.vertex_count
-    width = (n + 7) // 8
-    rows = [int.from_bytes(cert.blob[4 + width * u:4 + width * (u + 1)], "big")
-            for u in range(n)]
-    return DiGraph(n=n, edges=frozenset((u, v) for u in range(n) for v in range(n)
-                                        if rows[u] >> (n - 1 - v) & 1))
 
 
 def is_isomorphic(g1: DiGraph, g2: DiGraph,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Sequence
 
-from .digraphs import CanonicalCert, DiGraph, digraph_of_cert, uncached_cert
+from .digraphs import DiGraph, canonical_form
 from .spaces import Cover
 
 
@@ -119,30 +119,23 @@ def hasse_digraph(partition: HPartition) -> DiGraph:
     return DiGraph(n=len(cls), edges=hasse_edges(cls))
 
 
-def canonical_key(partition: HPartition) -> CanonicalCert:
-    """Label-independent identity of a partition, used to deduplicate
-    combinatorial cover types.
+def canonical_key(partition: HPartition) -> HPartition:
+    """The canonical representative of a partition's combinatorial type,
+    with an empty ``source``: two keys are equal exactly when the partitions
+    agree up to relabeling the members.
 
-    The canonical certificate of the member->class incidence digraph:
-    members 0..n-1, then one vertex per class, and an edge i->n+j when member
-    i lies in class j.  Members are exactly the vertices of in-degree 0, so
-    two keys are equal exactly when the partitions agree up to relabeling
-    the members.  A digraph above the default vertex cap raises CapExceeded.
-    Each partition arrives here once, so the canonicalisation is not cached;
-    ``partition_of_key`` reads the key back as a partition.
+    It is read off the canonical order of the member->class incidence
+    digraph: members 0..n-1, then one vertex per class, and an edge i->n+j
+    when member i lies in class j.  Members are exactly the vertices of
+    in-degree 0, so the canonical order of two such digraphs maps members to
+    members, and the representative numbers the members in that order.  A
+    digraph above the default vertex cap raises CapExceeded.  Each partition
+    arrives here once, so the canonicalisation is not cached.
     """
     n = partition.member_count
-    edges = frozenset((i, n + j) for j, c in enumerate(partition.classes)
-                      for i in class_members(c, n))
-    return uncached_cert(DiGraph(n=n + len(partition.classes), edges=edges))
-
-
-def partition_of_key(key: CanonicalCert, source: str = "") -> HPartition:
-    """The canonical representative of a ``canonical_key``: the partition
-    whose incidence digraph is the key's canonical digraph.  The vertices
-    with out-edges are the members, numbered in canonical order."""
-    g = digraph_of_cert(key)
-    members = [v for v in range(g.n) if g.out_sets[v]]
-    bit = {v: 1 << len(members) - 1 - i for i, v in enumerate(members)}
-    classes = (sum(map(bit.get, g.in_sets[v])) for v in range(g.n) if v not in bit)
-    return HPartition(len(members), class_order(classes), source)
+    members = [class_members(c, n) for c in partition.classes]
+    edges = frozenset((i, n + j) for j, ms in enumerate(members) for i in ms)
+    _, order = canonical_form(DiGraph(n=n + len(members), edges=edges))
+    rank = {v: r for r, v in enumerate(v for v in order if v < n)}
+    return HPartition(n, class_order(sum(1 << n - 1 - rank[i] for i in ms)
+                                     for ms in members))

@@ -26,7 +26,7 @@ from topocert import (
     hclasses_of_intervals,
 )
 from topocert import arrangements
-from topocert.hasse import HPartition, class_order, partition_of_key
+from topocert.hasse import HPartition, class_order
 from topocert.jsonio import load_input
 
 import oracles
@@ -454,25 +454,26 @@ class TestEnumerateTypes:
             assert len(set(t.classes)) == len(t.classes)
             assert reduce(or_, t.classes) == (1 << t.member_count) - 1
 
-    def test_each_labelled_set_decodes_to_its_types_representative(self):
-        # the representative is read off the key, so it depends on the type
-        # and not on the labelled class set the stream met first
+    def test_each_labelled_set_keys_to_its_types_representative(self):
+        # the key is the representative, so it depends on the type and not
+        # on the labelled class set the stream met first; the brute-force
+        # key names the type
         for n in range(1, 5):
-            types = {canonical_key(t): t for t in types_of(FullLine(), n)}
-            for key, t in types.items():
-                assert partition_of_key(key, t.source) == t
+            reps = {brute_force_type_key(t): t._replace(source="")
+                    for t in types_of(FullLine(), n)}
+            for rep in reps.values():
+                assert canonical_key(rep) == rep
             for labelled in oracles.slot_pool_labelled_sets(n):
-                key = canonical_key(HPartition(n, class_order(labelled)))
-                assert partition_of_key(key, types[key].source) == types[key]
+                p = HPartition(n, class_order(labelled))
+                assert canonical_key(p) == reps[brute_force_type_key(p)]
 
     def test_line_n5_type_set(self):
-        # the slow test (about 3 s): the type set, independent of stream
-        # order and of the representative each type arrives as
-        keys = sorted(canonical_key(t).blob
-                      for t in enumerate_interval_cover_types(FullLine(), 5))
-        assert len(keys) == 1640
-        assert hashlib.sha256(b"".join(keys)).hexdigest() == (
-            "03006ff5851c4e29b6d2e94dfe6c7167ef689e5208d52ab074d44d2dabbfe1cb")
+        # the slow test (about 2 s): the representatives with their source,
+        # sorted, so independent of stream order
+        reps = sorted(enumerate_interval_cover_types(FullLine(), 5))
+        assert len(reps) == 1640
+        assert hashlib.sha256(repr(reps).encode()).hexdigest() == (
+            "7d0b04ac2137279dde4c9299c8f7e41ab529b3c2080a0d8f48c81e173e4adfec")
 
 
 def slot_values(pool):
