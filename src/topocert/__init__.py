@@ -60,7 +60,6 @@ from .fingerprints import (
     fingerprints_of_domain,
     fingerprints_of_space,
     sets_match,
-    singleton_fingerprint,
 )
 from .graphalgebra import (
     KPair,

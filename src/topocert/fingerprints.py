@@ -22,15 +22,14 @@ from .arrangements import (
     DEFAULT_COVER_SIZE_CAP,
     enumerate_interval_cover_types,
 )
-from .digraphs import DEFAULT_VERTEX_CAP, CanonicalCert, DiGraph, canonical_cert
+from .digraphs import DEFAULT_VERTEX_CAP, CanonicalCert, canonical_cert
 from .errors import LevelMismatch
 from .graphalgebra import KPair, block_decomposition
 from .hasse import (
     HPartition,
-    cover_class_masks,
     cover_neighbourhoods,
     hasse_digraph,
-    hasse_edges,
+    hpartition_of_cover,
 )
 from .spaces import Cover, FiniteSpace, enumerate_covers
 
@@ -78,8 +77,7 @@ def fingerprint_of(source: Union[Cover, HPartition],
     class; for a partition, its Hasse digraph, vertex i being class i
     (``DiGraph`` compares on ``(n, edges)``).  The caller owns the memo for
     one fingerprint set; results are the same with or without it.  A cover's
-    Hasse digraph is built from its class bitmasks only on a miss, with no
-    partition.
+    partition and Hasse digraph are built only on a miss.
     """
     is_cover = isinstance(source, Cover)
     key = cover_neighbourhoods(source) if is_cover else hasse_digraph(source)
@@ -87,19 +85,10 @@ def fingerprint_of(source: Union[Cover, HPartition],
         memo = {}
     elif key in memo:
         return memo[key]
-    g = key
-    if is_cover:
-        classes = cover_class_masks(source)
-        g = DiGraph(n=len(classes), edges=hasse_edges(classes))
+    g = hasse_digraph(hpartition_of_cover(source)) if is_cover else key
     fp = memo[key] = Fingerprint(graph_cert=canonical_cert(g, cap=cap_vertices),
                                  blocks=block_decomposition(g))
     return fp
-
-
-def singleton_fingerprint() -> Fingerprint:
-    """The one-vertex fingerprint (trivial cover; also the empty-space
-    convention)."""
-    return fingerprint_of(HPartition(1, (1,)))
 
 
 class FingerprintSet(NamedTuple):
@@ -180,8 +169,8 @@ def fingerprints_of_domain(domain, n: int, level: str,
 
 def empty_space_fingerprints(level: str) -> FingerprintSet:
     """Fingerprint set assigned to the empty space by convention: the single
-    one-vertex fingerprint, at size scope 1."""
-    return collect_fingerprints([singleton_fingerprint()], level, 1)
+    one-vertex fingerprint, that of a one-member cover, at size scope 1."""
+    return fingerprint_set([HPartition(1, (1,))], level, 1)
 
 
 def sets_match(a: FingerprintSet, b: FingerprintSet) -> bool:

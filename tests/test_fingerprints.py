@@ -9,6 +9,7 @@ from topocert import (
     DiGraph,
     Fingerprint,
     FullLine,
+    HPartition,
     LevelMismatch,
     Segment,
     WitnessSide,
@@ -28,7 +29,6 @@ from topocert import (
     make_cover,
     prim_space,
     sets_match,
-    singleton_fingerprint,
     validate_topology,
 )
 
@@ -72,7 +72,7 @@ class TestFingerprintOf:
         assert fp.blocks == (1,)
         assert fp.to_json()["k"] == {"k0": {"rank": 1, "torsion": []}, "k1": {"rank": 0}}
         assert fp.to_json()["prim"] == {"points": 1, "order": []}
-        assert fp == singleton_fingerprint()
+        assert fp == fingerprint_of(HPartition(1, (1,)))
 
     def test_chain_cover_depth_k(self):
         for k in (2, 3, 4):
@@ -142,7 +142,7 @@ class TestFingerprintOf:
             assert fs.details == details
 
     def test_equality_reads_the_graph_and_the_blocks_only(self):
-        fp = singleton_fingerprint()
+        fp = fingerprint_of(HPartition(1, (1,)))
         assert Fingerprint(**fp._asdict()) == fp and hash(Fingerprint(**fp._asdict())) == hash(fp)
         assert Fingerprint(fp.graph_cert, (2,)) != fp
         assert Fingerprint(CanonicalCert(1, b"x"), fp.blocks) != fp

@@ -27,8 +27,8 @@ from topocert import (
     Segment,
     SpaceSide,
     WitnessSide,
+    fingerprint_of,
     make_cover,
-    singleton_fingerprint,
     validate_topology,
 )
 from topocert.jsonio import LoadedInput
@@ -52,7 +52,7 @@ RECORDS = [
      "verdict"),
     (CanonicalCert(1, b""), "blob"),
     (DiGraph(n=2, edges=EDGE), "edges"),
-    (singleton_fingerprint(), "graph_cert"),
+    (fingerprint_of(HPartition(1, (0b1,))), "graph_cert"),
     (FingerprintSet("graph", 1, ()), "elements"),
     (KPair(1, (), 0), "k0_rank"),
     (PrimPoset((frozenset({0}),)), "points"),
