@@ -180,7 +180,7 @@ def _cstar(args):
 
 
 def _ktheory(args):
-    return k_theory(_graph_of_input(args)[0]).to_json(), 0
+    return k_theory(_graph_of_input(args)[0], args.cap_vertices).to_json(), 0
 
 
 def _prim(args):

@@ -68,13 +68,17 @@ def block_decomposition(g: DiGraph) -> tuple:
     return tuple(sorted(paths[s] for s in g.sinks))
 
 
-def k_theory(g: DiGraph) -> KPair:
+def k_theory(g: DiGraph, cap: int = DEFAULT_VERTEX_CAP) -> KPair:
     """K-groups from the cokernel/kernel of A^T - I on non-sink columns.
 
     Defined for arbitrary finite digraphs; on the acyclic graphs in scope it
     must agree with the block picture (free K0 of rank = number of sinks,
-    trivial K1) - that agreement is a test, not an assumption here.
+    trivial K1) - that agreement is a test, not an assumption here.  The
+    Smith normal form takes about cubic time, so a graph above ``cap``
+    vertices raises CapExceeded.
     """
+    if g.n > cap:
+        raise CapExceeded("graph vertices for K-theory", cap, g.n)
     regular = [v for v in range(g.n) if g.out_sets[v]]
     mat = [
         [

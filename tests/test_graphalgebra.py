@@ -124,6 +124,12 @@ class TestKTheory:
         kp = k_theory(g)
         assert (kp.k0_rank, kp.k1_rank) == (1, 1)
 
+    def test_default_cap_is_the_vertex_cap(self):
+        with pytest.raises(CapExceeded):
+            k_theory(antichain(DEFAULT_VERTEX_CAP + 1))
+        kp = k_theory(antichain(DEFAULT_VERTEX_CAP + 1), DEFAULT_VERTEX_CAP + 1)
+        assert kp.k0_rank == DEFAULT_VERTEX_CAP + 1
+
 
 class TestMaximalTails:
     def test_single_vertex(self):
