@@ -79,6 +79,7 @@ _SIDE_CALLS = [
     "pg --input fixtures/circle_cover.json --level ktheory",
     "pg --input fixtures/segment_domain.json --n 3",
     "pg --input fixtures/line_domain.json",  # a domain needs --n, exit 3
+    "enumerate --input fixtures/line_domain.json",  # the same, exit 3
     "compare --input fixtures/chain_3.json --input-b fixtures/chain_3.json --n 2",
     "compare --input fixtures/plane_cover.json"
     " --input-b fixtures/line_domain.json --n 4",  # exit 2
@@ -156,11 +157,13 @@ _CAP_AND_SIZE_CALLS = [
     " --n-range 2..2 --cap-vertices 1",
 ]
 # a cover whose Hasse digraph has 41 vertices, one past the default cap,
-# and the same call with the cap raised
+# and the same call with the cap raised; a 12-class cover over a cap of 5
+# for each command that caps a cover's classes (exit 4)
 _OVER_CAP_COVER_CALLS = [
     "ktheory --input fixtures/line_chain_cover.json",
     "ktheory --input fixtures/line_chain_cover.json --cap-vertices 1000",
-]
+] + [f"{command} --input fixtures/plane_cover.json --cap-vertices 5"
+     for command in ("pg", "ktheory", "prim")]
 # spellings at the input boundary.  Exit 3: a rational end written as a
 # decimal, with a space or with a non-ASCII digit, a numerator past the digit
 # limit and points that are not strings.  Exit 1: counts written with a sign,
