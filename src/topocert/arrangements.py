@@ -24,7 +24,7 @@ from itertools import combinations, product
 from typing import Iterator, List, NamedTuple, Optional
 
 from .errors import CapExceeded, EmptyMember, Frozen, InvalidArrangement, NotACover
-from .hasse import HPartition, canonical_key, class_order
+from .hasse import HPartition, canonical_key, cell_classes, class_order
 
 DEFAULT_COVER_SIZE_CAP = 5
 
@@ -189,13 +189,6 @@ def _ranks(cuts) -> dict:
     return {v: i for i, v in enumerate(sorted(set(cuts)))}
 
 
-def _by_cell(masks: list, cells) -> List[int]:
-    """For each cell, the class of the members whose cell mask has it."""
-    last_first = masks[::-1]  # member i of n is bit n-1-i
-    return [sum(1 << i for i, m in enumerate(last_first) if m >> c & 1)
-            for c in cells]
-
-
 def hclasses_of_intervals(spec: IntervalSpec) -> HPartition:
     """Density classes of an interval/arc cover, one per cell that the
     distinct ends (a segment's bounds among them) cut the domain into.
@@ -222,7 +215,7 @@ def hclasses_of_intervals(spec: IntervalSpec) -> HPartition:
         cells = range(1, top - 1)
     else:
         cells = range(top if isinstance(domain, Circle) else top + 1)
-    by_cell = _by_cell(masks, cells)
+    by_cell = cell_classes(masks, cells)
     if 0 in by_cell:
         cell = cells[by_cell.index(0)]
         points = _samples(ends)
@@ -257,7 +250,7 @@ def hclasses_axis2d(spec: AxisAlignedSpec) -> HPartition:
                     r = 2 * rank[con.c]
                     mask &= (1 << r + 1) - 1 if con.op == "<" else -1 << r + 2
             masks.append(mask)
-        axes.append(_by_cell(masks, range(2 * len(rank) + 1)))
+        axes.append(cell_classes(masks, range(2 * len(rank) + 1)))
     xs, ys = axes
     by_cell = [hx & hy for hx in xs for hy in ys]  # x-major
     if 0 in by_cell:

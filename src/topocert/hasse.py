@@ -5,12 +5,13 @@ the distinct such sets, ordered by inclusion, form a finite poset whose Hasse
 diagram is the graph everything downstream consumes.  Elements comparable to
 nothing stay edgeless.
 
-A class is an integer bitmask of members, from every source (the cell walks
-in ``arrangements`` and ``cover_class_masks`` here): member i of n is bit
-n-1-i, so member 0 is the leading digit.  ``class_order`` is the one order
-of classes, by size and then by descending mask, which is the order of
-their sorted member indices; ``class_members`` is the one decoder, for
-output and ``canonical_key``.  ``hasse_edges`` finds the cover pairs.
+A class is an integer bitmask of members: member i of n is bit n-1-i, so
+member 0 is the leading digit.  ``cell_classes`` is the one encoder, for the
+cell walks in ``arrangements`` and for a finite space's points in
+``cover_class_masks``; ``class_order`` is the one order of classes, by size
+and then by descending mask, which is the order of their sorted member
+indices; ``class_members`` is the one decoder, for output and
+``canonical_key``.  ``hasse_edges`` finds the cover pairs.
 
 The class poset is the T0 quotient of the topology the members generate:
 points share a class when they have the same smallest neighbourhood in it,
@@ -50,19 +51,21 @@ def class_members(mask: int, n: int) -> tuple:
     return tuple(members)
 
 
+def cell_classes(member_cells: Sequence[int], cells: Iterable[int]) -> list:
+    """For each cell, the class of the members whose cell mask (a bitmask
+    of cells, one per member) has it; 0 for a cell no member has."""
+    last_first = member_cells[::-1]  # member i of n is bit n-1-i
+    return [sum(1 << i for i, m in enumerate(last_first) if m >> c & 1)
+            for c in cells]
+
+
 def cover_class_masks(cover: Cover) -> tuple:
-    """The classes of ``cover`` in ``class_order``.  Each point gets the
-    mask of the members that contain it, from the point indices the space
-    lists for each open."""
-    point_indices = cover.space.open_point_indices
-    masks = [0] * len(cover.space.points)
-    bit = 1 << len(cover.members)
-    for member in cover.members:
-        bit >>= 1
-        for p in point_indices[member]:
-            masks[p] |= bit
+    """The classes of ``cover`` in ``class_order``: the cells are the
+    points, and each member's cells are its open's point mask."""
+    space = cover.space
     # nonempty: cover members jointly contain every point
-    return class_order(masks)
+    return class_order(cell_classes([space.open_masks[i] for i in cover.members],
+                                    range(len(space.points))))
 
 
 def cover_neighbourhoods(cover: Cover) -> tuple:
@@ -70,10 +73,10 @@ def cover_neighbourhoods(cover: Cover) -> tuple:
     of ``cover`` generate, as a bitmask of points: the AND of the members
     that contain the point."""
     space = cover.space
-    point_indices, mask_by_open = space.open_point_indices, space.mask_by_open
+    point_indices, open_masks = space.open_point_indices, space.open_masks
     nbhds = [space.full_mask] * len(space.points)
     for member in cover.members:
-        m = mask_by_open[member]
+        m = open_masks[member]
         for p in point_indices[member]:
             nbhds[p] &= m
     return tuple(nbhds)

@@ -268,7 +268,8 @@ def space_json(space: FiniteSpace) -> dict:
 
 
 def cover_json(cover: Cover) -> dict:
-    return {"members": [sorted(map(str, m)) for m in cover.members]}
+    opens = cover.space.opens
+    return {"members": [sorted(map(str, opens[i])) for i in cover.members]}
 
 
 def partition_json(p: HPartition) -> dict:

@@ -65,14 +65,10 @@ class FiniteSpace(Frozen):
         return tuple(self.mask_of(u) for u in self.opens)
 
     @cached_property
-    def mask_by_open(self) -> dict:
-        return dict(zip(self.opens, self.open_masks))
-
-    @cached_property
-    def open_point_indices(self) -> dict:
-        """Each open's point indices, in point order."""
-        return {u: tuple(i for i, p in enumerate(self.points) if p in u)
-                for u in self.opens}
+    def open_point_indices(self) -> tuple:
+        """Each open's point indices, in point order, aligned with ``opens``."""
+        return tuple(tuple(i for i, p in enumerate(self.points) if p in u)
+                     for u in self.opens)
 
     @cached_property
     def nonempty_opens(self) -> tuple:
@@ -86,8 +82,8 @@ class FiniteSpace(Frozen):
 
 
 class Cover(NamedTuple):
-    """An ordered family of distinct nonempty opens (frozensets) of
-    ``space`` whose union is the space."""
+    """An ordered family of distinct nonempty opens of ``space`` whose union
+    is the space; ``members`` holds their indices into ``space.opens``."""
 
     space: FiniteSpace
     members: tuple
@@ -181,9 +177,9 @@ def generate_topology(points: Sequence, subbasis: Iterable[Iterable]) -> FiniteS
 
 def make_cover(space: FiniteSpace, members: Sequence[Iterable]) -> Cover:
     """Validated cover constructor: members must be distinct nonempty opens
-    of ``space`` whose union is the whole point set."""
-    open_masks = set(space.open_masks)
-    seen = set()
+    of ``space`` whose union is the whole point set.  The cover keeps them in
+    the order given, each as its index into ``space.opens``."""
+    index = {m: i for i, m in enumerate(space.open_masks)}
     out = []
     union = 0
     for idx, m in enumerate(members):
@@ -194,13 +190,12 @@ def make_cover(space: FiniteSpace, members: Sequence[Iterable]) -> Cover:
         mask = space.mask_of(fs)
         if mask == 0:
             raise EmptyMember(idx)
-        if mask not in open_masks:
+        if mask not in index:
             raise ValueError(f"cover member {idx} ({sorted(map(str, fs))}) is not open")
-        if mask in seen:
+        if index[mask] in out:
             raise ValueError(f"cover member {idx} repeats an earlier member")
-        seen.add(mask)
         union |= mask
-        out.append(fs)
+        out.append(index[mask])
     if not out:
         raise ValueError("a cover needs at least one member")
     if union != space.full_mask:
@@ -213,12 +208,13 @@ def enumerate_covers(space: FiniteSpace, n: Optional[int] = None) -> Iterator[Co
     """Yield every cover of ``space`` exactly once, in canonical order.
 
     Covers are subsets of the nonempty opens whose union is the whole space.
-    Member tuples are ordered by ascending bitmask and the stream is ordered
-    by (size, lexicographic position), so output is deterministic.  With
-    ``n`` given, only covers of exactly ``n`` members are produced.
+    Member tuples are ascending open indices, so ascending bitmasks, and the
+    stream is ordered by (size, lexicographic position), so output is
+    deterministic.  With ``n`` given, only covers of exactly ``n`` members
+    are produced.
     """
     ne = space.nonempty_opens
-    masks = [m for m in space.open_masks if m]  # in the order of ne
+    masks = space.open_masks
     full = space.full_mask
     if n is not None:
         if n < 1:
@@ -232,9 +228,10 @@ def enumerate_covers(space: FiniteSpace, n: Optional[int] = None) -> Iterator[Co
                               ENUMERABLE_OPENS_CAP, len(ne))
         sizes = range(1, len(ne) + 1)
     for size in sizes:
-        for combo in combinations(range(len(ne)), size):
+        # open 0 is the empty set: opens are sorted by bitmask
+        for combo in combinations(range(1, len(masks)), size):
             union = 0
             for i in combo:
                 union |= masks[i]
             if union == full:
-                yield Cover(space=space, members=tuple(ne[i] for i in combo))
+                yield Cover(space=space, members=combo)

@@ -133,6 +133,12 @@ def transitive_reduction(n: int, order_pairs) -> set:
             if rel[i][j] and not comp[i][j]}
 
 
+def member_sets(cover: Cover) -> tuple:
+    """The members of a finite-space cover as point sets, in the cover's
+    order, decoded through ``space.opens``."""
+    return tuple(cover.space.opens[i] for i in cover.members)
+
+
 def subset_scan_covers(space: FiniteSpace, n=None):
     """Cover enumeration by scanning every subset of the opens."""
     ne = [u for u in space.opens if u]
@@ -187,8 +193,9 @@ def push_forward_cover(cover: Cover, mapping, target: FiniteSpace) -> Cover:
         pre = frozenset(inverse[p] for p in v)
         if src.mask_of(pre) not in src_masks:
             raise NotAHomeomorphism("preimage", v)
-    members = tuple(frozenset(mapping[p] for p in m) for m in cover.members)
-    return Cover(space=target, members=members)
+    index = {v: i for i, v in enumerate(target.opens)}
+    return Cover(space=target, members=tuple(
+        index[frozenset(mapping[p] for p in m)] for m in member_sets(cover)))
 
 def brute_force_type_key(partition) -> tuple:
     """Partition identity up to relabeling the members: the least sorted

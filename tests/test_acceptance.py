@@ -50,6 +50,7 @@ from oracles import (
     class_sets,
     exact_det,
     maximal_tails_axioms,
+    member_sets,
     random_dag,
     random_digraph,
     random_space,
@@ -186,7 +187,7 @@ def test_c6_line_vs_three_point_model():
     covers7 = list(enumerate_covers(model_space, 7))
     assert len(covers7) == 1, "the model has exactly one 7-member cover"
     part = hpartition_of_cover(covers7[0])
-    member_index = {m: i for i, m in enumerate(covers7[0].members)}
+    member_index = {m: i for i, m in enumerate(member_sets(covers7[0]))}
 
     def h(point):
         return frozenset(i for m, i in member_index.items() if point in m)

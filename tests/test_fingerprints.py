@@ -38,7 +38,7 @@ from topocert.jsonio import load_input
 
 from conftest import FIXTURES, space_fixtures
 
-from oracles import random_space
+from oracles import member_sets, random_space
 
 
 def chain_space(k):
@@ -331,7 +331,7 @@ class TestPerSetMemo:
         s = random_space(rng, max_points=5, max_opens=8)
         covers = list(enumerate_covers(s))
         # each point's smallest neighbourhood, by intersecting its members
-        tuples = {tuple(frozenset.intersection(*(m for m in c.members if p in m))
+        tuples = {tuple(frozenset.intersection(*(m for m in member_sets(c) if p in m))
                         for p in s.points) for c in covers}
         assert len(tuples) < len(covers)
         fingerprints_of_space(s, None, "graph")

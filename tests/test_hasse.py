@@ -36,6 +36,7 @@ from conftest import FIXTURES, space_fixtures
 from oracles import (
     brute_force_type_key,
     class_sets,
+    member_sets,
     partition_of_sets,
     random_partition,
     random_space,
@@ -67,7 +68,7 @@ class TestHPartitionOfCover:
         s = generate_topology(["neg", "zero", "pos"], [["neg"], ["pos"], ["zero"]])
         (cover,) = enumerate_covers(s, 7)
         part = hpartition_of_cover(cover)
-        member_index = {m: i for i, m in enumerate(cover.members)}
+        member_index = {m: i for i, m in enumerate(member_sets(cover))}
 
         def h(point):
             return frozenset(
@@ -140,7 +141,7 @@ class TestHasseDigraph:
             # permute the member order of the cover
             perm = list(range(len(cover.members)))
             rng.shuffle(perm)
-            shuffled = make_cover(s, [cover.members[i] for i in perm])
+            shuffled = make_cover(s, [member_sets(cover)[i] for i in perm])
             g1 = hasse_digraph(hpartition_of_cover(cover))
             g2 = hasse_digraph(hpartition_of_cover(shuffled))
             assert canonical_cert(g1) == canonical_cert(g2)
@@ -160,7 +161,7 @@ class TestHasseDigraph:
 def _scanned_digraph(cover):
     """(n, edges) of the classes found by testing each point against each
     member, in canonical order, under the reduction of strict inclusion."""
-    classes = sorted({frozenset(i for i, m in enumerate(cover.members) if p in m)
+    classes = sorted({frozenset(i for i, m in enumerate(member_sets(cover)) if p in m)
                       for p in cover.space.points},
                      key=lambda c: (len(c), sorted(c)))
     pairs = {(i, j) for i, a in enumerate(classes)
@@ -211,7 +212,7 @@ class TestCoverNeighbourhoods:
                 # each point's smallest neighbourhood, by intersecting sets
                 assert key == tuple(
                     space.mask_of(frozenset.intersection(
-                        *(m for m in cover.members if p in m)))
+                        *(m for m in member_sets(cover) if p in m)))
                     for p in space.points)
                 g = hasse_digraph(hpartition_of_cover(cover))
                 assert certs.setdefault(key, canonical_cert(g)) == canonical_cert(g)

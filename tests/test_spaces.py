@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -15,9 +17,11 @@ from topocert import (
     make_cover,
     validate_topology,
 )
+from topocert.jsonio import cover_json, load_input
 
 from oracles import (
     NotAHomeomorphism,
+    member_sets,
     push_forward_cover,
     random_space,
     subset_scan_covers,
@@ -86,7 +90,7 @@ class TestEnumerateCovers:
         s = validate_topology(["a"], [[], ["a"]])
         covers = list(enumerate_covers(s, 1))
         assert len(covers) == 1
-        assert covers[0].members == (frozenset("a"),)
+        assert member_sets(covers[0]) == (frozenset("a"),)
 
     def test_chain_two_covers_of_size_two(self):
         opens = [[], ["1"], ["1", "2"], ["1", "2", "3"]]
@@ -95,7 +99,7 @@ class TestEnumerateCovers:
         # {X,U1} and {X,U2}: the union must reach the top of the chain
         assert len(covers) == 2
         for c in covers:
-            assert frozenset({"1", "2", "3"}) in c.members
+            assert frozenset({"1", "2", "3"}) in member_sets(c)
 
     def test_no_covers_larger_than_opens(self):
         s = generate_topology(["neg", "zero", "pos"], [["neg"], ["pos"], ["zero"]])
@@ -131,13 +135,13 @@ class TestEnumerateCovers:
             s = random_space(rng)
             covers = list(enumerate_covers(s, 1))
             assert len(covers) == 1
-            assert covers[0].members == (frozenset(s.points),)
+            assert member_sets(covers[0]) == (frozenset(s.points),)
 
     def test_matches_subset_scan(self):
         rng = random.Random(11)
         for _ in range(30):
             s = random_space(rng, max_opens=8)
-            got = [frozenset(c.members) for c in enumerate_covers(s)]
+            got = [frozenset(member_sets(c)) for c in enumerate_covers(s)]
             assert len(got) == len(set(got)), "covers must be pairwise distinct"
             assert set(got) == set(subset_scan_covers(s))
 
@@ -165,6 +169,15 @@ class TestMakeCover:
         with pytest.raises(ValueError):
             make_cover(s, [["b"], ["a", "b"]])
 
+    def test_keeps_the_file_member_order(self):
+        path = Path(__file__).parent.parent / "fixtures" / "chain_3_cover.json"
+        doc = json.loads(path.read_text())
+        cover = load_input(str(path)).cover
+        # members are open indices, listed out of the space's order
+        assert cover.members == (3, 1, 2)
+        assert member_sets(cover) == tuple(frozenset(m) for m in doc["cover"])
+        assert cover_json(cover) == {"members": doc["cover"]}
+
     def test_unknown_point_is_the_smallest_by_str(self):
         s = validate_topology(["a", "b"], [[], ["a"], ["a", "b"]])
         with pytest.raises(UnknownPoint) as info:
@@ -184,7 +197,7 @@ class TestPushForward:
         tgt = validate_topology(["x", "y"], [[], ["x"], ["x", "y"]])
         cover = make_cover(src, [["1"], ["1", "2"]])
         image = push_forward_cover(cover, {"1": "x", "2": "y"}, tgt)
-        assert image.members == (frozenset({"x"}), frozenset({"x", "y"}))
+        assert member_sets(image) == (frozenset({"x"}), frozenset({"x", "y"}))
 
     def test_swapping_sierpinski_points_fails(self):
         s = validate_topology(["a", "b"], [[], ["a"], ["a", "b"]])
@@ -205,10 +218,10 @@ class TestPushForward:
             )
             for n in range(1, len(s.nonempty_opens) + 1):
                 xs = {
-                    frozenset(push_forward_cover(c, mapping, tgt).members)
+                    frozenset(member_sets(push_forward_cover(c, mapping, tgt)))
                     for c in enumerate_covers(s, n)
                 }
-                ys = {frozenset(c.members) for c in enumerate_covers(tgt, n)}
+                ys = {frozenset(member_sets(c)) for c in enumerate_covers(tgt, n)}
                 assert xs == ys
 
     def test_cover_invariants_hold_on_stream(self):
@@ -217,11 +230,11 @@ class TestPushForward:
             s = random_space(rng)
             for c in enumerate_covers(s):
                 union = set()
-                for m in c.members:
+                for m in member_sets(c):
                     assert m, "no empty member"
                     union |= m
                 assert union == set(s.points)
-                assert len(set(c.members)) == len(c.members)
+                assert len(set(member_sets(c))) == len(c.members)
                 # every point lands in some member, so h is never empty
                 part = hpartition_of_cover(c)
                 assert all(part.classes)
