@@ -35,12 +35,13 @@ from .certificates import (
     WitnessSide,
     nonhomeo_certificate,
 )
-from .digraphs import DEFAULT_VERTEX_CAP, to_dot
-from .errors import CapExceeded, ParseError, TopocertError, TopologyError
+from .digraphs import DEFAULT_VERTEX_CAP, check_vertices, to_dot
+from .errors import ParseError, TopocertError, TopologyError
 from .fingerprints import LEVELS, sets_match
 # unused here; the benchmark's tracer and its tests expect this binding
 from .fingerprints import fingerprint_of  # noqa: F401
-from .graphalgebra import block_decomposition, k_theory, prim_space
+from .graphalgebra import (KTHEORY_VERTICES, TAILS_VERTICES, block_decomposition,
+                           k_theory, prim_space)
 from .hasse import class_members, hasse_digraph, hpartition_of_cover
 from .jsonio import (
     cover_json,
@@ -122,17 +123,19 @@ def _partition_of_input(path: str, loaded):
     raise ParseError(path, f"cannot derive a cover from a {loaded.kind} input")
 
 
-def _graph_of_input(args):
+def _graph_of_input(args, capped: Optional[str] = None):
     """(graph, vertex labels) of the input: a graph file's own labels, if it
-    has them, or the member indices of each class of a cover."""
+    has them, or the member indices of each class of a cover.  A cover whose
+    classes, its vertices, are over the cap that ``capped`` names is refused
+    before its graph is built."""
     loaded = load_input(args.input)
     if loaded.kind == "graph":
         # a graph file's n is not bounded by its size
-        if loaded.graph.n > args.cap_vertices:
-            raise CapExceeded("graph input vertices", args.cap_vertices,
-                              loaded.graph.n)
+        check_vertices(loaded.graph.n, args.cap_vertices, "graph input vertices")
         return loaded.graph, loaded.vertex_labels
     partition = _partition_of_input(args.input, loaded)
+    if capped is not None:
+        check_vertices(len(partition.classes), args.cap_vertices, capped)
     n = partition.member_count
     return (hasse_digraph(partition),
             tuple(class_members(c, n) for c in partition.classes))
@@ -180,11 +183,13 @@ def _cstar(args):
 
 
 def _ktheory(args):
-    return k_theory(_graph_of_input(args)[0], args.cap_vertices).to_json(), 0
+    g, _ = _graph_of_input(args, KTHEORY_VERTICES)
+    return k_theory(g, args.cap_vertices).to_json(), 0
 
 
 def _prim(args):
-    return prim_space(_graph_of_input(args)[0], args.cap_vertices).to_json(), 0
+    g, _ = _graph_of_input(args, TAILS_VERTICES)
+    return prim_space(g, args.cap_vertices).to_json(), 0
 
 
 def _pg(args):

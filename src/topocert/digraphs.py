@@ -260,19 +260,24 @@ def canonical_order(g: DiGraph) -> list:
     return list(order)
 
 
+def check_vertices(n: int, cap: int,
+                   what: str = "graph vertices for canonicalization") -> None:
+    """Refuse ``n`` vertices over ``cap``: CapExceeded naming ``what``."""
+    if n > cap:
+        raise CapExceeded(what, cap, n)
+
+
 def canonical_form(g: DiGraph, cap: int = DEFAULT_VERTEX_CAP) -> tuple:
     """(canonical adjacency rows, the vertex order realizing them) of ``g``,
     without the process-wide cache, for a caller that never asks about the
     same graph twice."""
-    if g.n > cap:
-        raise CapExceeded("graph vertices for canonicalization", cap, g.n)
+    check_vertices(g.n, cap)
     return _canonical_order(g)
 
 
 def canonical_cert(g: DiGraph, cap: int = DEFAULT_VERTEX_CAP) -> CanonicalCert:
     """Canonical certificate of ``g``; equal certs iff isomorphic graphs."""
-    if g.n > cap:
-        raise CapExceeded("graph vertices for canonicalization", cap, g.n)
+    check_vertices(g.n, cap)
     rows, _ = _canonical_order_key(g)
     width = (g.n + 7) // 8
     blob = g.n.to_bytes(4, "big") + b"".join(r.to_bytes(width, "big") for r in rows)

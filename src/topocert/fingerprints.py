@@ -22,7 +22,7 @@ from .arrangements import (
     DEFAULT_COVER_SIZE_CAP,
     enumerate_interval_cover_types,
 )
-from .digraphs import DEFAULT_VERTEX_CAP, CanonicalCert, canonical_cert
+from .digraphs import DEFAULT_VERTEX_CAP, CanonicalCert, canonical_cert, check_vertices
 from .errors import LevelMismatch
 from .graphalgebra import KPair, block_decomposition
 from .hasse import (
@@ -80,6 +80,8 @@ def fingerprint_of(source: Union[Cover, HPartition],
     partition and Hasse digraph are built only on a miss.
     """
     is_cover = isinstance(source, Cover)
+    if not is_cover:  # its classes are its digraph's vertices: check them first
+        check_vertices(len(source.classes), cap_vertices)
     key = cover_neighbourhoods(source) if is_cover else hasse_digraph(source)
     if memo is None:
         memo = {}

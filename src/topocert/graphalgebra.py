@@ -16,9 +16,13 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .digraphs import DEFAULT_VERTEX_CAP, DiGraph, find_cycle, topological_order
-from .errors import CapExceeded, NotAcyclic
+from .digraphs import (DEFAULT_VERTEX_CAP, DiGraph, check_vertices, find_cycle,
+                       topological_order)
+from .errors import NotAcyclic
 from .snf import diagonal, smith_normal_form
+
+KTHEORY_VERTICES = "graph vertices for K-theory"
+TAILS_VERTICES = "graph vertices for maximal tails"
 
 
 class KPair(NamedTuple):
@@ -77,8 +81,7 @@ def k_theory(g: DiGraph, cap: int = DEFAULT_VERTEX_CAP) -> KPair:
     Smith normal form takes about cubic time, so a graph above ``cap``
     vertices raises CapExceeded.
     """
-    if g.n > cap:
-        raise CapExceeded("graph vertices for K-theory", cap, g.n)
+    check_vertices(g.n, cap, KTHEORY_VERTICES)
     regular = [v for v in range(g.n) if g.out_sets[v]]
     mat = [
         [
@@ -119,8 +122,7 @@ def maximal_tails(g: DiGraph, cap: int = DEFAULT_VERTEX_CAP) -> list:
     ancestor closures of the sinks, which is how they are computed here; the
     axiom-by-axiom computation lives in the test suite and must agree.
     """
-    if g.n > cap:
-        raise CapExceeded("graph vertices for maximal tails", cap, g.n)
+    check_vertices(g.n, cap, TAILS_VERTICES)
     _require_acyclic(g)
     tails = [_ancestors_closure(g, s) for s in g.sinks]
     tails.sort(key=lambda t: (len(t), tuple(sorted(t))))

@@ -6,12 +6,11 @@ diagram is the graph everything downstream consumes.  Elements comparable to
 nothing stay edgeless.
 
 A class is an integer bitmask of members: member i of n is bit n-1-i, so
-member 0 is the leading digit.  ``cell_classes`` is the one encoder, for the
-cell walks in ``arrangements`` and for a finite space's points in
-``cover_class_masks``; ``class_order`` is the one order of classes, by size
-and then by descending mask, which is the order of their sorted member
-indices; ``class_members`` is the one decoder, for output and
-``canonical_key``.  ``hasse_edges`` finds the cover pairs.
+member 0 is the leading digit.  ``cell_classes`` is the one encoder, of the
+cells of ``arrangements`` and the points of ``cover_class_masks``;
+``class_order`` is the one order, by size and then by descending mask, which
+is the order of sorted member indices; ``class_members`` is the one decoder,
+for output and ``canonical_key``.  ``hasse_edges`` finds the cover pairs.
 
 The class poset is the T0 quotient of the topology the members generate:
 points share a class when they have the same smallest neighbourhood in it,

@@ -268,8 +268,7 @@ def space_json(space: FiniteSpace) -> dict:
 
 
 def cover_json(cover: Cover) -> dict:
-    opens = cover.space.opens
-    return {"members": [sorted(map(str, opens[i])) for i in cover.members]}
+    return {"members": [sorted(map(str, cover.space.opens[i])) for i in cover.members]}
 
 
 def partition_json(p: HPartition) -> dict:

@@ -177,8 +177,7 @@ def generate_topology(points: Sequence, subbasis: Iterable[Iterable]) -> FiniteS
 
 def make_cover(space: FiniteSpace, members: Sequence[Iterable]) -> Cover:
     """Validated cover constructor: members must be distinct nonempty opens
-    of ``space`` whose union is the whole point set.  The cover keeps them in
-    the order given, each as its index into ``space.opens``."""
+    of ``space`` whose union is the whole point set, kept in their order."""
     index = {m: i for i, m in enumerate(space.open_masks)}
     out = []
     union = 0
@@ -208,10 +207,9 @@ def enumerate_covers(space: FiniteSpace, n: Optional[int] = None) -> Iterator[Co
     """Yield every cover of ``space`` exactly once, in canonical order.
 
     Covers are subsets of the nonempty opens whose union is the whole space.
-    Member tuples are ascending open indices, so ascending bitmasks, and the
-    stream is ordered by (size, lexicographic position), so output is
-    deterministic.  With ``n`` given, only covers of exactly ``n`` members
-    are produced.
+    Member tuples are ascending open indices and the stream is ordered by
+    (size, lexicographic position), so output is deterministic.  With ``n``
+    given, only covers of exactly ``n`` members are produced.
     """
     ne = space.nonempty_opens
     masks = space.open_masks

@@ -10,7 +10,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from topocert import cli
+from topocert import cli, hasse
 from topocert.cli import _COMMANDS, main, run
 from topocert.jsonio import parse_fraction
 from topocert.fingerprints import LEVELS
@@ -376,6 +376,28 @@ class TestErrorMapping:
             code, _, _ = run_cmd(capsys, command=command, input=str(big),
                                  cap_vertices=41)
             assert code == 0
+
+    def test_a_cover_over_the_vertex_cap_builds_no_graph(self, monkeypatch, capsys):
+        # the plane cover has 12 classes, so its Hasse digraph 12 vertices
+        built = []
+
+        def counted(partition):
+            built.append(partition)
+            return original(partition)
+
+        original = hasse.hasse_digraph
+        for mod in [m for n, m in sys.modules.items() if n.startswith("topocert")]:
+            if getattr(mod, "hasse_digraph", None) is original:
+                monkeypatch.setattr(mod, "hasse_digraph", counted)
+        for cap, code in ((5, 4), (12, 0)):
+            for command in ("pg", "ktheory", "prim"):
+                got, out, err = run_cmd(capsys, command=command,
+                                        input=fx("plane_cover.json"), cap_vertices=cap)
+                assert got == code, err
+                if code:
+                    assert json.loads(err)["error"]["requested"] == 12
+            # the counter sees every graph that is built
+            assert len(built) == (0 if code else 3)
 
     def test_cycles_are_found_without_recursion(self, tmp_path, capsys):
         # a 3000-cycle overflowed the recursive depth-first search
