@@ -151,11 +151,17 @@ def _side_of_input(name: str, path: str, loaded):
     raise ParseError(path, f"cannot fingerprint a {loaded.kind} input")
 
 
-def _fingerprints_of_file(path: str, loaded, args):
-    """(set, exhaustive) of one pg/compare input at ``args.n``."""
+def _sized(path: str, loaded, args):
+    """``loaded``, checked to have a cover size: a domain has covers of
+    every size, so pg, compare and enumerate need --n for it."""
     if args.n is None and loaded.kind == "domain":
         raise ParseError(path, "domain inputs need --n")
-    side = _side_of_input(path, path, loaded)
+    return loaded
+
+
+def _fingerprints_of_file(path: str, loaded, args):
+    """(set, exhaustive) of one pg/compare input at ``args.n``."""
+    side = _side_of_input(path, path, _sized(path, loaded, args))
     fs, _ = side.fingerprints(args.n, args.level, args.cap_cover,
                               args.cap_vertices)
     return fs, side.exhaustive
@@ -226,14 +232,12 @@ def _certify(args):
 
 
 def _enumerate(args):
-    loaded = load_input(args.input)
+    loaded = _sized(args.input, load_input(args.input), args)
     if loaded.kind == "space":
         covers = [cover_json(c)["members"]
                   for c in enumerate_covers(loaded.space, args.n)]
         return {"covers": covers, "count": len(covers)}, 0
     if loaded.kind == "domain":
-        if args.n is None:
-            raise ParseError(args.input, "domain enumeration needs --n")
         # sorted, so the listing depends on the types and not on the stream
         types = [partition_json(p) for p in sorted(enumerate_interval_cover_types(
             loaded.domain, args.n, args.cap_cover))]

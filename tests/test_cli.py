@@ -507,6 +507,16 @@ class TestErrorMapping:
             assert code == 3
             assert json.loads(err)["error"]["path"] == kw.get("input_b", kw["input"])
 
+    def test_a_domain_without_n_is_one_error(self, capsys):
+        domain = fx("line_domain.json")
+        for kw in (dict(command="pg", input=domain),
+                   dict(command="compare", input=domain, input_b=fx("chain_3.json")),
+                   dict(command="compare", input=fx("chain_3.json"), input_b=domain),
+                   dict(command="enumerate", input=domain)):
+            code, out, err = run_cmd(capsys, **kw)
+            assert (code, out) == (3, "")
+            assert json.loads(err)["error"]["detail"] == "domain inputs need --n"
+
 
 def _line_cover(hi):
     """A line cover file whose first member ends at ``hi``."""
