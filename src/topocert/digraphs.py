@@ -254,12 +254,6 @@ def _canonical_order(g: DiGraph) -> tuple:
 _canonical_order_key = lru_cache(maxsize=65536)(_canonical_order)
 
 
-def canonical_order(g: DiGraph) -> list:
-    """Vertex ordering realizing the canonical adjacency encoding."""
-    _, order = _canonical_order_key(g)
-    return list(order)
-
-
 def check_vertices(n: int, cap: int,
                    what: str = "graph vertices for canonicalization") -> None:
     """Refuse ``n`` vertices over ``cap``: CapExceeded naming ``what``."""
@@ -295,8 +289,8 @@ def is_isomorphic(g1: DiGraph, g2: DiGraph,
         return False, None
     if canonical_cert(g1, cap) != canonical_cert(g2, cap):
         return False, None
-    o1 = canonical_order(g1)
-    o2 = canonical_order(g2)
+    # equal certificates: the canonical orders line the graphs up
+    o1, o2 = _canonical_order_key(g1)[1], _canonical_order_key(g2)[1]
     mapping = {o1[i]: o2[i] for i in range(g1.n)}
     for u, v in g1.edges:
         if (mapping[u], mapping[v]) not in g2.edges:
