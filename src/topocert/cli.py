@@ -40,8 +40,8 @@ from .errors import ParseError, TopocertError, TopologyError
 from .fingerprints import LEVELS, sets_match
 # unused here; the benchmark's tracer and its tests expect this binding
 from .fingerprints import fingerprint_of  # noqa: F401
-from .graphalgebra import (KTHEORY_VERTICES, TAILS_VERTICES, block_decomposition,
-                           k_theory, prim_space)
+from .graphalgebra import block_decomposition, k_theory, prim_space
+from .graphalgebra import KTHEORY_VERTICES, TAILS_VERTICES
 from .hasse import class_members, hasse_digraph, hpartition_of_cover
 from .jsonio import (
     cover_json,
@@ -125,9 +125,8 @@ def _partition_of_input(path: str, loaded):
 
 def _graph_of_input(args, capped: Optional[str] = None):
     """(graph, vertex labels) of the input: a graph file's own labels, if it
-    has them, or the member indices of each class of a cover.  A cover whose
-    classes, its vertices, are over the cap that ``capped`` names is refused
-    before its graph is built."""
+    has them, or the member indices of each class of a cover.  A cover over
+    the vertex cap that ``capped`` names is refused before its graph is built."""
     loaded = load_input(args.input)
     if loaded.kind == "graph":
         # a graph file's n is not bounded by its size
@@ -152,8 +151,7 @@ def _side_of_input(name: str, path: str, loaded):
 
 
 def _sized(path: str, loaded, args):
-    """``loaded``, checked to have a cover size: a domain has covers of
-    every size, so pg, compare and enumerate need --n for it."""
+    """``loaded``; a domain has covers of every size, so it needs --n."""
     if args.n is None and loaded.kind == "domain":
         raise ParseError(path, "domain inputs need --n")
     return loaded

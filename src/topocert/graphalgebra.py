@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .digraphs import (DEFAULT_VERTEX_CAP, DiGraph, check_vertices, find_cycle,
-                       topological_order)
+from .digraphs import DEFAULT_VERTEX_CAP, DiGraph, find_cycle, topological_order
+from .digraphs import check_vertices
 from .errors import NotAcyclic
 from .snf import diagonal, smith_normal_form
 

@@ -7,7 +7,7 @@ nothing stay edgeless.
 
 A class is an integer bitmask of members: member i of n is bit n-1-i, so
 member 0 is the leading digit.  ``cell_classes`` is the one encoder, of the
-cells of ``arrangements`` and the points of ``cover_class_masks``;
+cells of ``arrangements`` and the points of ``hpartition_of_cover``;
 ``class_order`` is the one order, by size and then by descending mask, which
 is the order of sorted member indices; ``class_members`` is the one decoder,
 for output and ``canonical_key``.  ``hasse_edges`` finds the cover pairs.
@@ -51,20 +51,10 @@ def class_members(mask: int, n: int) -> tuple:
 
 
 def cell_classes(member_cells: Sequence[int], cells: Iterable[int]) -> list:
-    """For each cell, the class of the members whose cell mask (a bitmask
-    of cells, one per member) has it; 0 for a cell no member has."""
+    """For each cell, the class of the members whose cell mask has it."""
     last_first = member_cells[::-1]  # member i of n is bit n-1-i
     return [sum(1 << i for i, m in enumerate(last_first) if m >> c & 1)
             for c in cells]
-
-
-def cover_class_masks(cover: Cover) -> tuple:
-    """The classes of ``cover`` in ``class_order``: the cells are the
-    points, and each member's cells are its open's point mask."""
-    space = cover.space
-    # nonempty: cover members jointly contain every point
-    return class_order(cell_classes([space.open_masks[i] for i in cover.members],
-                                    range(len(space.points))))
 
 
 def cover_neighbourhoods(cover: Cover) -> tuple:
@@ -83,9 +73,12 @@ def cover_neighbourhoods(cover: Cover) -> tuple:
 
 def hpartition_of_cover(cover: Cover) -> HPartition:
     """The classes of ``cover``: the sets of members that contain a point."""
-    n = len(cover.members)
-    return HPartition(n, cover_class_masks(cover),
-                      f"cover(n={n}) of space({len(cover.space.points)} points)")
+    space, n = cover.space, len(cover.members)
+    # nonempty: cover members jointly contain every point
+    classes = cell_classes([space.open_masks[i] for i in cover.members],
+                           range(len(space.points)))
+    return HPartition(n, class_order(classes),
+                      f"cover(n={n}) of space({len(space.points)} points)")
 
 
 def hasse_edges(classes: Sequence[int]) -> frozenset:

@@ -115,11 +115,9 @@ def _as_masks(points: tuple, sets: Iterable[Iterable]) -> set:
 
 
 def _space_from_masks(points: tuple, masks: set) -> FiniteSpace:
-    by_index = list(points)
-    opens = []
-    for m in sorted(masks):
-        opens.append(frozenset(by_index[i] for i in range(len(points)) if m >> i & 1))
-    return FiniteSpace(points=points, opens=tuple(opens))
+    opens = tuple(frozenset(p for i, p in enumerate(points) if m >> i & 1)
+                  for m in sorted(masks))
+    return FiniteSpace(points=points, opens=opens)
 
 
 def validate_topology(points: Sequence, opens: Iterable[Iterable]) -> FiniteSpace:
@@ -136,14 +134,13 @@ def validate_topology(points: Sequence, opens: Iterable[Iterable]) -> FiniteSpac
         raise MissingEmpty()
     _within_scan_budget("pairs of opens to check", comb(len(masks), 2))
     space = _space_from_masks(pts, masks)
-    lookup = {m: u for m, u in zip(space.open_masks, space.opens)}
     # closure first: a missing whole set that is a union of opens reports as
     # a closure failure with its witness pair
-    for a, b in combinations(sorted(masks), 2):
+    for (a, u), (b, v) in combinations(zip(space.open_masks, space.opens), 2):
         if (a | b) not in masks:
-            raise NotClosedUnderUnion(lookup[a], lookup[b])
+            raise NotClosedUnderUnion(u, v)
         if (a & b) not in masks:
-            raise NotClosedUnderIntersection(lookup[a], lookup[b])
+            raise NotClosedUnderIntersection(u, v)
     if full not in masks:
         raise MissingWhole()
     return space
@@ -207,9 +204,10 @@ def enumerate_covers(space: FiniteSpace, n: Optional[int] = None) -> Iterator[Co
     """Yield every cover of ``space`` exactly once, in canonical order.
 
     Covers are subsets of the nonempty opens whose union is the whole space.
-    Member tuples are ascending open indices and the stream is ordered by
-    (size, lexicographic position), so output is deterministic.  With ``n``
-    given, only covers of exactly ``n`` members are produced.
+    Member tuples are ascending open indices (open 0, the least bitmask, is
+    empty) and the stream is ordered by (size, lexicographic position), so
+    output is deterministic.  With ``n`` given, only covers of exactly ``n``
+    members are produced.
     """
     ne = space.nonempty_opens
     masks = space.open_masks
@@ -226,7 +224,6 @@ def enumerate_covers(space: FiniteSpace, n: Optional[int] = None) -> Iterator[Co
                               ENUMERABLE_OPENS_CAP, len(ne))
         sizes = range(1, len(ne) + 1)
     for size in sizes:
-        # open 0 is the empty set: opens are sorted by bitmask
         for combo in combinations(range(1, len(masks)), size):
             union = 0
             for i in combo:

@@ -26,7 +26,6 @@ from topocert import (
 from topocert.hasse import (
     class_members,
     class_order,
-    cover_class_masks,
     cover_neighbourhoods,
     hasse_edges,
 )
@@ -185,7 +184,7 @@ class TestFingerprintPathDigraph:
             memo = {}
             for cover in enumerate_covers(space):
                 # the digraph the fingerprint path builds on a memo miss
-                classes = cover_class_masks(cover)
+                classes = hpartition_of_cover(cover).classes
                 g = DiGraph(n=len(classes), edges=hasse_edges(classes))
                 partition_path = hasse_digraph(hpartition_of_cover(cover))
                 assert (g.n, g.edges) == (partition_path.n, partition_path.edges)
