@@ -258,8 +258,12 @@ class TestCanonicalKey:
         # 6 members and 35 classes make 41 incidence vertices, over the
         # default cap of 40
         classes = [frozenset(c) for k in (1, 2, 3) for c in combinations(range(6), k)]
-        with pytest.raises(CapExceeded):
+        with pytest.raises(CapExceeded) as info:
             canonical_key(partition_of_sets(classes[:35], member_count=6))
+        assert info.value.report() == {
+            "kind": "CapExceeded",
+            "message": "graph vertices for canonicalization: requested 41, cap is 40",
+            "what": "graph vertices for canonicalization", "limit": 40, "requested": 41}
 
 
 WITNESS_FIXTURES = ["segment_cover_first", "segment_cover_second",
