@@ -25,7 +25,6 @@ from .certificates import (
     verify_certificate,
 )
 from .digraphs import (
-    CanonicalCert,
     DiGraph,
     canonical_cert,
     is_isomorphic,

@@ -39,25 +39,11 @@ class Segment(Frozen):
         d["lo"] = lo
         d["hi"] = hi
 
-    def __eq__(self, other):
-        if other.__class__ is not Segment:
-            return NotImplemented
-        return (self.lo, self.hi) == (other.lo, other.hi)
-
-    def __hash__(self):
-        return hash((self.lo, self.hi))
-
     def describe(self) -> str:
         return f"segment[{self.lo},{self.hi})"
 
 
 class FullLine(Frozen):
-    def __eq__(self, other):
-        return other.__class__ is FullLine or NotImplemented
-
-    def __hash__(self):
-        return hash(())
-
     def describe(self) -> str:
         return "line"
 

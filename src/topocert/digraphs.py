@@ -2,16 +2,17 @@
 
 Certificates are computed by iterated color refinement (seeded with in/out
 degrees and, on DAGs, the longest-path level) followed by backtracking over
-ambiguous color classes, minimizing the adjacency encoding, all on the
-graph's own neighbour sets.  Disconnected graphs are canonicalized component
-by component, which keeps the search small for the antichain-heavy graphs
-this package produces.
+ambiguous color classes, minimizing the adjacency encoding.
+``canonical_form`` is that one canonicaliser, and it reads only the graph's
+neighbour sets.  Disconnected graphs are canonicalized component by
+component, which keeps the search small for the antichain-heavy graphs this
+package produces.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import CapExceeded, Frozen
 
@@ -19,16 +20,6 @@ DEFAULT_VERTEX_CAP = 40
 # Defensive bound on backtracking leaves; far above anything the test corpus
 # or the poset graphs in scope can reach.
 _SEARCH_LEAF_CAP = 500_000
-
-
-class CanonicalCert(NamedTuple):
-    """Canonical certificate: equal certs iff isomorphic digraphs."""
-
-    vertex_count: int
-    blob: bytes
-
-    def hex(self) -> str:
-        return self.blob.hex()
 
 
 class DiGraph(Frozen):
@@ -226,9 +217,11 @@ def _weak_components(out: list, inc: list) -> list:
     return comps
 
 
-def _canonical_order(g: DiGraph) -> tuple:
-    """(canonical adjacency rows, the vertex order realizing them)."""
-    n, out, inc = g.n, g.out_sets, g.in_sets
+def canonical_form(out: Sequence, inc: Sequence) -> tuple:
+    """(canonical adjacency rows, the vertex order realizing them) of the
+    digraph on 0..n-1 whose vertex v has out-neighbours ``out[v]`` and
+    in-neighbours ``inc[v]``, both sets.  It neither caches nor checks a
+    cap, for a caller that never asks about the same graph twice."""
     comps = _weak_components(out, inc)
     if len(comps) == 1:
         rows, order = _search_connected(out, inc)
@@ -243,15 +236,16 @@ def _canonical_order(g: DiGraph) -> tuple:
         pieces.append((len(comp), rows, comp[0], [comp[i] for i in order]))
     pieces.sort(key=lambda p: (p[0], p[1], p[2]))
     order = [v for p in pieces for v in p[3]]
-    pos = sorted(range(n), key=order.__getitem__)  # the inverse permutation
+    pos = sorted(range(len(out)), key=order.__getitem__)  # the inverse permutation
     return _encode_rows(out, pos), tuple(order)
 
 
-# Process-wide, for graphs that recur across calls; a graph that is
-# canonicalised once (see ``canonical_form``) stays out of it.  Distinct
-# neighbourhood tuples, the fingerprint memo's key for a finite-space cover,
-# often give the same Hasse digraph: those repeats hit here.
-_canonical_order_key = lru_cache(maxsize=65536)(_canonical_order)
+# Process-wide, for graphs that recur across calls.  Distinct neighbourhood
+# tuples, the fingerprint memo's key for a finite-space cover, often give the
+# same Hasse digraph: those repeats hit here.
+@lru_cache(maxsize=65536)
+def _canonical_order_key(g: DiGraph) -> tuple:
+    return canonical_form(g.out_sets, g.in_sets)
 
 
 def check_vertices(n: int, cap: int,
@@ -261,21 +255,15 @@ def check_vertices(n: int, cap: int,
         raise CapExceeded(what, cap, n)
 
 
-def canonical_form(g: DiGraph, cap: int = DEFAULT_VERTEX_CAP) -> tuple:
-    """(canonical adjacency rows, the vertex order realizing them) of ``g``,
-    without the process-wide cache, for a caller that never asks about the
-    same graph twice."""
-    check_vertices(g.n, cap)
-    return _canonical_order(g)
-
-
-def canonical_cert(g: DiGraph, cap: int = DEFAULT_VERTEX_CAP) -> CanonicalCert:
-    """Canonical certificate of ``g``; equal certs iff isomorphic graphs."""
+def canonical_cert(g: DiGraph, cap: int = DEFAULT_VERTEX_CAP) -> bytes:
+    """Canonical certificate of ``g``; equal certificates iff isomorphic
+    graphs.  It is the vertex count n as 4 big-endian bytes, then each
+    canonical adjacency row as (n + 7) // 8 big-endian bytes, so
+    certificates sort by vertex count first."""
     check_vertices(g.n, cap)
     rows, _ = _canonical_order_key(g)
     width = (g.n + 7) // 8
-    blob = g.n.to_bytes(4, "big") + b"".join(r.to_bytes(width, "big") for r in rows)
-    return CanonicalCert(vertex_count=g.n, blob=blob)
+    return g.n.to_bytes(4, "big") + b"".join(r.to_bytes(width, "big") for r in rows)
 
 
 def is_isomorphic(g1: DiGraph, g2: DiGraph,
@@ -287,11 +275,12 @@ def is_isomorphic(g1: DiGraph, g2: DiGraph,
     """
     if g1.n != g2.n or len(g1.edges) != len(g2.edges):
         return False, None
-    if canonical_cert(g1, cap) != canonical_cert(g2, cap):
+    check_vertices(g1.n, cap)
+    (rows1, o1), (rows2, o2) = _canonical_order_key(g1), _canonical_order_key(g2)
+    if rows1 != rows2:
         return False, None
-    # equal certificates: the canonical orders line the graphs up
-    o1, o2 = _canonical_order_key(g1)[1], _canonical_order_key(g2)[1]
-    mapping = {o1[i]: o2[i] for i in range(g1.n)}
+    # equal canonical rows: the canonical orders line the graphs up
+    mapping = dict(zip(o1, o2))
     for u, v in g1.edges:
         if (mapping[u], mapping[v]) not in g2.edges:
             raise AssertionError("certificate collision: invalid witness")

@@ -22,7 +22,7 @@ from .arrangements import (
     DEFAULT_COVER_SIZE_CAP,
     enumerate_interval_cover_types,
 )
-from .digraphs import DEFAULT_VERTEX_CAP, CanonicalCert, canonical_cert, check_vertices
+from .digraphs import DEFAULT_VERTEX_CAP, canonical_cert, check_vertices
 from .errors import LevelMismatch
 from .graphalgebra import KPair, block_decomposition
 from .hasse import (
@@ -40,7 +40,7 @@ class Fingerprint(NamedTuple):
     """Isomorphism invariants of one Hasse digraph: its canonical
     certificate and its block sizes, ascending."""
 
-    graph_cert: CanonicalCert
+    graph_cert: bytes
     blocks: tuple
 
     def project(self, level: str):
@@ -57,7 +57,7 @@ class Fingerprint(NamedTuple):
         k = len(self.blocks)
         return {
             "graph": {
-                "vertices": self.graph_cert.vertex_count,
+                "vertices": int.from_bytes(self.graph_cert[:4], "big"),
                 "cert": self.graph_cert.hex(),
             },
             "blocks": list(self.blocks),

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Sequence
 
-from .digraphs import DiGraph, canonical_form
+from .digraphs import DEFAULT_VERTEX_CAP, DiGraph, canonical_form, check_vertices
 from .spaces import Cover
 
 
@@ -124,13 +124,17 @@ def canonical_key(partition: HPartition) -> HPartition:
     when member i lies in class j.  Members are exactly the vertices of
     in-degree 0, so the canonical order of two such digraphs maps members to
     members, and the representative numbers the members in that order.  A
-    digraph above the default vertex cap raises CapExceeded.  Each partition
+    digraph above the default vertex cap raises CapExceeded.  Its neighbour
+    sets are read off the class masks, with no ``DiGraph``; each partition
     arrives here once, so the canonicalisation is not cached.
     """
-    n = partition.member_count
-    members = [class_members(c, n) for c in partition.classes]
-    edges = frozenset((i, n + j) for j, ms in enumerate(members) for i in ms)
-    _, order = canonical_form(DiGraph(n=n + len(members), edges=edges))
+    n, classes = partition.member_count, partition.classes
+    check_vertices(n + len(classes), DEFAULT_VERTEX_CAP)
+    members = [class_members(c, n) for c in classes]
+    out = [{n + j for j, c in enumerate(classes) if c >> n - 1 - i & 1}
+           for i in range(n)]
+    _, order = canonical_form(out + [frozenset()] * len(classes),
+                              [frozenset()] * n + [set(ms) for ms in members])
     rank = {v: r for r, v in enumerate(v for v in order if v < n)}
     return HPartition(n, class_order(sum(1 << n - 1 - rank[i] for i in ms)
                                      for ms in members))

@@ -256,7 +256,7 @@ def test_c7c_certs_vs_brute_force():
     for mask in range(1 << len(slots)):
         edges = frozenset(s for i, s in enumerate(slots) if mask >> i & 1)
         g = DiGraph(n=4, edges=edges)
-        by_cert.setdefault(canonical_cert(g).blob, []).append(g)
+        by_cert.setdefault(canonical_cert(g), []).append(g)
     assert len(by_cert) == 218  # unlabeled digraphs on 4 nodes
     rng = random.Random(3)
     for members in by_cert.values():

@@ -96,7 +96,15 @@ class TestCanonicalCert:
     def test_large_antichain_is_cheap(self):
         # all-twin graphs must not trigger factorial search
         g = DiGraph(n=30, edges=frozenset())
-        assert canonical_cert(g).vertex_count == 30
+        assert canonical_cert(g)[:4] == (30).to_bytes(4, "big")
+
+    def test_certificates_sort_by_vertex_count_past_one_byte(self):
+        # the count is 4 bytes: 255 vertices (00 00 00 ff) sort before 256
+        # (00 00 01 00) though both graphs have 32-byte rows of zeros
+        small, large = (canonical_cert(DiGraph(n=k, edges=frozenset()), cap=256)
+                        for k in (255, 256))
+        assert small < large
+        assert (len(small), len(large)) == (4 + 255 * 32, 4 + 256 * 32)
 
     def test_exhaustive_4_vertex_census(self):
         """Cert equality must match brute-force isomorphism on every
@@ -108,7 +116,7 @@ class TestCanonicalCert:
             graphs.append(DiGraph(n=4, edges=edges))
         by_cert = {}
         for g in graphs:
-            by_cert.setdefault(canonical_cert(g).blob, []).append(g)
+            by_cert.setdefault(canonical_cert(g), []).append(g)
         # within a cert class: brute force must confirm isomorphism
         rng = random.Random(7)
         for members in by_cert.values():
@@ -202,7 +210,7 @@ class TestCanonicalOrderPin:
         # witness), so the golden digests cannot see a changed leaf order
         digest, graphs, cyclic = hashlib.sha256(), 0, 0
         for g in pin_corpus():
-            order = list(canonical_form(g)[1])
+            order = list(canonical_form(g.out_sets, g.in_sets)[1])
             digest.update(repr((order, canonical_cert(g).hex())).encode())
             graphs += 1
             cyclic += topological_order(g) is None

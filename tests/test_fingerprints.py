@@ -5,7 +5,6 @@ from fractions import Fraction as F
 import pytest
 
 from topocert import (
-    CanonicalCert,
     DiGraph,
     Fingerprint,
     FullLine,
@@ -91,7 +90,14 @@ class TestFingerprintOf:
         assert fp.blocks == (1, 1, 1)
         assert fp.to_json()["k"]["k0"]["rank"] == 3
         assert fp.to_json()["prim"]["points"] == 3
-        assert fp.graph_cert.vertex_count == 3
+        assert fp.to_json()["graph"]["vertices"] == 3
+
+    def test_vertex_count_past_one_byte(self):
+        # 300 singleton classes: an edgeless Hasse digraph on 300 vertices
+        antichain = HPartition(300, tuple(1 << i for i in range(300)))
+        fp = fingerprint_of(antichain, cap_vertices=300)
+        assert fp.to_json()["graph"]["vertices"] == 300
+        assert fp.blocks == (1,) * 300
 
     def test_block_picture_agrees_with_k_theory_and_prim_space(self, block_picture_sources):
         # a fingerprint writes its K-pair and spectrum from the block count;
@@ -109,17 +115,19 @@ class TestFingerprintOf:
             assert fp.to_json()["prim"] == {"points": sinks, "order": []}
 
     def test_level_keys_order_as_the_old_tuple_keys(self, block_picture_sources):
-        # each level's key was once a tuple: (vertex count, blob) at graph;
-        # (blocks, k, the blob of the spectrum, the edgeless digraph on k
-        # vertices) at cstar; (k, (), 0) at ktheory.  Sorting and grouping by
-        # ``project`` must be sorting and grouping by those.
+        # each level's key was once a tuple: (vertex count, adjacency rows)
+        # at graph, both read off the certificate's bytes; (blocks, k, the
+        # certificate of the spectrum, the edgeless digraph on k vertices) at
+        # cstar; (k, (), 0) at ktheory.  Sorting and grouping by ``project``
+        # must be sorting and grouping by those.
         def old_key(fp, level):
             k = len(fp.blocks)
             if level == "graph":
-                return (fp.graph_cert.vertex_count, fp.graph_cert.blob)
+                cert = fp.graph_cert
+                return (int.from_bytes(cert[:4], "big"), cert[4:])
             if level == "cstar":
                 spectrum = canonical_cert(DiGraph(n=k, edges=frozenset()), cap=k)
-                return (fp.blocks, k, spectrum.blob)
+                return (fp.blocks, k, spectrum)
             return (k, (), 0)
 
         fps = {fingerprint_of(source) for source in block_picture_sources.values()}
@@ -130,10 +138,10 @@ class TestFingerprintOf:
             assert len({old for old, _ in pairs}) == len(pairs)
             assert new_keys == sorted(set(new_keys))
             # the detail each key keeps: the realizing fingerprint whose
-            # (blob, blocks) is least, listed in old key order
+            # (certificate, blocks) is least, listed in old key order
             chosen = {}
             for fp in fps:
-                key, content = old_key(fp, level), (fp.graph_cert.blob, fp.blocks)
+                key, content = old_key(fp, level), (fp.graph_cert, fp.blocks)
                 if key not in chosen or content < chosen[key][0]:
                     chosen[key] = (content, fp)
             details = tuple(chosen[key][1].to_json() for key in sorted(chosen))
@@ -145,7 +153,7 @@ class TestFingerprintOf:
         fp = fingerprint_of(HPartition(1, (1,)))
         assert Fingerprint(**fp._asdict()) == fp and hash(Fingerprint(**fp._asdict())) == hash(fp)
         assert Fingerprint(fp.graph_cert, (2,)) != fp
-        assert Fingerprint(CanonicalCert(1, b"x"), fp.blocks) != fp
+        assert Fingerprint(b"x", fp.blocks) != fp
 
     def test_level_projections_are_monotone(self):
         # graph equality refines algebra equality refines K-group equality

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from topocert import digraphs
+from topocert import digraphs, hasse
 from topocert import (
     CapExceeded,
     DiGraph,
@@ -39,6 +39,7 @@ from oracles import (
     partition_of_sets,
     random_partition,
     random_space,
+    slot_pool_labelled_sets,
     transitive_reduction,
 )
 
@@ -253,6 +254,20 @@ class TestCanonicalKey:
         digraphs._canonical_order_key.cache_clear()
         assert len(list(enumerate_interval_cover_types(FullLine(), 4))) == 114
         assert digraphs._canonical_order_key.cache_info().currsize == 0
+
+    def test_builds_no_digraph(self, monkeypatch):
+        # the incidence neighbour sets come straight from the class masks
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return DiGraph(*args, **kwargs)
+
+        for module in (hasse, digraphs):
+            monkeypatch.setattr(module, "DiGraph", counting)
+        keys = {canonical_key(HPartition(n, class_order(labelled)))
+                for n in range(1, 5) for labelled in slot_pool_labelled_sets(n)}
+        assert (len(keys), built) == (1 + 2 + 12 + 114, [])
 
     def test_too_many_vertices_is_capped(self):
         # 6 members and 35 classes make 41 incidence vertices, over the
