@@ -15,6 +15,11 @@ for every n.  Segment to line: send each closed [lo, b) to the ray
 lo, and every other end by an order-preserving map that sends hi to +inf.
 Every density class is kept.  Line to segment: the inverse map does the
 same.  So one enumerator, a sweep over the line, serves both domains.
+
+The reflection x -> -x is a homeomorphism of the line, so a cover and its
+mirror have the same type: their class sets differ only in how the members
+are numbered.  The enumerator keys one labelled class set of each mirror
+pair, and marks the other as seen.
 """
 
 from __future__ import annotations
@@ -293,6 +298,36 @@ def _line_covers(n: int) -> Iterator[tuple]:
         yield from walk(0, (new,), k, (new,), ((None, None),) * k)
 
 
+def _mirror(cover: tuple) -> tuple:
+    """The reflection x -> -x of a ``_line_covers`` cover, numbered as the
+    sweep numbers members: slot s goes to m+1-s, a member's ends swap
+    (None stays unbounded), the members are renumbered by (start, end) and
+    each class mask's bits move with them."""
+    labelled, spans = cover
+    n = len(spans)
+    top = 1 + max((s for span in spans for s in span if s is not None), default=0)
+    spans = [(None if hi is None else top - hi, None if lo is None else top - lo)
+             for lo, hi in spans]
+    order = sorted(range(n), key=lambda i: (spans[i][0] or 0, spans[i][1] or top))
+    # member order[j] becomes member j: bit n-1-order[j] moves to bit n-1-j
+    moves = [(1 << n - 1 - i, 1 << n - 1 - j) for j, i in enumerate(order)]
+    return (frozenset(sum(to for frm, to in moves if c & frm) for c in labelled),
+            tuple(spans[i] for i in order))
+
+
+def _covers_up_to_mirror(n: int) -> Iterator[tuple]:
+    """The ``_line_covers`` covers whose labelled set is met for the first
+    time and is not the mirror of one met before; each one's mirror is
+    marked as seen.  A mirror is a member relabelling of the same type, so
+    every type keeps the first labelled set that the sweep gives it."""
+    seen = set()
+    for cover in _line_covers(n):
+        if cover[0] not in seen:
+            seen.add(cover[0])
+            seen.add(_mirror(cover)[0])
+            yield cover
+
+
 def enumerate_interval_cover_types(domain, n: int,
                                    cap: int = DEFAULT_COVER_SIZE_CAP
                                    ) -> Iterator[HPartition]:
@@ -303,9 +338,13 @@ def enumerate_interval_cover_types(domain, n: int,
     A segment's covers have the line's types (see the module docstring), so
     both domains sweep the line's covers and the domain names only the
     ``source``.  Every cover has its ends in some weak order, on slots, so
-    the sweep is exhaustive.  Only a new labelled class set is checked as
-    an ``IntervalSpec``, walked and keyed; a key seen before is a type
-    seen before.
+    the sweep is exhaustive.  The reflection x -> -x is a homeomorphism of
+    the line, so a cover's mirror has its type: a new labelled class set
+    marks its mirror as seen (``_covers_up_to_mirror``), and only a set
+    neither seen nor marked is checked as an ``IntervalSpec``, walked and
+    keyed.  A marked set's type was found when its mirror was, so the
+    types and their order are those of keying every new set.  A key seen
+    before is a type seen before.
     """
     if n < 1:
         raise ValueError("cover size must be positive")
@@ -315,11 +354,8 @@ def enumerate_interval_cover_types(domain, n: int,
         raise InvalidArrangement("cover-type enumeration supports segment "
                                  "and line domains")
     source = f"{domain.describe()} cover(n={n})"
-    seen_keys, seen_sets = set(), set()
-    for labelled, spans in _line_covers(n):
-        if labelled in seen_sets:
-            continue
-        seen_sets.add(labelled)
+    seen_keys = set()
+    for _, spans in _covers_up_to_mirror(n):
         key = canonical_key(hclasses_of_intervals(IntervalSpec(
             FullLine(), tuple(Interval(lo, hi) for lo, hi in spans))))
         if key not in seen_keys:

@@ -125,17 +125,21 @@ def _normalize(keys: list) -> list:
 
 
 def _refine(out: list, inc: list, colors: list) -> list:
-    """Stable color refinement; colors come out rank-normalized."""
+    """Stable color refinement of rank-normalized colors; they come out
+    rank-normalized.  A discrete coloring is returned at once: its
+    signatures' first fields, the colors, are distinct, so a round would
+    rank them as the colors again."""
     ncolors = max(colors) + 1
-    while True:
+    while ncolors < len(colors):
         get = colors.__getitem__
         sigs = [(c, tuple(sorted(map(get, o))) if o else (),
                  tuple(sorted(map(get, i))) if i else ())
                 for c, o, i in zip(colors, out, inc)]
         rank = {k: r for r, k in enumerate(sorted(set(sigs)))}
         if len(rank) == ncolors:  # stable: the ranks are the colors again
-            return colors
+            break
         colors, ncolors = list(map(rank.__getitem__, sigs)), len(rank)
+    return colors
 
 
 def _twins(out: list, inc: list, u: int, v: int) -> bool:

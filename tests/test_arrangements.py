@@ -554,6 +554,78 @@ class TestSlotPool:
                     assert (cells >> k & 1) == interval_contains(FullLine(), member, x)
 
 
+def set_digest(sets):
+    """sha256 of labelled class sets, each as its sorted masks, sorted."""
+    return hashlib.sha256(repr(sorted(sorted(s) for s in sets)).encode()).hexdigest()
+
+
+class TestMirror:
+    # the reflection x -> -x keeps a cover's type, so the type stream keys
+    # one labelled class set of each mirror pair
+
+    def test_mirror_is_an_involution_within_the_sweep(self):
+        # as a (labelled set, spans) leaf, the mirror of every sweep cover is
+        # a sweep cover, and mirroring twice gives the cover back
+        for n in range(1, 6):
+            covers = set(arrangements._line_covers(n))
+            for cover in covers:
+                mirror = arrangements._mirror(cover)
+                assert mirror in covers
+                assert arrangements._mirror(mirror) == cover
+
+    def test_mirror_has_the_same_type(self):
+        for n in range(1, 5):
+            for labelled, spans in arrangements._line_covers(n):
+                mirror = arrangements._mirror((labelled, spans))[0]
+                assert (brute_force_type_key(HPartition(n, class_order(mirror)))
+                        == brute_force_type_key(HPartition(n, class_order(labelled))))
+
+    def test_kept_counts(self):
+        for n, kept in zip(range(1, 6), (1, 2, 15, 174, 2695)):
+            assert sum(1 for _ in arrangements._covers_up_to_mirror(n)) == kept
+
+    def test_kept_sets_have_every_type(self):
+        for n in range(1, 5):
+            every = {brute_force_type_key(HPartition(n, class_order(labelled)))
+                     for labelled, _ in arrangements._line_covers(n)}
+            kept = {brute_force_type_key(HPartition(n, class_order(labelled)))
+                    for labelled, _ in arrangements._covers_up_to_mirror(n)}
+            assert kept == every
+
+    def test_stream_is_the_stream_of_every_new_labelled_set(self):
+        # key every new labelled set, with no mirror marked: the same keys
+        # come out in the same order
+        for n in range(1, 5):
+            seen_sets, keys = set(), []
+            for labelled, _ in arrangements._line_covers(n):
+                if labelled not in seen_sets:
+                    seen_sets.add(labelled)
+                    key = canonical_key(HPartition(n, class_order(labelled)))
+                    if key not in keys:
+                        keys.append(key)
+            assert [t._replace(source="") for t in types_of(FullLine(), n)] == keys
+
+    def test_line_n6_labelled_sets_are_pinned(self, monkeypatch):
+        # the slow test (about 5 s), one sweep pass: every labelled set, its
+        # digest computed once by ``oracles.slot_pool_labelled_sets(6)``,
+        # and the sets kept after the mirrors are marked
+        every = set()
+        sweep = arrangements._line_covers
+
+        def recorded(n):
+            for cover in sweep(n):
+                every.add(cover[0])
+                yield cover
+
+        monkeypatch.setattr(arrangements, "_line_covers", recorded)
+        kept = [labelled for labelled, _ in arrangements._covers_up_to_mirror(6)]
+        assert (len(every), len(kept)) == (85667, 52145)
+        assert set_digest(every) == (
+            "acb15975ed949846b3d531132065b4601672af607ccf1bdbf326ce97451a54ac")
+        assert set_digest(kept) == (
+            "8d51f61b3ec9ab2401e0d604ade279ea5772ff5d2052e65ac371166c08bbb539")
+
+
 @lru_cache(maxsize=None)
 def types_of(domain, n):
     return tuple(enumerate_interval_cover_types(domain, n))

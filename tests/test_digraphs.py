@@ -14,7 +14,7 @@ from topocert import (
     topological_order,
 )
 
-from topocert.digraphs import canonical_form
+from topocert.digraphs import _refine, canonical_form
 
 from oracles import (
     brute_force_isomorphic,
@@ -138,6 +138,17 @@ class TestCanonicalCert:
         # the census count itself is a known quantity: 218 unlabeled
         # digraphs on 4 nodes
         assert len(by_cert) == 218
+
+
+def test_refine_returns_a_discrete_coloring_unchanged():
+    # a discrete coloring is stable, so refinement gives it back as it is,
+    # for any graph
+    rng = random.Random(26)
+    for _ in range(200):
+        g = random_digraph(rng, rng.randint(1, 9), rng.choice((0.2, 0.35, 0.5)))
+        colors = list(range(g.n))
+        rng.shuffle(colors)
+        assert _refine(g.out_sets, g.in_sets, list(colors)) == colors
 
 
 class TestIsIsomorphic:
