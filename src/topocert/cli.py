@@ -61,28 +61,9 @@ _FLAGS = {
     "n": dict(type=parse_count),
     "n_range": dict(help="inclusive range, e.g. 4..4"),
     "level": dict(choices=list(LEVELS), default="graph"),
-    "cap_cover": dict(type=parse_count),
-    "cap_vertices": dict(type=parse_count),
+    "cap_cover": dict(type=parse_count, default=DEFAULT_COVER_SIZE_CAP),
+    "cap_vertices": dict(type=parse_count, default=DEFAULT_VERTEX_CAP),
 }
-_CAP_DEFAULTS = {"cap_cover": DEFAULT_COVER_SIZE_CAP,
-                 "cap_vertices": DEFAULT_VERTEX_CAP}
-
-
-def _cap(given: Optional[int], flag: str) -> int:
-    """``given`` if the flag was given, else the environment variable
-    ``TOPOCERT_<FLAG>``, else the cap's default; a variable that is not a
-    positive count is a ParseError even when the flag is given."""
-    name = "TOPOCERT_" + flag.upper()
-    raw = os.environ.get(name)
-    value = _CAP_DEFAULTS[flag]
-    if raw is not None:
-        try:
-            value = parse_count(raw)
-        except ValueError:
-            value = 0
-        if value < 1:
-            raise ParseError(name, f"not a positive integer: {raw!r}")
-    return value if given is None else given
 
 
 def _emit(args, text: str) -> None:
@@ -244,7 +225,7 @@ def _enumerate(args):
 
 
 # each command's flags beyond --input, --format and --out, in the parser's
-# order, and so every flag and TOPOCERT_CAP_* variable its handler reads;
+# order, and so every flag its handler reads, caps included;
 # the formats it offers, the default first; and its handler, which reads
 # every input before any other check and returns (document or DOT, exit code)
 _COMMANDS = {
@@ -269,9 +250,7 @@ def run(argv=None) -> int:
     through argparse's SystemExit(0)."""
     try:
         args = build_parser().parse_args(argv)
-        caps = [f for f in _COMMANDS[args.command][0] if f in _CAP_DEFAULTS]
-        for flag in caps:
-            setattr(args, flag, _cap(getattr(args, flag), flag))
+        caps = [f for f in _COMMANDS[args.command][0] if f.startswith("cap_")]
         if any(getattr(args, flag) < 1 for flag in caps):
             raise ValueError("caps must be positive")
         result, code = _COMMANDS[args.command][2](args)

@@ -122,13 +122,7 @@ def collect_fingerprints(fps: Iterable[Fingerprint], level: str,
     if level not in LEVELS:
         raise LevelMismatch(f"unknown level {level!r}")
     chosen = {}
-    # a memo hands out the same object many times; holding each one keeps
-    # its id from being reused
-    seen = {}
-    for fp in fps:
-        if id(fp) in seen:
-            continue
-        seen[id(fp)] = fp
+    for fp in set(fps):
         key = fp.project(level)
         if key not in chosen or fp < chosen[key]:
             chosen[key] = fp

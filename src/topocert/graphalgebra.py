@@ -101,18 +101,6 @@ def k_theory(g: DiGraph, cap: int = DEFAULT_VERTEX_CAP) -> KPair:
     )
 
 
-def _ancestors_closure(g: DiGraph, v: int) -> frozenset:
-    seen = {v}
-    stack = [v]
-    while stack:
-        w = stack.pop()
-        for u in g.in_sets[w]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return frozenset(seen)
-
-
 def maximal_tails(g: DiGraph, cap: int = DEFAULT_VERTEX_CAP) -> list:
     """All maximal tails of an acyclic digraph.
 
@@ -123,8 +111,15 @@ def maximal_tails(g: DiGraph, cap: int = DEFAULT_VERTEX_CAP) -> list:
     axiom-by-axiom computation lives in the test suite and must agree.
     """
     check_vertices(g.n, cap, TAILS_VERTICES)
-    _require_acyclic(g)
-    tails = [_ancestors_closure(g, s) for s in g.sinks]
+    # bit u of ancestors[v] is set when u reaches v, v itself included
+    ancestors = [0] * g.n
+    for v in _require_acyclic(g):
+        mask = 1 << v
+        for u in g.in_sets[v]:
+            mask |= ancestors[u]
+        ancestors[v] = mask
+    tails = [frozenset(v for v in range(g.n) if ancestors[s] >> v & 1)
+             for s in g.sinks]
     tails.sort(key=lambda t: (len(t), tuple(sorted(t))))
     return tails
 

@@ -57,8 +57,8 @@ def parse_fraction(value) -> Fraction:
 
 
 def parse_count(text: str) -> int:
-    """A count on the command line or in a TOPOCERT_CAP_* variable: ASCII
-    digits only, so that each value has one spelling."""
+    """A count on the command line: ASCII digits only, so that each value
+    has one spelling."""
     if not _digits(text):
         raise ValueError(f"not a count: {text!r}")
     return int(text)
