@@ -95,6 +95,10 @@ _SIDE_CALLS = [
     "hclasses --input fixtures/line_witness_covers.json",  # several covers, exit 3
     "hclasses --input fixtures/plane_cover.json --format text",
     "enumerate --input fixtures/chain_3.json",
+    # listings sorted by (size, members): of every size, which the cover
+    # walk meets in another order, and of one size on a larger space
+    "enumerate --input fixtures/three_point_model.json",
+    "enumerate --input fixtures/six_point_space.json --n 3",
     "enumerate --input fixtures/plane_cover.json",  # exit 3
     "graph --input fixtures/line_domain.json",  # exit 3
 ]
