@@ -213,8 +213,10 @@ def _certify(args):
 def _enumerate(args):
     loaded = _sized(args.input, load_input(args.input), args)
     if loaded.kind == "space":
-        covers = [cover_json(c)["members"]
-                  for c in enumerate_covers(loaded.space, args.n)]
+        # sorted by size, then members, so the listing does not follow the walk
+        covers = [cover_json(c)["members"] for c in sorted(
+            enumerate_covers(loaded.space, args.n),
+            key=lambda c: (len(c.members), c.members))]
         return {"covers": covers, "count": len(covers)}, 0
     if loaded.kind == "domain":
         # sorted, so the listing depends on the types and not on the stream
@@ -249,7 +251,8 @@ def run(argv=None) -> int:
     returns the process exit code.  ``--help`` and ``--version`` leave
     through argparse's SystemExit(0)."""
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(_command_of(sys.argv[1:] if argv is None else argv)
+                            ).parse_args(argv)
         caps = [f for f in _COMMANDS[args.command][0] if f.startswith("cap_")]
         if any(getattr(args, flag) < 1 for flag in caps):
             raise ValueError("caps must be positive")
@@ -285,15 +288,27 @@ class _Parser(argparse.ArgumentParser):
         raise TopocertError(message)
 
 
+def _command_of(argv) -> Optional[str]:
+    """The command a command line names, if any: its first argument that is
+    not an option, as the parser, whose own options take no value, reads it."""
+    first = next((a for a in argv if not a.startswith("-")), None)
+    return first if first in _COMMANDS else None
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process."""
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The command-line parser for a command line that names ``command``,
+    built once per process.  Every command is a choice, so help and a wrong
+    choice read the same whatever ``command`` is, but only ``command`` gets
+    its flags."""
     parser = _Parser(prog="topocert", allow_abbrev=False, description=(
         "Open-cover invariants and non-homeomorphism certificates."))
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (flags, formats, _) in _COMMANDS.items():
         p = sub.add_parser(name, allow_abbrev=False)
+        if name != command:
+            continue
         p.add_argument("--input", required=True)
         for flag in flags:
             p.add_argument("--" + flag.replace("_", "-"), **_FLAGS[flag])

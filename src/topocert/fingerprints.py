@@ -25,12 +25,7 @@ from .arrangements import (
 from .digraphs import DEFAULT_VERTEX_CAP, canonical_cert, check_vertices
 from .errors import LevelMismatch
 from .graphalgebra import KPair, block_decomposition
-from .hasse import (
-    HPartition,
-    cover_neighbourhoods,
-    hasse_digraph,
-    hpartition_of_cover,
-)
+from .hasse import HPartition, hasse_digraph, hpartition_of_cover
 from .spaces import Cover, FiniteSpace, enumerate_covers
 
 LEVELS = ("graph", "cstar", "ktheory")
@@ -73,23 +68,31 @@ def fingerprint_of(source: Union[Cover, HPartition],
 
     A fingerprint depends only on the isomorphism class of the Hasse
     digraph.  ``memo``, when given, maps each key already seen to its
-    fingerprint: for a cover, its ``cover_neighbourhoods``, which fix that
-    class; for a partition, its Hasse digraph, vertex i being class i
-    (``DiGraph`` compares on ``(n, edges)``).  The caller owns the memo for
+    fingerprint: each labelled Hasse digraph (vertex i being class i;
+    ``DiGraph`` compares on ``(n, edges)``), and for a cover also its
+    ``neighbourhoods``, which fix that class.  The caller owns the memo for
     one fingerprint set; results are the same with or without it.  A cover's
-    partition and Hasse digraph are built only on a miss.
+    partition and Hasse digraph are built only on a neighbourhood miss, and
+    a digraph is canonicalised and decomposed only on its own miss.
     """
-    is_cover = isinstance(source, Cover)
-    if not is_cover:  # its classes are its digraph's vertices: check them first
-        check_vertices(len(source.classes), cap_vertices)
-    key = cover_neighbourhoods(source) if is_cover else hasse_digraph(source)
     if memo is None:
         memo = {}
-    elif key in memo:
-        return memo[key]
-    g = hasse_digraph(hpartition_of_cover(source)) if is_cover else key
-    fp = memo[key] = Fingerprint(graph_cert=canonical_cert(g, cap=cap_vertices),
-                                 blocks=block_decomposition(g))
+    if isinstance(source, Cover):
+        fp = memo.get(source.neighbourhoods)
+        if fp is None:
+            g = hasse_digraph(hpartition_of_cover(source))
+            fp = memo[source.neighbourhoods] = _fingerprint(g, cap_vertices, memo)
+        return fp
+    # its classes are its digraph's vertices: check them first
+    check_vertices(len(source.classes), cap_vertices)
+    return _fingerprint(hasse_digraph(source), cap_vertices, memo)
+
+
+def _fingerprint(g, cap_vertices: int, memo: dict) -> Fingerprint:
+    fp = memo.get(g)
+    if fp is None:
+        fp = memo[g] = Fingerprint(graph_cert=canonical_cert(g, cap=cap_vertices),
+                                   blocks=block_decomposition(g))
     return fp
 
 

@@ -14,8 +14,8 @@ for output and ``canonical_key``.  ``hasse_edges`` finds the cover pairs.
 
 The class poset is the T0 quotient of the topology the members generate:
 points share a class when they have the same smallest neighbourhood in it,
-and a class lies below another when its neighbourhood is larger.  So
-``cover_neighbourhoods`` fixes the Hasse digraph up to isomorphism.
+and a class lies below another when its neighbourhood is larger.  So a
+cover's ``neighbourhoods`` fix its Hasse digraph up to isomorphism.
 """
 
 from __future__ import annotations
@@ -55,20 +55,6 @@ def cell_classes(member_cells: Sequence[int], cells: Iterable[int]) -> list:
     last_first = member_cells[::-1]  # member i of n is bit n-1-i
     return [sum(1 << i for i, m in enumerate(last_first) if m >> c & 1)
             for c in cells]
-
-
-def cover_neighbourhoods(cover: Cover) -> tuple:
-    """Each point's smallest neighbourhood in the topology that the members
-    of ``cover`` generate, as a bitmask of points: the AND of the members
-    that contain the point."""
-    space = cover.space
-    point_indices, open_masks = space.open_point_indices, space.open_masks
-    nbhds = [space.full_mask] * len(space.points)
-    for member in cover.members:
-        m = open_masks[member]
-        for p in point_indices[member]:
-            nbhds[p] &= m
-    return tuple(nbhds)
 
 
 def hpartition_of_cover(cover: Cover) -> HPartition:

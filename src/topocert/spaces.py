@@ -83,10 +83,14 @@ class FiniteSpace(Frozen):
 
 class Cover(NamedTuple):
     """An ordered family of distinct nonempty opens of ``space`` whose union
-    is the space; ``members`` holds their indices into ``space.opens``."""
+    is the space; ``members`` holds their indices into ``space.opens``.
+    ``neighbourhoods`` holds each point's smallest neighbourhood in the
+    topology the members generate, as a bitmask of points: the AND of the
+    members that contain the point."""
 
     space: FiniteSpace
     members: tuple
+    neighbourhoods: tuple
 
 
 def _check_points(points: Sequence) -> tuple:
@@ -178,6 +182,7 @@ def make_cover(space: FiniteSpace, members: Sequence[Iterable]) -> Cover:
     index = {m: i for i, m in enumerate(space.open_masks)}
     out = []
     union = 0
+    nbhds = [space.full_mask] * len(space.points)
     for idx, m in enumerate(members):
         fs = frozenset(m)
         unknown = fs.difference(space.point_bit)
@@ -192,41 +197,56 @@ def make_cover(space: FiniteSpace, members: Sequence[Iterable]) -> Cover:
             raise ValueError(f"cover member {idx} repeats an earlier member")
         union |= mask
         out.append(index[mask])
+        for p in space.open_point_indices[out[-1]]:
+            nbhds[p] &= mask
     if not out:
         raise ValueError("a cover needs at least one member")
     if union != space.full_mask:
         missing = [p for p in space.points if not union & space.point_bit[p]]
         raise NotACover(f"point {missing[0]!r}")
-    return Cover(space=space, members=tuple(out))
+    return Cover(space=space, members=tuple(out), neighbourhoods=tuple(nbhds))
 
 
 def enumerate_covers(space: FiniteSpace, n: Optional[int] = None) -> Iterator[Cover]:
-    """Yield every cover of ``space`` exactly once, in canonical order.
+    """Yield every cover of ``space`` exactly once, with its neighbourhoods.
 
     Covers are subsets of the nonempty opens whose union is the whole space.
     Member tuples are ascending open indices (open 0, the least bitmask, is
-    empty) and the stream is ordered by (size, lexicographic position), so
-    output is deterministic.  With ``n`` given, only covers of exactly ``n``
-    members are produced.
+    empty).  One depth-first walk visits the subsets in lexicographic order
+    of their member tuples, each before its extensions, and hands a subset's
+    union and neighbourhoods on to its extensions, so a step costs the
+    points of one open.  With ``n`` given, the walk stops at depth ``n`` and
+    only covers of exactly ``n`` members are produced.  Nothing is cut for
+    want of reach: the whole space is the last open.
     """
-    ne = space.nonempty_opens
-    masks = space.open_masks
+    masks, point_indices = space.open_masks, space.open_point_indices
     full = space.full_mask
+    last = len(masks) - 1  # the nonempty opens are 1..last
+    k = len(space.nonempty_opens)
     if n is not None:
         if n < 1:
             raise ValueError("cover size must be positive")
-        _within_scan_budget(f"{n}-member subsets of the opens to scan",
-                            comb(len(ne), n))
-        sizes: Iterable[int] = [n] if n <= len(ne) else []
-    else:
-        if len(ne) > ENUMERABLE_OPENS_CAP:
-            raise CapExceeded("nonempty opens for exhaustive cover enumeration",
-                              ENUMERABLE_OPENS_CAP, len(ne))
-        sizes = range(1, len(ne) + 1)
-    for size in sizes:
-        for combo in combinations(range(1, len(masks)), size):
-            union = 0
-            for i in combo:
-                union |= masks[i]
-            if union == full:
-                yield Cover(space=space, members=combo)
+        _within_scan_budget(f"{n}-member subsets of the opens to scan", comb(k, n))
+    elif k > ENUMERABLE_OPENS_CAP:
+        raise CapExceeded("nonempty opens for exhaustive cover enumeration",
+                          ENUMERABLE_OPENS_CAP, k)
+    # subsets still to visit, the next on top: (members, union, neighbourhoods)
+    stack = [((), 0, (full,) * len(space.points))]
+    while stack:
+        members, union, nbhds = stack.pop()
+        size = len(members)
+        if union == full and (n is None or size == n):
+            yield Cover(space, members, nbhds)
+        if size == n:
+            continue
+        # with n, leave room for the n - size - 1 opens after this one
+        top = last if n is None else last - (n - size - 1)
+        for i in range(top, members[-1] if members else 0, -1):
+            m = masks[i]
+            if m == full:  # the whole space narrows no neighbourhood
+                stack.append((members + (i,), full, nbhds))
+                continue
+            child = list(nbhds)
+            for p in point_indices[i]:
+                child[p] &= m
+            stack.append((members + (i,), union | m, tuple(child)))

@@ -139,6 +139,27 @@ def member_sets(cover: Cover) -> tuple:
     return tuple(cover.space.opens[i] for i in cover.members)
 
 
+def intersected_neighbourhoods(space: FiniteSpace, sets) -> tuple:
+    """Each point's smallest neighbourhood among the point sets ``sets``, as
+    a bitmask of points: the intersection of the sets that contain it."""
+    return tuple(space.mask_of(frozenset.intersection(*(m for m in sets if p in m)))
+                 for p in space.points)
+
+
+def combination_scan_covers(space: FiniteSpace, n=None) -> list:
+    """The member tuples of every cover in (size, lexicographic) order, by
+    scanning each combination of the nonempty open indices and OR-ing its
+    masks; ``n`` keeps one size.  The cover walk once did exactly this."""
+    masks, full = space.open_masks, space.full_mask
+    last = len(masks) - 1
+    found = []
+    for size in range(1, last + 1) if n is None else [n]:
+        for combo in combinations(range(1, last + 1), size):
+            if reduce(or_, (masks[i] for i in combo)) == full:
+                found.append(combo)
+    return found
+
+
 def subset_scan_covers(space: FiniteSpace, n=None):
     """Cover enumeration by scanning every subset of the opens."""
     ne = [u for u in space.opens if u]
@@ -193,9 +214,10 @@ def push_forward_cover(cover: Cover, mapping, target: FiniteSpace) -> Cover:
         pre = frozenset(inverse[p] for p in v)
         if src.mask_of(pre) not in src_masks:
             raise NotAHomeomorphism("preimage", v)
+    images = [frozenset(mapping[p] for p in m) for m in member_sets(cover)]
     index = {v: i for i, v in enumerate(target.opens)}
-    return Cover(space=target, members=tuple(
-        index[frozenset(mapping[p] for p in m)] for m in member_sets(cover)))
+    return Cover(space=target, members=tuple(index[m] for m in images),
+                 neighbourhoods=intersected_neighbourhoods(target, images))
 
 def brute_force_type_key(partition) -> tuple:
     """Partition identity up to relabeling the members: the least sorted

@@ -877,3 +877,22 @@ def test_a_row_offers_exactly_the_caps_its_command_reads(command, capsys):
             assert (code, out) == (1, ""), cap
             assert json.loads(err)["error"]["message"] == (
                 "unrecognized arguments: --%s 1" % cap.replace("_", "-"))
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_a_command_line_builds_the_flags_of_its_command_only(command, capsys):
+    # the command's help lists every flag of its row
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    for flag in ("input", "format", "out") + _COMMANDS[command][0]:
+        assert "--" + flag.replace("_", "-") in out
+    # every command is a choice, so the top-level help is the same
+    parser = cli.build_parser(command)
+    assert parser.format_help() == cli.build_parser().format_help()
+    # and no other command has flags in this parser
+    for other in set(_COMMANDS) - {command}:
+        with pytest.raises(cli.TopocertError,
+                           match="^unrecognized arguments: --input x$"):
+            parser.parse_args([other, "--input", "x"])

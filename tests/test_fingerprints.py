@@ -37,7 +37,7 @@ from topocert.jsonio import load_input
 
 from conftest import FIXTURES, space_fixtures
 
-from oracles import member_sets, random_space
+from oracles import intersected_neighbourhoods, member_sets, random_space
 
 
 def chain_space(k):
@@ -281,9 +281,18 @@ class TestPerSetMemo:
             assert got.elements == fresh.elements
             assert got.details == fresh.details
 
+    @staticmethod
+    def first_digraphs(covers) -> set:
+        """The labelled Hasse digraph of the first cover of each
+        neighbourhood tuple, the ones a memo builds on its misses."""
+        first = {}
+        for c in covers:
+            first.setdefault(c.neighbourhoods, c)
+        return {hasse_digraph(hpartition_of_cover(c)) for c in first.values()}
+
     def test_random_spaces_cover_by_cover(self):
         rng = random.Random(53)
-        repeats = 0
+        repeats = shared = 0
         for _ in range(15):
             s = random_space(rng, max_points=5, max_opens=8)
             covers = list(enumerate_covers(s))
@@ -292,11 +301,16 @@ class TestPerSetMemo:
                 fp = fingerprint_of(c, memo=memo)
                 fresh = fingerprint_of(c)
                 assert fp == fresh and fp.to_json() == fresh.to_json()
-            repeats += len(covers) - len(memo)
+            # one entry per neighbourhood tuple and one per labelled digraph
+            tuples = {c.neighbourhoods for c in covers}
+            graphs = self.first_digraphs(covers)
+            assert len(memo) == len(tuples) + len(graphs)
+            repeats += len(covers) - len(tuples)
+            shared += len(tuples) - len(graphs)
             self.assert_same_sets(
                 lambda level: fingerprints_of_space(s, None, level),
                 [fingerprint_of(c) for c in covers], None)
-        assert repeats > 0
+        assert repeats > 0 and shared > 0
 
     def test_witness_fixtures(self):
         for name in ("line_witness_covers", "segment_cover_first",
@@ -319,7 +333,7 @@ class TestPerSetMemo:
             lambda level: fingerprints_of_domain(FullLine(), 4, level),
             [fingerprint_of(p) for p in types], 4)
 
-    def test_one_block_decomposition_per_neighbourhood_tuple(self, monkeypatch):
+    def test_one_block_decomposition_per_labelled_digraph(self, monkeypatch):
         calls, unwanted = [], []
         original = fingerprints.block_decomposition
 
@@ -338,16 +352,17 @@ class TestPerSetMemo:
         rng = random.Random(54)
         s = random_space(rng, max_points=5, max_opens=8)
         covers = list(enumerate_covers(s))
-        # each point's smallest neighbourhood, by intersecting its members
-        tuples = {tuple(frozenset.intersection(*(m for m in member_sets(c) if p in m))
-                        for p in s.points) for c in covers}
-        assert len(tuples) < len(covers)
+        tuples = {intersected_neighbourhoods(s, member_sets(c)) for c in covers}
+        graphs = self.first_digraphs(covers)
+        assert len(graphs) < len(tuples) < len(covers)
         fingerprints_of_space(s, None, "graph")
-        assert len(calls) == len(tuples)
+        # each labelled digraph once, and no other
+        assert len(calls) == len(set(calls)) == len(graphs)
+        assert set(calls) == graphs
         # one call per isomorphism class at least, and none outside them
         assert ({canonical_cert(g) for g in calls}
                 == {canonical_cert(hasse_digraph(hpartition_of_cover(c))) for c in covers})
         # nothing outlives a call: the second one counts the same again
         fingerprints_of_space(s, None, "graph")
-        assert len(calls) == 2 * len(tuples)
+        assert len(calls) == 2 * len(graphs)
         assert unwanted == []

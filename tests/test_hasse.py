@@ -23,18 +23,14 @@ from topocert import (
     relabel,
     validate_topology,
 )
-from topocert.hasse import (
-    class_members,
-    class_order,
-    cover_neighbourhoods,
-    hasse_edges,
-)
+from topocert.hasse import class_members, class_order, hasse_edges
 from topocert.jsonio import load_input
 
 from conftest import FIXTURES, space_fixtures
 from oracles import (
     brute_force_type_key,
     class_sets,
+    intersected_neighbourhoods,
     member_sets,
     partition_of_sets,
     random_partition,
@@ -196,9 +192,9 @@ class TestFingerprintPathDigraph:
 
 
 class TestCoverNeighbourhoods:
-    """Fingerprints of finite-space covers are memoised on
-    ``cover_neighbourhoods``, which must fix the Hasse digraph up to
-    isomorphism."""
+    """Fingerprints of finite-space covers are memoised on each cover's
+    ``neighbourhoods``, which must fix the Hasse digraph up to isomorphism,
+    and which the cover walk and ``make_cover`` both carry."""
 
     def test_equal_tuples_give_isomorphic_hasse_digraphs(self):
         spaces = _space_fixtures()
@@ -208,12 +204,12 @@ class TestCoverNeighbourhoods:
         for space in spaces:
             certs, labelled = {}, {}
             for cover in enumerate_covers(space):
-                key = cover_neighbourhoods(cover)
-                # each point's smallest neighbourhood, by intersecting sets
-                assert key == tuple(
-                    space.mask_of(frozenset.intersection(
-                        *(m for m in member_sets(cover) if p in m)))
-                    for p in space.points)
+                key = cover.neighbourhoods
+                sets = list(member_sets(cover))
+                assert key == intersected_neighbourhoods(space, sets)
+                # the constructor carries the same tuple, in any member order
+                rng.shuffle(sets)
+                assert make_cover(space, sets).neighbourhoods == key
                 g = hasse_digraph(hpartition_of_cover(cover))
                 assert certs.setdefault(key, canonical_cert(g)) == canonical_cert(g)
                 relabelled += labelled.setdefault(key, g) != g
@@ -223,7 +219,7 @@ class TestCoverNeighbourhoods:
         (space,) = [s for s in _space_fixtures() if len(s.points) == 6]
         covers = list(enumerate_covers(space))
         assert len(covers) == 2944
-        assert len({cover_neighbourhoods(c) for c in covers}) == 380
+        assert len({c.neighbourhoods for c in covers}) == 380
         assert len({hasse_digraph(hpartition_of_cover(c)) for c in covers}) == 180
 
 

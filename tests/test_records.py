@@ -76,12 +76,14 @@ def test_a_field_refuses_assignment(record, field):
 @pytest.mark.parametrize("a, b", [
     (DiGraph(2, EDGE), DiGraph(3, EDGE)),
     (DiGraph(2, EDGE), DiGraph(2, frozenset({(1, 0)}))),
-    (Cover(SPACE, (2,)), Cover(validate_topology(["a", "b"], [[], ["a", "b"]]), (2,))),
+    (Cover(SPACE, (2,), (0b11, 0b11)),
+     Cover(validate_topology(["a", "b"], [[], ["a", "b"]]), (2,), (0b11, 0b11))),
+    (Cover(SPACE, (2,), (0b11, 0b11)), Cover(SPACE, (2,), (0b01, 0b11))),
     (FingerprintSet("graph", 1, ((1, b""),), details=({"graph": 1},)),
      FingerprintSet("graph", 1, ((1, b""),))),
     (HPartition(1, (0b1,), "one"), HPartition(1, (0b1,), "two")),
-], ids=["DiGraph.n", "DiGraph.edges", "Cover.space", "FingerprintSet.details",
-        "HPartition.source"])
+], ids=["DiGraph.n", "DiGraph.edges", "Cover.space", "Cover.neighbourhoods",
+        "FingerprintSet.details", "HPartition.source"])
 def test_equality_reads_the_field(a, b):
     # records that differ in this field alone are unequal; a fingerprint
     # set's details are dicts, so it has no hash
@@ -91,7 +93,7 @@ def test_equality_reads_the_field(a, b):
 @pytest.mark.parametrize("a, b", [
     (DiGraph(2, EDGE), DiGraph(2, frozenset())),
     (HPartition(1, (0b1,)), HPartition(2, (0b1,))),
-    (Cover(SPACE, (2,)), Cover(SPACE, (1, 2))),
+    (Cover(SPACE, (2,), (0b11, 0b11)), Cover(SPACE, (1, 2), (0b01, 0b11))),
     (FingerprintSet("graph", 1, ()), FingerprintSet("cstar", 1, ())),
     (KPair(1, (), 0), KPair(1, (), 1)),
     (PrimPoset((frozenset({0}),)), PrimPoset((frozenset({1}),))),

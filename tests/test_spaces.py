@@ -21,6 +21,8 @@ from topocert.jsonio import cover_json, load_input
 
 from oracles import (
     NotAHomeomorphism,
+    combination_scan_covers,
+    intersected_neighbourhoods,
     member_sets,
     push_forward_cover,
     random_space,
@@ -144,6 +146,47 @@ class TestEnumerateCovers:
             got = [frozenset(member_sets(c)) for c in enumerate_covers(s)]
             assert len(got) == len(set(got)), "covers must be pairwise distinct"
             assert set(got) == set(subset_scan_covers(s))
+
+    def test_walk_meets_the_combination_scan(self):
+        rng = random.Random(28)
+        for _ in range(40):
+            s = random_space(rng, max_points=5, max_opens=9)
+            for n in [None, *range(1, len(s.nonempty_opens) + 2)]:
+                covers = list(enumerate_covers(s, n))
+                got = [c.members for c in covers]
+                want = combination_scan_covers(s, n)
+                # each cover once, in lexicographic order of member tuples:
+                # one size in the scan's own order, and every size with each
+                # cover before its extensions
+                assert got == sorted(set(got)) == sorted(want)
+                if n is not None:
+                    assert got == want
+                for c in covers:
+                    assert c.neighbourhoods == intersected_neighbourhoods(
+                        s, member_sets(c))
+
+    def test_caps_fire_before_the_first_cover(self):
+        # a chain on k points has k nonempty opens: 17 is one past the
+        # all-size cap, 16 is at it, and no one-size walk of 17 opens
+        # exceeds the scan budget
+        for k, capped in ((17, True), (16, False)):
+            pts = [str(i) for i in range(k)]
+            chain = validate_topology(pts, [pts[:i] for i in range(k + 1)])
+            walk = enumerate_covers(chain)
+            if capped:
+                with pytest.raises(CapExceeded) as exc:
+                    next(walk)
+                assert (exc.value.fields["limit"], exc.value.fields["requested"]) == (16, 17)
+            else:
+                # the least member tuple that covers: every open
+                assert next(walk).members == tuple(range(1, k + 1))
+            assert next(enumerate_covers(chain, k // 2)).members
+        # 63 nonempty opens: C(63, 4) subsets exceed 2^16 - 1
+        pts = [str(i) for i in range(6)]
+        discrete = generate_topology(pts, [[p] for p in pts])
+        with pytest.raises(CapExceeded) as exc:
+            next(enumerate_covers(discrete, 4))
+        assert exc.value.fields["requested"] == 595665
 
     def test_stream_is_deterministic(self):
         rng = random.Random(5)
