@@ -215,9 +215,11 @@ def enumerate_covers(space: FiniteSpace, n: Optional[int] = None) -> Iterator[Co
     empty).  One depth-first walk visits the subsets in lexicographic order
     of their member tuples, each before its extensions, and hands a subset's
     union and neighbourhoods on to its extensions, so a step costs the
-    points of one open.  With ``n`` given, the walk stops at depth ``n`` and
-    only covers of exactly ``n`` members are produced.  Nothing is cut for
-    want of reach: the whole space is the last open.
+    points of one open.  With ``n`` given, the walk stops at depth ``n``,
+    drops each n-member subset that does not cover before its neighbourhoods
+    are built, and produces only covers of exactly ``n`` members.  No
+    shorter subset is cut for want of reach: the whole space is the last
+    open, and adding it to any subset makes a cover.
     """
     masks, point_indices = space.open_masks, space.open_point_indices
     full = space.full_mask
@@ -243,6 +245,8 @@ def enumerate_covers(space: FiniteSpace, n: Optional[int] = None) -> Iterator[Co
         top = last if n is None else last - (n - size - 1)
         for i in range(top, members[-1] if members else 0, -1):
             m = masks[i]
+            if size + 1 == n and union | m != full:
+                continue  # an n-member subset that is no cover
             if m == full:  # the whole space narrows no neighbourhood
                 stack.append((members + (i,), full, nbhds))
                 continue
