@@ -89,6 +89,7 @@ def fingerprint_of(source: Union[Cover, HPartition],
 
 
 def _fingerprint(g, cap_vertices: int, memo: dict) -> Fingerprint:
+    """The fingerprint of the labelled digraph ``g``, computed on a miss."""
     fp = memo.get(g)
     if fp is None:
         fp = memo[g] = Fingerprint(graph_cert=canonical_cert(g, cap=cap_vertices),
