@@ -149,7 +149,7 @@ def intersected_neighbourhoods(space: FiniteSpace, sets) -> tuple:
 def combination_scan_covers(space: FiniteSpace, n=None) -> list:
     """The member tuples of every cover in (size, lexicographic) order, by
     scanning each combination of the nonempty open indices and OR-ing its
-    masks; ``n`` keeps one size.  The cover walk once did exactly this."""
+    masks; ``n`` keeps one size.  The reference for the cover walk."""
     masks, full = space.open_masks, space.full_mask
     last = len(masks) - 1
     found = []
