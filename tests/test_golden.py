@@ -189,6 +189,16 @@ _POINT_ITEM_CALLS = (
     + [f"hclasses --input fixtures/errors/{cover}.json"
        for cover in ("cover_number_item", "cover_boolean_item")]
 )
+# an end that is refused after the same value was read in an earlier cover,
+# as the integer 1 or the string "1": the boolean true and the float 1.0
+# equal 1 and hash alike, and still exit 3 as "not a rational"; and equal
+# ends spelled "1/2" and "2/4", which make members 0 and 2 one set (exit 3)
+_REPEATED_END_CALLS = (
+    [f"pg --input fixtures/errors/{cover}.json"
+     for cover in ("one_then_true", "one_string_then_true",
+                   "one_then_float", "one_string_then_float")]
+    + ["hclasses --input fixtures/errors/equal_ends_spelled_apart.json"]
+)
 
 CALLS = (
     _README_CERTIFY
@@ -216,6 +226,7 @@ CALLS = (
     + _OVER_CAP_COVER_CALLS
     + _SPELLING_CALLS
     + _POINT_ITEM_CALLS
+    + _REPEATED_END_CALLS
 )
 
 
