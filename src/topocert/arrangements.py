@@ -79,22 +79,57 @@ class Interval(NamedTuple):
 
 class IntervalSpec(Frozen):
     """Distinct nonempty open members of ``domain``, checked when the spec
-    is built; whether they cover the domain shows in the walk."""
+    is built; whether they cover the domain shows in the walk.
+
+    The distinct finite ends, a segment's bounds among them, are sorted
+    once, exactly, and ranked 0 .. ``end_count`` - 1.  ``spans`` holds each
+    member as ``(lo, hi, closed_lo)`` with its finite ends replaced by
+    their ranks, so the member checks and the walk compare ints only.
+    """
 
     def __init__(self, domain, members: tuple):
         """``domain`` is a Segment, FullLine or Circle; ``members`` a tuple
-        of Interval."""
+        of Interval whose finite ends are ints or Fractions."""
         if not members:
             raise InvalidArrangement("a cover needs at least one member")
-        for idx, m in enumerate(members):
-            _validate_interval(domain, m, idx)
-        if len(set(members)) < len(members):
-            i, j = next((i, j) for i, j in combinations(range(len(members)), 2)
-                        if members[i] == members[j])
+        # a Fraction is in lowest terms and an int is n/1, so (numerator,
+        # denominator) names a value exactly, and hashes faster
+        ends = [v for m in members for v in (m.lo, m.hi)]
+        keys = [v if v is None else (v.numerator, v.denominator) for v in ends]
+        values = dict(zip(keys, ends))
+        values.pop(None, None)
+        bounds = ()
+        if isinstance(domain, Segment):
+            bounds = [(v.numerator, v.denominator) for v in (domain.lo, domain.hi)]
+            values.update(zip(bounds, (domain.lo, domain.hi)))
+        # by floor(v * 2**64), then by v itself where two floors tie: exact,
+        # and one int division per value rather than a Fraction comparison
+        # per pair
+        order = sorted(values, key=lambda k: ((k[0] << 64) // k[1], values[k]))
+        rank = dict(zip(order, range(len(order))))
+        rank[None] = None
+        ranked = [rank[k] for k in keys]
+        spans = tuple(zip(ranked[::2], ranked[1::2], (m.closed_lo for m in members)))
+        # the lowest and the highest rank of an end inside the domain
+        if bounds:
+            lowest, highest = (rank[k] for k in bounds)
+        elif isinstance(domain, Circle):
+            c = domain.circumference
+            lowest = sum(n < 0 for n, _ in values)
+            highest = sum(n * c.denominator < c.numerator * d for n, d in values) - 1
+        else:
+            lowest = highest = None
+        for idx, span in enumerate(spans):
+            _check_span(domain, span, idx, lowest, highest)
+        if len(set(spans)) < len(spans):
+            i, j = next((i, j) for i, j in combinations(range(len(spans)), 2)
+                        if spans[i] == spans[j])
             raise InvalidArrangement(f"members {i} and {j} are the same set")
         d = self.__dict__
         d["domain"] = domain
         d["members"] = members
+        d["spans"] = spans
+        d["end_count"] = len(order)
 
 
 _AXIS_VARS = ("x", "y")
@@ -127,30 +162,34 @@ class AxisAlignedSpec(Frozen):
         self.__dict__["members"] = members
 
 
-def _validate_interval(domain, member: Interval, idx: int) -> None:
-    lo, hi = member.lo, member.hi
+def _check_span(domain, span: tuple, idx: int, lowest, highest) -> None:
+    """The checks on member ``idx`` of an ``IntervalSpec``, read off its
+    ranked ``span``: a finite end lies in a segment or a circle when its
+    rank is in ``lowest`` .. ``highest``, and a segment starts at
+    ``lowest``."""
+    lo, hi, closed_lo = span
     if isinstance(domain, Segment):
         if lo is None or hi is None:
             raise InvalidArrangement(f"member {idx}: segment members need finite ends")
-        if member.closed_lo and lo != domain.lo:
+        if closed_lo and lo != lowest:
             raise InvalidArrangement(
                 f"member {idx}: a closed left end is only open at the segment start"
             )
-        if lo < domain.lo or hi > domain.hi:
+        if lo < lowest or hi > highest:
             raise InvalidArrangement(f"member {idx}: endpoints outside the segment")
         if lo >= hi:
             raise EmptyMember(idx)
     elif isinstance(domain, FullLine):
-        if member.closed_lo:
+        if closed_lo:
             raise InvalidArrangement(f"member {idx}: closed ends are not open in the line")
         if lo is not None and hi is not None and lo >= hi:
             raise EmptyMember(idx)
     elif isinstance(domain, Circle):
-        if member.closed_lo:
+        if closed_lo:
             raise InvalidArrangement(f"member {idx}: closed ends are not open in the circle")
         if lo is None or hi is None:
             raise InvalidArrangement(f"member {idx}: arcs need both endpoints")
-        if not (0 <= lo < domain.circumference and 0 <= hi < domain.circumference):
+        if not (lowest <= lo <= highest and lowest <= hi <= highest):
             raise InvalidArrangement(
                 f"member {idx}: arc endpoints must lie in [0, circumference)"
             )
@@ -189,16 +228,12 @@ def hclasses_of_intervals(spec: IntervalSpec) -> HPartition:
     cells.  The segment [lo, hi) keeps cells 1 .. 2k - 2, the line all, and
     the circle 0 .. 2k - 1, where cell 0 is the gap across the wrap point.
     """
-    domain, members = spec.domain, spec.members
-    ends = [v for m in members for v in (m.lo, m.hi) if v is not None]
-    if isinstance(domain, Segment):
-        ends += (domain.lo, domain.hi)
-    rank = _ranks(ends)
-    top = 2 * len(rank)
+    domain = spec.domain
+    top = 2 * spec.end_count
     masks = []
-    for m in members:
-        first = 0 if m.lo is None else 2 * rank[m.lo] + (1 if m.closed_lo else 2)
-        last = top if m.hi is None else 2 * rank[m.hi]
+    for lo, hi, closed_lo in spec.spans:
+        first = 0 if lo is None else 2 * lo + (1 if closed_lo else 2)
+        last = top if hi is None else 2 * hi
         # a wrapping arc runs past cell 2k - 1 and on from cell 0
         masks.append((1 << last + 1) - (1 << first) if first <= last
                      else (1 << top) - (1 << first) | (1 << last + 1) - 1)
@@ -209,12 +244,15 @@ def hclasses_of_intervals(spec: IntervalSpec) -> HPartition:
     by_cell = cell_classes(masks, cells)
     if 0 in by_cell:
         cell = cells[by_cell.index(0)]
+        ends = [v for m in spec.members for v in (m.lo, m.hi) if v is not None]
+        if isinstance(domain, Segment):
+            ends += (domain.lo, domain.hi)
         points = _samples(ends)
         if isinstance(domain, Circle) and cell == 0:
             c = domain.circumference
             points[0] = ((points[-2] + points[1] + c) / 2) % c
         raise NotACover(f"point {points[cell]}")
-    n = len(members)
+    n = len(spec.members)
     return HPartition(n, class_order(by_cell), f"{domain.describe()} cover(n={n})")
 
 

@@ -86,16 +86,26 @@ def _array(doc: dict, key: str, of_arrays: bool = True) -> list:
 _UNBOUNDED = {"lo": ("-inf",), "hi": ("inf", "+inf")}
 
 
-def _parse_end(member: dict, key: str) -> Optional[Fraction]:
+def _parse_end(member: dict, key: str, parsed: dict) -> Optional[Fraction]:
     """End ``key`` ("lo" or "hi") of an interval member; null means
-    unbounded, and so does "-inf" for lo and "inf" or "+inf" for hi."""
+    unbounded, and so does "-inf" for lo and "inf" or "+inf" for hi.
+    ``parsed`` maps each rational string read before in the file to its
+    value.  Only strings are keys: ``true`` and ``1.0`` equal 1 and hash
+    alike, but are not rationals."""
     value = member.get(key)
+    if isinstance(value, str):
+        end = parsed.get(value)
+        if end is not None:
+            return end
     if value is None or value in _UNBOUNDED[key]:
         return None
     if value in ("-inf", "inf", "+inf"):
         raise ValueError(f'"{key}" cannot be {value!r}: it is unbounded as '
                          f'null or {" or ".join(map(repr, _UNBOUNDED[key]))}')
-    return parse_fraction(value)
+    end = parse_fraction(value)
+    if isinstance(value, str):
+        parsed[value] = end
+    return end
 
 
 def _load_domain(doc) -> object:
@@ -118,12 +128,15 @@ def _closed_lo(member: dict) -> bool:
     return value
 
 
-def _load_interval_members(domain, members_doc: list, key: str) -> IntervalSpec:
-    """One interval cover from the member objects listed under ``key``."""
+def _load_interval_members(domain, members_doc: list, key: str,
+                           parsed: dict) -> IntervalSpec:
+    """One interval cover from the member objects listed under ``key``;
+    ``parsed`` is the file's map of rational strings, as ``_parse_end``
+    reads it."""
     if not all(isinstance(m, dict) for m in members_doc):
         raise ValueError(f'each member in "{key}" must be a JSON object')
     return IntervalSpec(domain, tuple(
-        Interval(lo=_parse_end(m, "lo"), hi=_parse_end(m, "hi"),
+        Interval(lo=_parse_end(m, "lo", parsed), hi=_parse_end(m, "hi", parsed),
                  closed_lo=_closed_lo(m))
         for m in members_doc))
 
@@ -231,11 +244,13 @@ def _interpret(doc) -> LoadedInput:
         return LoadedInput("space", space=space, cover=cover)
     if "domain" in doc:
         domain = _load_domain(doc["domain"])
+        parsed = {}
         if "members" in doc:
             return LoadedInput("covers", specs=(_load_interval_members(
-                domain, _array(doc, "members", of_arrays=False), "members"),))
+                domain, _array(doc, "members", of_arrays=False), "members",
+                parsed),))
         if "covers" in doc:
-            specs = tuple(_load_interval_members(domain, ms, "covers")
+            specs = tuple(_load_interval_members(domain, ms, "covers", parsed)
                           for ms in _array(doc, "covers"))
             if not specs:
                 raise ValueError('"covers" must not be empty')

@@ -1,8 +1,11 @@
 import hashlib
+import json
+import math
 import random
 from collections import Counter
 from fractions import Fraction as F
 from functools import lru_cache, reduce
+from math import lcm
 from itertools import combinations
 from operator import or_
 
@@ -282,6 +285,157 @@ class TestSpecsValidateThemselves:
             assert loaded.kind == "covers" and len(loaded.specs) == count
             assert all(isinstance(s, (IntervalSpec, AxisAlignedSpec))
                        for s in loaded.specs)
+
+
+def coprime_denominators(count: int, digits: int) -> list:
+    """``count`` pairwise coprime denominators of at least ``digits``
+    digits: m (b + i) + 1 for i < count, with m = lcm(1 .. count).  A prime
+    dividing two of them divides m (j - i), so it divides j - i < count and
+    with it m, and cannot divide m (b + i) + 1."""
+    m = lcm(*range(1, count + 1))
+    b = 10 ** max(0, digits - len(str(m)))
+    return [m * (b + i) + 1 for i in range(count)]
+
+
+def rational_with(rng, den: int, lo, hi) -> F:
+    """A rational in [lo, hi) whose denominator is exactly ``den``."""
+    while True:
+        num = rng.randrange(math.ceil(lo * den), math.ceil(hi * den))
+        if math.gcd(num, den) == 1:
+            return F(num, den)
+
+
+def expected_ranks(spec) -> tuple:
+    """The number of distinct finite ends and segment bounds, and each
+    member with its ends replaced by their indices among them in order,
+    found by sorting Fractions."""
+    values = {v for m in spec.members for v in (m.lo, m.hi) if v is not None}
+    if isinstance(spec.domain, Segment):
+        values |= {spec.domain.lo, spec.domain.hi}
+    index = {v: i for i, v in enumerate(sorted(values))}
+    index[None] = None
+    return len(values), tuple((index[m.lo], index[m.hi], m.closed_lo)
+                              for m in spec.members)
+
+
+def assert_walk_matches_oracle(spec):
+    """The ranks are the order of the ends, and the walk's classes are the
+    sampled ones, or it names a point no member contains."""
+    assert (spec.end_count, spec.spans) == expected_ranks(spec)
+    try:
+        part = hclasses_of_intervals(spec)
+    except NotACover as exc:
+        x = witness_point(exc)
+        assert in_domain(spec.domain, x), exc.witness
+        assert not any(interval_contains(spec.domain, m, x) for m in spec.members)
+        assert frozenset() in sampled_interval_classes(spec)
+        return False
+    assert set(class_sets(part)) == sampled_interval_classes(spec)
+    return True
+
+
+# one part in 10**40: far below a float's resolution at these magnitudes
+TINY = F(1, 10 ** 40)
+
+
+class TestRankedEnds:
+    """A spec ranks its distinct ends once, by one exact sort; its checks
+    and the walk read only the ranks."""
+
+    def long_denominator_spec(self, rng, domain, dens):
+        """1..5 members on a pool of ends with distinct denominators of 30
+        or more digits, some of them 10**-40 apart; a circle's pool holds 0
+        and a point 10**-40 below the circumference."""
+        if isinstance(domain, Segment):
+            lo, hi = domain.lo, domain.hi
+        elif isinstance(domain, Circle):
+            lo, hi = 0, domain.circumference
+        else:
+            lo, hi = -4, 4
+        pool = [rational_with(rng, den, lo, hi)
+                for den in rng.sample(dens, rng.randint(2, 5))]
+        pool += [v + TINY for v in pool[:rng.randint(1, 2)] if v + TINY < hi]
+        if isinstance(domain, Segment):
+            pool += [lo, hi, lo + TINY, hi - TINY]
+        elif isinstance(domain, Circle):
+            pool += [F(0), hi - TINY]
+        else:
+            pool += [None, None]
+        members = []
+        for _ in range(rng.randint(1, 5)):
+            a, b = rng.choice(pool), rng.choice(pool)
+            if not isinstance(domain, Circle) and None not in (a, b) and a > b:
+                a, b = b, a
+            closed = isinstance(domain, Segment) and a == lo and rng.random() < 0.5
+            members.append(Interval(a, b, closed))
+        return IntervalSpec(domain, tuple(members))
+
+    def test_walk_agrees_with_the_oracle_on_long_denominators(self):
+        rng = random.Random(29)
+        dens = coprime_denominators(60, 30)
+        assert all(len(str(d)) >= 30 for d in dens)
+        seg = Segment(rational_with(rng, dens[0], -2, -1),
+                      rational_with(rng, dens[1], 1, 2))
+        for domain in (seg, FullLine(), Circle(F(22, 7))):
+            covers = uncovered = 0
+            while covers < 40 or uncovered < 10:
+                try:
+                    spec = self.long_denominator_spec(rng, domain, dens[2:])
+                except (InvalidArrangement, EmptyMember):
+                    continue
+                if assert_walk_matches_oracle(spec):
+                    covers += 1
+                else:
+                    uncovered += 1
+
+    def test_ends_a_float_cannot_tell_apart_are_checked_exactly(self):
+        one, c = F(1), Circle(F(1))
+        seg = Segment(F(0), one)
+        for domain, members, error in (
+                (seg, [(TINY, one, True)], InvalidArrangement),
+                (seg, [(F(0), one + TINY)], InvalidArrangement),
+                (seg, [(-TINY, one)], InvalidArrangement),
+                (seg, [(one - TINY, one - TINY)], EmptyMember),
+                (c, [(F(0), one)], InvalidArrangement),
+                (c, [(-TINY, F(1, 2))], InvalidArrangement),
+                (FullLine(), [(one + TINY, one)], EmptyMember),
+                (FullLine(), [(None, one), (None, F(10 ** 40, 10 ** 40))],
+                 InvalidArrangement)):
+            with pytest.raises(error):
+                IntervalSpec(domain, tuple(Interval(*m) for m in members))
+        # and the same ends a hair inside are accepted and walked
+        for domain, members in (
+                (seg, [(F(0), one - TINY, True), (TINY, one)]),
+                (c, [(F(0), one - TINY), (one - 2 * TINY, TINY)]),
+                (FullLine(), [(None, one + TINY), (one, None)])):
+            spec = IntervalSpec(domain, tuple(Interval(*m) for m in members))
+            assert assert_walk_matches_oracle(spec)
+
+    def test_a_200_member_line_cover_with_300_digit_denominators(self, tmp_path):
+        # pairwise coprime denominators: a common denominator of one cover
+        # would have about 120,000 digits
+        path = tmp_path / "cover.json"
+        path.write_text(json.dumps(adversarial_line_cover()))
+        spec, = load_input(str(path)).specs
+        assert len(spec.members) == 200 and spec.end_count == 398
+        assert all(len(str(v.denominator)) >= 300
+                   for m in spec.members for v in (m.lo, m.hi) if v is not None)
+        assert assert_walk_matches_oracle(spec)
+
+
+def adversarial_line_cover(seed: int = 29) -> dict:
+    """A line cover file of 200 members in shuffled order, whose 398
+    distinct ends in (-10, 10) have pairwise coprime denominators of 300 or
+    more digits.  Member i runs from end 2i - 2 to end 2i + 1 in order, the
+    first from -inf and the last to +inf, so each overlaps the next."""
+    rng = random.Random(seed)
+    ends = sorted(rational_with(rng, den, -10, 10)
+                  for den in coprime_denominators(398, 300))
+    members = [{"lo": None if i == 0 else str(ends[2 * i - 2]),
+                "hi": None if i == 199 else str(ends[2 * i + 1])}
+               for i in range(200)]
+    rng.shuffle(members)
+    return {"domain": {"kind": "line"}, "members": members}
 
 
 class TestPlaneClasses:

@@ -45,6 +45,8 @@ RECORDS = [
     (Circle(F(1)), "circumference"),
     (Interval(F(0), F(1)), "lo"),
     (IntervalSpec(FullLine(), (Interval(None, None),)), "members"),
+    (IntervalSpec(Segment(F(0), F(1)), (Interval(F(0), F(1), True),)), "spans"),
+    (IntervalSpec(Segment(F(0), F(1)), (Interval(F(0), F(1), True),)), "end_count"),
     (Constraint("x", "<", F(1)), "c"),
     (AxisAlignedSpec(((Constraint("x", "<", F(1)),),)), "members"),
     (SpaceSide("a", SPACE), "space"),
@@ -64,8 +66,17 @@ RECORDS = [
 ]
 
 
+def _record_id(index: int) -> str:
+    """The type's name; a later row of the same type adds its field."""
+    record, field = RECORDS[index]
+    name = type(record).__name__
+    if any(type(r) is type(record) for r, _ in RECORDS[:index]):
+        return f"{name}.{field}"
+    return name
+
+
 @pytest.mark.parametrize("record, field", RECORDS,
-                         ids=[type(r).__name__ for r, _ in RECORDS])
+                         ids=[_record_id(i) for i in range(len(RECORDS))])
 def test_a_field_refuses_assignment(record, field):
     before = getattr(record, field, None)
     with pytest.raises(AttributeError):
