@@ -24,6 +24,7 @@ pair, and marks the other as seen.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterator, List, NamedTuple, Optional
@@ -92,35 +93,21 @@ class IntervalSpec(Frozen):
         of Interval whose finite ends are ints or Fractions."""
         if not members:
             raise InvalidArrangement("a cover needs at least one member")
-        # a Fraction is in lowest terms and an int is n/1, so (numerator,
-        # denominator) names a value exactly, and hashes faster
-        ends = [v for m in members for v in (m.lo, m.hi)]
-        keys = [v if v is None else (v.numerator, v.denominator) for v in ends]
-        values = dict(zip(keys, ends))
-        values.pop(None, None)
-        bounds = ()
+        # (numerator, denominator) of a Fraction, in lowest terms, or of an
+        # int, n/1: it names a value exactly, and hashes faster
+        ends = {v.as_integer_ratio(): v
+                for m in members for v in (m.lo, m.hi) if v is not None}
         if isinstance(domain, Segment):
-            bounds = [(v.numerator, v.denominator) for v in (domain.lo, domain.hi)]
-            values.update(zip(bounds, (domain.lo, domain.hi)))
-        # by floor(v * 2**64), then by v itself where two floors tie: exact,
-        # and one int division per value rather than a Fraction comparison
-        # per pair
-        order = sorted(values, key=lambda k: ((k[0] << 64) // k[1], values[k]))
-        rank = dict(zip(order, range(len(order))))
-        rank[None] = None
-        ranked = [rank[k] for k in keys]
-        spans = tuple(zip(ranked[::2], ranked[1::2], (m.closed_lo for m in members)))
-        # the lowest and the highest rank of an end inside the domain
-        if bounds:
-            lowest, highest = (rank[k] for k in bounds)
-        elif isinstance(domain, Circle):
-            c = domain.circumference
-            lowest = sum(n < 0 for n, _ in values)
-            highest = sum(n * c.denominator < c.numerator * d for n, d in values) - 1
-        else:
-            lowest = highest = None
-        for idx, span in enumerate(spans):
-            _check_span(domain, span, idx, lowest, highest)
+            for v in (domain.lo, domain.hi):
+                ends[v.as_integer_ratio()] = v
+        # sorted by floor(v * 2**64), and by v itself only where two floors
+        # tie: exact, with no Fraction comparison for ends 2**-64 apart
+        cuts = sorted([((n << 64) // d, v, (n, d)) for (n, d), v in ends.items()])
+        rank = {key: r for r, (_, _, key) in enumerate(cuts)}
+        spans = tuple([(None if lo is None else rank[lo.as_integer_ratio()],
+                        None if hi is None else rank[hi.as_integer_ratio()], closed_lo)
+                       for lo, hi, closed_lo in members])
+        _check_spans(domain, spans, cuts, rank)
         if len(set(spans)) < len(spans):
             i, j = next((i, j) for i, j in combinations(range(len(spans)), 2)
                         if spans[i] == spans[j])
@@ -129,7 +116,7 @@ class IntervalSpec(Frozen):
         d["domain"] = domain
         d["members"] = members
         d["spans"] = spans
-        d["end_count"] = len(order)
+        d["end_count"] = len(cuts)
 
 
 _AXIS_VARS = ("x", "y")
@@ -162,39 +149,45 @@ class AxisAlignedSpec(Frozen):
         self.__dict__["members"] = members
 
 
-def _check_span(domain, span: tuple, idx: int, lowest, highest) -> None:
-    """The checks on member ``idx`` of an ``IntervalSpec``, read off its
-    ranked ``span``: a finite end lies in a segment or a circle when its
-    rank is in ``lowest`` .. ``highest``, and a segment starts at
-    ``lowest``."""
-    lo, hi, closed_lo = span
+def _check_spans(domain, spans: tuple, cuts: list, rank: dict) -> None:
+    """The member checks of an ``IntervalSpec``, member by member, on the
+    ranks of its ends among ``cuts``; ``rank`` maps (numerator,
+    denominator) to a rank."""
     if isinstance(domain, Segment):
-        if lo is None or hi is None:
-            raise InvalidArrangement(f"member {idx}: segment members need finite ends")
-        if closed_lo and lo != lowest:
-            raise InvalidArrangement(
-                f"member {idx}: a closed left end is only open at the segment start"
-            )
-        if lo < lowest or hi > highest:
-            raise InvalidArrangement(f"member {idx}: endpoints outside the segment")
-        if lo >= hi:
-            raise EmptyMember(idx)
+        start, stop = (rank[v.as_integer_ratio()] for v in (domain.lo, domain.hi))
+        for idx, (lo, hi, closed_lo) in enumerate(spans):
+            if lo is None or hi is None:
+                raise InvalidArrangement(f"member {idx}: segment members need finite ends")
+            if closed_lo and lo != start:
+                raise InvalidArrangement(
+                    f"member {idx}: a closed left end is only open at the segment start"
+                )
+            if lo < start or hi > stop:
+                raise InvalidArrangement(f"member {idx}: endpoints outside the segment")
+            if lo >= hi:
+                raise EmptyMember(idx)
     elif isinstance(domain, FullLine):
-        if closed_lo:
-            raise InvalidArrangement(f"member {idx}: closed ends are not open in the line")
-        if lo is not None and hi is not None and lo >= hi:
-            raise EmptyMember(idx)
+        for idx, (lo, hi, closed_lo) in enumerate(spans):
+            if closed_lo:
+                raise InvalidArrangement(f"member {idx}: closed ends are not open in the line")
+            if lo is not None and hi is not None and lo >= hi:
+                raise EmptyMember(idx)
     elif isinstance(domain, Circle):
-        if closed_lo:
-            raise InvalidArrangement(f"member {idx}: closed ends are not open in the circle")
-        if lo is None or hi is None:
-            raise InvalidArrangement(f"member {idx}: arcs need both endpoints")
-        if not (lowest <= lo <= highest and lowest <= hi <= highest):
-            raise InvalidArrangement(
-                f"member {idx}: arc endpoints must lie in [0, circumference)"
-            )
-        if lo == hi:
-            raise EmptyMember(idx)
+        # the ends of ranks low .. high lie in [0, circumference)
+        c = domain.circumference
+        low = bisect_left(cuts, (0, 0))
+        high = bisect_left(cuts, ((c.numerator << 64) // c.denominator, c)) - 1
+        for idx, (lo, hi, closed_lo) in enumerate(spans):
+            if closed_lo:
+                raise InvalidArrangement(f"member {idx}: closed ends are not open in the circle")
+            if lo is None or hi is None:
+                raise InvalidArrangement(f"member {idx}: arcs need both endpoints")
+            if not (low <= lo <= high and low <= hi <= high):
+                raise InvalidArrangement(
+                    f"member {idx}: arc endpoints must lie in [0, circumference)"
+                )
+            if lo == hi:
+                raise EmptyMember(idx)
     else:
         raise InvalidArrangement(f"unsupported domain {domain!r}")
 

@@ -290,8 +290,9 @@ class TestSpecsValidateThemselves:
 def coprime_denominators(count: int, digits: int) -> list:
     """``count`` pairwise coprime denominators of at least ``digits``
     digits: m (b + i) + 1 for i < count, with m = lcm(1 .. count).  A prime
-    dividing two of them divides m (j - i), so it divides j - i < count and
-    with it m, and cannot divide m (b + i) + 1."""
+    dividing two of them divides their difference m (j - i).  It does not
+    divide m, as each of them is 1 modulo m, so it divides j - i < count,
+    and then m after all: there is no such prime."""
     m = lcm(*range(1, count + 1))
     b = 10 ** max(0, digits - len(str(m)))
     return [m * (b + i) + 1 for i in range(count)]
