@@ -5,7 +5,6 @@ import random
 from collections import Counter
 from fractions import Fraction as F
 from functools import lru_cache, reduce
-from math import lcm
 from itertools import combinations
 from operator import or_
 
@@ -293,7 +292,7 @@ def coprime_denominators(count: int, digits: int) -> list:
     dividing two of them divides their difference m (j - i).  It does not
     divide m, as each of them is 1 modulo m, so it divides j - i < count,
     and then m after all: there is no such prime."""
-    m = lcm(*range(1, count + 1))
+    m = math.lcm(*range(1, count + 1))
     b = 10 ** max(0, digits - len(str(m)))
     return [m * (b + i) + 1 for i in range(count)]
 
