@@ -119,27 +119,39 @@ def _dag_levels(out: list, inc: list) -> Optional[list]:
     return None if any(indeg) else level
 
 
-def _normalize(keys: list) -> list:
-    rank = {k: i for i, k in enumerate(sorted(set(keys)))}
-    return list(map(rank.__getitem__, keys))
-
-
-def _refine(out: list, inc: list, colors: list) -> list:
-    """Stable color refinement of rank-normalized colors; they come out
-    rank-normalized.  A discrete coloring is returned at once: its
-    signatures' first fields, the colors, are distinct, so a round would
-    rank them as the colors again."""
-    ncolors = max(colors) + 1
-    while ncolors < len(colors):
-        get = colors.__getitem__
-        sigs = [(c, tuple(sorted(map(get, o))) if o else (),
-                 tuple(sorted(map(get, i))) if i else ())
-                for c, o, i in zip(colors, out, inc)]
-        rank = {k: r for r, k in enumerate(sorted(set(sigs)))}
-        if len(rank) == ncolors:  # stable: the ranks are the colors again
+def _refine(out: list, inc: list, colors: list, cells: list) -> tuple:
+    """Stable color refinement of ``cells``, the cells of two or more
+    vertices in color order, each ascending and of one out- and in-degree;
+    a vertex's color is its cell's first position.  Each round splits each
+    cell by (sorted out-colors, sorted in-colors) under the colors before
+    it, pieces in that order.  Recolors in place; returns (colors, cells)."""
+    get = colors.__getitem__
+    while cells:
+        refined, moved = [], []
+        for cell in cells:
+            v = cell[0]  # the cell's one degree: sign by the sides it has
+            if not inc[v]:
+                sigs = [sorted(map(get, out[v])) for v in cell]
+            elif not out[v]:
+                sigs = [sorted(map(get, inc[v])) for v in cell]
+            else:
+                sigs = [(sorted(map(get, out[v])), sorted(map(get, inc[v]))) for v in cell]
+            if sigs.count(sigs[0]) == len(sigs):
+                refined.append(cell)
+                continue
+            last = None
+            for at, (sig, v) in enumerate(sorted(zip(sigs, cell)), colors[cell[0]]):
+                if sig != last:
+                    last, start, piece = sig, at, []
+                    refined.append(piece)
+                piece.append(v)
+                moved.append((v, start))
+        if not moved:
             break
-        colors, ncolors = list(map(rank.__getitem__, sigs)), len(rank)
-    return colors
+        for v, at in moved:
+            colors[v] = at
+        cells = [cell for cell in refined if len(cell) > 1]
+    return colors, cells
 
 
 def _twins(out: list, inc: list, u: int, v: int) -> bool:
@@ -158,24 +170,26 @@ def _encode_rows(out: list, pos: list) -> tuple:
     return tuple(rows)
 
 
-def _search_connected(out: list, inc: list) -> tuple:
-    """Min adjacency encoding over refinement-compatible orderings."""
+def _search_connected(out: list, inc: list, levels: Optional[list]) -> tuple:
+    """Min adjacency encoding over refinement-compatible orderings, seeded
+    by (out-degree, in-degree) and the longest-path ``levels`` of a DAG
+    (None on a cyclic graph)."""
     n = len(out)
-    levels = _dag_levels(out, inc)
-    if levels is None:
-        seed = [(len(out[v]), len(inc[v])) for v in range(n)]
-    else:
-        seed = [(len(out[v]), len(inc[v]), levels[v]) for v in range(n)]
-    start = _refine(out, inc, _normalize(seed))
-    best: list = [None, None]  # rows, order
-    leaves = [0]
+    degrees = map(len, out), map(len, inc)
+    seed = zip(*degrees) if levels is None else zip(*degrees, levels)
+    colors, cells, last = [0] * n, [], None
+    for at, (key, v) in enumerate(sorted(zip(seed, range(n)))):
+        if key != last:  # a new cell, whose color is its first position
+            last, start, cell = key, at, []
+            cells.append(cell)
+        cell.append(v)
+        colors[v] = start
+    cells = [cell for cell in cells if len(cell) > 1]
+    best, leaves = [None, None], [0]  # (rows, positions), leaves reached
 
-    def rec(colors):
-        cells = [[] for _ in range(n)]
-        for v, c in enumerate(colors):
-            cells[c].append(v)
-        target = next((cell for cell in cells if len(cell) > 1), None)
-        if target is None:
+    def rec(colors, cells):
+        colors, cells = _refine(out, inc, colors, cells)
+        if not cells:
             leaves[0] += 1
             if leaves[0] > _SEARCH_LEAF_CAP:
                 raise CapExceeded("canonicalization search leaves",
@@ -183,22 +197,21 @@ def _search_connected(out: list, inc: list) -> tuple:
             # every color is a distinct position
             rows = _encode_rows(out, colors)
             if best[0] is None or rows < best[0]:
-                best[0], best[1] = rows, [cell[0] for cell in cells]
+                best[0], best[1] = rows, colors
             return
-        tried: list = []
-        c = colors[target[0]]
+        target, tried = cells[0], []
+        at = colors[target[0]]
         for v in target:
             if any(_twins(out, inc, v, u) for u in tried):
                 continue
             tried.append(v)
-            # individualize v: it keeps color c, the rest of its cell and
-            # every higher color move up by one
-            split = [d + (d >= c) for d in colors]
-            split[v] = c
-            rec(_refine(out, inc, split))
+            # individualize v: it keeps the cell's position, the rest move up one
+            split = [at + 1 if c == at else c for c in colors]
+            split[v], rest = at, [u for u in target if u != v]
+            rec(split, [rest] + cells[1:] if len(rest) > 1 else cells[1:])
 
-    rec(start)
-    return best[0], best[1]
+    rec(colors, cells)
+    return best[0], tuple(sorted(range(n), key=best[1].__getitem__))
 
 
 def _weak_components(out: list, inc: list) -> list:
@@ -228,13 +241,12 @@ def canonical_form(out: Sequence, inc: Sequence) -> tuple:
     cap, for a caller that never asks about the same graph twice."""
     comps = _weak_components(out, inc)
     if len(comps) == 1:
-        rows, order = _search_connected(out, inc)
-        return rows, tuple(order)
+        return _search_connected(out, inc, _dag_levels(out, inc))
     pieces = []
     for comp in comps:
         pos = {v: i for i, v in enumerate(comp)}
-        rows, order = _search_connected([{pos[w] for w in out[v]} for v in comp],
-                                        [{pos[w] for w in inc[v]} for v in comp])
+        sub = [[{pos[w] for w in ws[v]} for v in comp] for ws in (out, inc)]
+        rows, order = _search_connected(*sub, _dag_levels(*sub))
         # components sort by (size, local encoding); min original vertex only
         # breaks ties between isomorphic components, deterministically
         pieces.append((len(comp), rows, comp[0], [comp[i] for i in order]))

@@ -10,7 +10,7 @@ member 0 is the leading digit.  ``cell_classes`` is the one encoder, of the
 cells of ``arrangements`` and the points of ``hpartition_of_cover``;
 ``class_order`` is the one order, by size and then by descending mask, which
 is the order of sorted member indices; ``class_members`` is the one decoder,
-for output and ``canonical_key``.  ``hasse_edges`` finds the cover pairs.
+for output.  ``hasse_edges`` finds the cover pairs.
 
 The class poset is the T0 quotient of the topology the members generate:
 points share a class when they have the same smallest neighbourhood in it,
@@ -20,9 +20,12 @@ cover's ``neighbourhoods`` fix its Hasse digraph up to isomorphism.
 
 from __future__ import annotations
 
+from itertools import accumulate
+from operator import xor
 from typing import Iterable, NamedTuple, Sequence
 
-from .digraphs import DEFAULT_VERTEX_CAP, DiGraph, canonical_form, check_vertices
+from .digraphs import (DEFAULT_VERTEX_CAP, DiGraph, _search_connected, canonical_form,
+                       check_vertices)
 from .spaces import Cover
 
 
@@ -50,11 +53,17 @@ def class_members(mask: int, n: int) -> tuple:
     return tuple(members)
 
 
-def cell_classes(member_cells: Sequence[int], cells: Iterable[int]) -> list:
-    """For each cell, the class of the members whose cell mask has it."""
-    last_first = member_cells[::-1]  # member i of n is bit n-1-i
-    return [sum(1 << i for i, m in enumerate(last_first) if m >> c & 1)
-            for c in cells]
+def cell_classes(member_cells: Sequence[int], cells: range) -> list:
+    """For each cell of the range ``cells``, the class of the members whose
+    cell mask has it; a member's bit flips where its mask changes."""
+    flips, full = [0] * len(cells), (1 << len(cells)) - 1
+    for i, m in enumerate(reversed(member_cells)):  # member i of n is bit n-1-i
+        m = m >> cells.start & full
+        change = (m ^ m << 1) & full  # the first cell changes from no member
+        while change:
+            flips[(change & -change).bit_length() - 1] ^= 1 << i
+            change &= change - 1
+    return list(accumulate(flips, xor))
 
 
 def hpartition_of_cover(cover: Cover) -> HPartition:
@@ -111,16 +120,35 @@ def canonical_key(partition: HPartition) -> HPartition:
     in-degree 0, so the canonical order of two such digraphs maps members to
     members, and the representative numbers the members in that order.  A
     digraph above the default vertex cap raises CapExceeded.  Its neighbour
-    sets are read off the class masks, with no ``DiGraph``; each partition
-    arrives here once, so the canonicalisation is not cached.
+    sets are read off the class masks, with no ``DiGraph``, and it is not
+    cached: each partition arrives here once.  When shared classes link all
+    members, the one weak component is searched at once, members at level 0
+    and classes at level 1; else ``canonical_form`` splits the digraph.
     """
     n, classes = partition.member_count, partition.classes
     check_vertices(n + len(classes), DEFAULT_VERTEX_CAP)
-    members = [class_members(c, n) for c in classes]
-    out = [{n + j for j, c in enumerate(classes) if c >> n - 1 - i & 1}
-           for i in range(n)]
-    _, order = canonical_form(out + [frozenset()] * len(classes),
-                              [frozenset()] * n + [set(ms) for ms in members])
-    rank = {v: r for r, v in enumerate(v for v in order if v < n)}
-    return HPartition(n, class_order(sum(1 << n - 1 - rank[i] for i in ms)
-                                     for ms in members))
+    out, inc = [], [set() for _ in range(n + len(classes))]
+    for i in range(n):
+        bit = 1 << n - 1 - i
+        out.append({j for j, c in enumerate(classes, n) if c & bit})
+        for j in out[i]:
+            inc[j].add(i)
+    out += [frozenset()] * len(classes)
+    # the members linked to the largest class through shared classes
+    reach, grown = 0, classes[-1] if classes else 0
+    while grown != reach:
+        reach = grown
+        for c in classes:
+            if c & reach:
+                grown |= c
+    if reach == (1 << n) - 1 and 0 not in classes:
+        order = _search_connected(out, inc, [0] * n + [1] * len(classes))[1]
+    else:
+        order = canonical_form(out, inc)[1]
+    masks, bit = [0] * len(out), 1 << n
+    for v in order:  # the members in canonical order take bits n-1, n-2, ...
+        if v < n:
+            bit >>= 1
+            for j in out[v]:
+                masks[j] |= bit
+    return HPartition(n, class_order(masks[n:]))

@@ -22,6 +22,7 @@ from topocert import (
     TopocertError,
     canonical_key,
 )
+from topocert.digraphs import _dag_levels, _encode_rows, _twins, _weak_components
 from topocert.hasse import class_order
 from topocert.spaces import Cover, FiniteSpace
 
@@ -227,6 +228,110 @@ def brute_force_type_key(partition) -> tuple:
         tuple(sorted(tuple(sorted(perm[i] for i in c)) for c in class_sets(partition)))
         for perm in permutations(range(n))
     ))
+
+
+# -- the canonicaliser as it was before refinement carried its cells ----------
+# Each refinement round signs every vertex and ranks every signature, and
+# each search node rebuilds the cells from rank colours.  ``digraphs`` must
+# give the same rows and the same order on every graph.
+
+def rank_normalized(keys: list) -> list:
+    rank = {k: i for i, k in enumerate(sorted(set(keys)))}
+    return list(map(rank.__getitem__, keys))
+
+
+def reference_refine(out: list, inc: list, colors: list) -> list:
+    """Stable colour refinement of rank-normalized colours; they come out
+    rank-normalized."""
+    ncolors = max(colors) + 1
+    while ncolors < len(colors):
+        get = colors.__getitem__
+        sigs = [(c, tuple(sorted(map(get, o))), tuple(sorted(map(get, i))))
+                for c, o, i in zip(colors, out, inc)]
+        rank = {k: r for r, k in enumerate(sorted(set(sigs)))}
+        if len(rank) == ncolors:
+            break
+        colors, ncolors = list(map(rank.__getitem__, sigs)), len(rank)
+    return colors
+
+
+def reference_search(out: list, inc: list) -> tuple:
+    """(min rows, the order giving them, leaves reached) of a weakly
+    connected digraph."""
+    n = len(out)
+    levels = _dag_levels(out, inc)
+    seed = [(len(out[v]), len(inc[v])) + (() if levels is None else (levels[v],))
+            for v in range(n)]
+    best, leaves = [None, None], [0]
+
+    def rec(colors):
+        cells = [[] for _ in range(n)]
+        for v, c in enumerate(colors):
+            cells[c].append(v)
+        target = next((cell for cell in cells if len(cell) > 1), None)
+        if target is None:
+            leaves[0] += 1
+            rows = _encode_rows(out, colors)
+            if best[0] is None or rows < best[0]:
+                best[0], best[1] = rows, [cell[0] for cell in cells]
+            return
+        tried, c = [], colors[target[0]]
+        for v in target:
+            if any(_twins(out, inc, v, u) for u in tried):
+                continue
+            tried.append(v)
+            split = [d + (d >= c) for d in colors]
+            split[v] = c
+            rec(reference_refine(out, inc, split))
+
+    rec(reference_refine(out, inc, rank_normalized(seed)))
+    return best[0], best[1], leaves[0]
+
+
+def reference_canonical_form(out, inc) -> tuple:
+    """``digraphs.canonical_form`` on the reference search, with the
+    leaves its searches reached: (rows, order, leaves)."""
+    comps = _weak_components(out, inc)
+    if len(comps) == 1:
+        rows, order, leaves = reference_search(out, inc)
+        return rows, tuple(order), leaves
+    pieces, leaves = [], 0
+    for comp in comps:
+        pos = {v: i for i, v in enumerate(comp)}
+        rows, order, more = reference_search([{pos[w] for w in out[v]} for v in comp],
+                                             [{pos[w] for w in inc[v]} for v in comp])
+        pieces.append((len(comp), rows, comp[0], [comp[i] for i in order]))
+        leaves += more
+    pieces.sort(key=lambda p: p[:3])
+    order = [v for p in pieces for v in p[3]]
+    pos = sorted(range(len(out)), key=order.__getitem__)
+    return _encode_rows(out, pos), tuple(order), leaves
+
+
+def incidence_digraph(partition) -> tuple:
+    """(out, inc) of the member->class incidence digraph that
+    ``canonical_key`` canonicalises: members 0..n-1, then one vertex per
+    class, and an edge i->n+j when member i lies in class j."""
+    n, sets = partition.member_count, class_sets(partition)
+    out = [{n + j for j, c in enumerate(sets) if i in c} for i in range(n)]
+    return (out + [set() for _ in sets],
+            [set() for _ in range(n)] + [set(c) for c in sets])
+
+
+def reference_canonical_key(partition) -> HPartition:
+    """``canonical_key`` read off the reference canonical order."""
+    n, sets = partition.member_count, class_sets(partition)
+    order = reference_canonical_form(*incidence_digraph(partition))[1]
+    rank = {v: r for r, v in enumerate(v for v in order if v < n)}
+    return partition_of_sets([{rank[i] for i in c} for c in sets], n)
+
+
+def shifted_cell_classes(member_cells, cells) -> list:
+    """``hasse.cell_classes`` as a shift of every member mask for every
+    cell: for each cell, the class of the members whose mask has it."""
+    last_first = member_cells[::-1]  # member i of n is bit n-1-i
+    return [sum(1 << i for i, m in enumerate(last_first) if m >> c & 1)
+            for c in cells]
 
 
 # -- dense sampling oracles for arrangements ----------------------------------

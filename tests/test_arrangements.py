@@ -28,7 +28,7 @@ from topocert import (
     hclasses_of_intervals,
 )
 from topocert import arrangements
-from topocert.hasse import HPartition, class_order
+from topocert.hasse import HPartition, cell_classes, class_order
 from topocert.jsonio import load_input
 
 import oracles
@@ -436,6 +436,46 @@ def adversarial_line_cover(seed: int = 29) -> dict:
                for i in range(200)]
     rng.shuffle(members)
     return {"domain": {"kind": "line"}, "members": members}
+
+
+class TestCellClasses:
+    """``hasse.cell_classes`` flips a member's bit where its mask changes;
+    ``oracles.shifted_cell_classes`` shifts every mask for every cell."""
+
+    def test_flips_agree_with_shifts_on_random_masks(self):
+        rng = random.Random(30)
+        for _ in range(2000):
+            start, width = rng.randint(0, 6), rng.randint(0, 40)
+            masks = []
+            for _ in range(rng.randint(0, 9)):
+                if rng.random() < 0.5:  # any bits, some past either end
+                    masks.append(rng.getrandbits(start + width + 3))
+                else:  # one run of cells, as an interval is
+                    lo = rng.randint(0, start + width)
+                    masks.append((1 << rng.randint(lo, start + width + 1)) - (1 << lo))
+            cells = range(start, start + width)
+            assert cell_classes(masks, cells) == oracles.shifted_cell_classes(masks, cells)
+
+    def test_walks_agree_with_shifts(self, monkeypatch, tmp_path, fixtures):
+        # the 200-member line cover and the plane covers, through the walks
+        # that call the encoder
+        called = []
+
+        def both(masks, cells):
+            called.append(len(masks))
+            classes = cell_classes(masks, cells)
+            assert classes == oracles.shifted_cell_classes(masks, cells)
+            return classes
+
+        monkeypatch.setattr(arrangements, "cell_classes", both)
+        path = tmp_path / "cover.json"
+        path.write_text(json.dumps(adversarial_line_cover()))
+        spec, = load_input(str(path)).specs
+        hclasses_of_intervals(spec)
+        plane, = load_input(str(fixtures / "plane_cover.json")).specs
+        for spec in (plane, plane_spec()):
+            hclasses_axis2d(spec)
+        assert called == [200, 4, 4, 4, 4]
 
 
 class TestPlaneClasses:

@@ -1,12 +1,23 @@
 import hashlib
 import random
+from fractions import Fraction as F
 from itertools import combinations, product
 
 import pytest
 
 from topocert import (
     CapExceeded,
+    Circle,
     DiGraph,
+    FullLine,
+    HPartition,
+    Interval,
+    IntervalSpec,
+    NotACover,
+    canonical_key,
+    enumerate_interval_cover_types,
+    hasse_digraph,
+    hclasses_of_intervals,
     canonical_cert,
     is_isomorphic,
     relabel,
@@ -14,13 +25,19 @@ from topocert import (
     topological_order,
 )
 
-from topocert.digraphs import _refine, canonical_form
+from topocert import digraphs, hasse
+from topocert.arrangements import _covers_up_to_mirror
+from topocert.digraphs import _refine, _weak_components, canonical_form
+from topocert.hasse import class_order
 
 from oracles import (
     brute_force_isomorphic,
     class_sets,
     random_dag,
     random_digraph,
+    random_partition,
+    reference_canonical_form,
+    reference_canonical_key,
     slot_pool_types,
 )
 
@@ -148,7 +165,8 @@ def test_refine_returns_a_discrete_coloring_unchanged():
         g = random_digraph(rng, rng.randint(1, 9), rng.choice((0.2, 0.35, 0.5)))
         colors = list(range(g.n))
         rng.shuffle(colors)
-        assert _refine(g.out_sets, g.in_sets, list(colors)) == colors
+        cells = [[v] for v in sorted(range(g.n), key=colors.__getitem__)]
+        assert _refine(g.out_sets, g.in_sets, list(colors), cells)[0] == colors
 
 
 class TestIsIsomorphic:
@@ -228,6 +246,82 @@ class TestCanonicalOrderPin:
         assert (graphs, cyclic > 150) == (490, True)
         assert digest.hexdigest() == (
             "6a8690f897d11c5c80b33b99df02b9548ed0fc0de2fbbd224cbfc04c0046242d")
+
+
+def circle_cover(rng, n: int, slots: int = 24) -> IntervalSpec:
+    """n distinct arcs with ends on ``slots`` even steps round the unit
+    circle, in shuffled order: some overlap all the way round, the rest
+    are random."""
+    c = rng.randint(2, n)
+    ends = sorted(rng.sample(range(slots), 2 * c))
+    arcs = {(ends[2 * i], ends[(2 * i + 3) % (2 * c)]) for i in range(c)}
+    while len(arcs) < n:
+        arcs.add(tuple(rng.sample(range(slots), 2)))
+    arcs = sorted(arcs)
+    rng.shuffle(arcs)
+    return IntervalSpec(Circle(F(1)), tuple(Interval(F(lo, slots), F(hi, slots))
+                                            for lo, hi in arcs))
+
+
+class TestReferenceCanonicaliser:
+    """``canonical_form`` refines only the cells that can split; the
+    reference in ``oracles`` signs every vertex in every round.  Both give
+    the same rows and the same order."""
+
+    def assert_same(self, out, inc) -> int:
+        rows, order, leaves = reference_canonical_form(out, inc)
+        assert canonical_form(out, inc) == (rows, order)
+        return leaves
+
+    def test_random_digraphs(self):
+        rng = random.Random(30)
+        cyclic = split = 0
+        for _ in range(1500):
+            g = random_digraph(rng, rng.randint(1, 14), rng.choice((0.05, 0.1, 0.2, 0.35)))
+            self.assert_same(g.out_sets, g.in_sets)
+            cyclic += topological_order(g) is None
+            split += len(_weak_components(g.out_sets, g.in_sets)) > 1
+        assert cyclic > 500 and split > 300
+
+    def test_every_line_incidence_digraph_up_to_five_members(self, monkeypatch):
+        # the digraphs canonical_key searches straight from its seed, with
+        # the order it takes from them
+        searched, search = [], digraphs._search_connected
+
+        def recording(out, inc, levels):
+            searched.append((out, inc, search(out, inc, levels)))
+            return searched[-1][2]
+
+        monkeypatch.setattr(hasse, "_search_connected", recording)
+        for n in range(1, 6):
+            list(enumerate_interval_cover_types(FullLine(), n))
+        assert len(searched) == 1 + 2 + 15 + 174 + 2695
+        for out, inc, found in searched:
+            self.assert_same(out, inc)
+            assert found == reference_canonical_form(out, inc)[:2]
+
+    def test_canonical_key_agrees_with_the_reference_key(self):
+        # the kept line sets, all linked, and random partitions, some of
+        # whose members share no class
+        parts = [HPartition(n, class_order(labelled))
+                 for n in range(1, 6) for labelled, _ in _covers_up_to_mirror(n)]
+        rng = random.Random(30)
+        parts += [p for _ in range(2000) for p in random_partition(rng, 6)]
+        for p in parts:
+            assert canonical_key(p) == reference_canonical_key(p)
+
+    def test_circle_witness_digraphs_with_ten_or_more_leaves(self):
+        rng = random.Random(30)
+        seen, deep = set(), 0
+        for _ in range(600):
+            try:
+                g = hasse_digraph(hclasses_of_intervals(circle_cover(rng, rng.randint(3, 7))))
+            except NotACover:
+                continue
+            if g not in seen:
+                seen.add(g)
+                deep += self.assert_same(g.out_sets, g.in_sets) >= 10
+        assert deep >= 40
 
 
 class TestToDot:
