@@ -233,7 +233,9 @@ def brute_force_type_key(partition) -> tuple:
 # -- the canonicaliser as it was before refinement carried its cells ----------
 # Each refinement round signs every vertex and ranks every signature, and
 # each search node rebuilds the cells from rank colours.  ``digraphs`` must
-# give the same rows and the same order on every graph.
+# give the same rows and the same order on every graph.  Only the
+# refinement and the search are this copy's own: levels, twins, rows and
+# weak components are read from ``digraphs``.
 
 def rank_normalized(keys: list) -> list:
     rank = {k: i for i, k in enumerate(sorted(set(keys)))}
