@@ -14,11 +14,11 @@ from topocert import (
     Interval,
     IntervalSpec,
     NotACover,
+    canonical_cert,
     canonical_key,
     enumerate_interval_cover_types,
     hasse_digraph,
     hclasses_of_intervals,
-    canonical_cert,
     is_isomorphic,
     relabel,
     to_dot,
