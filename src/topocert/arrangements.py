@@ -26,7 +26,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
+from operator import xor
 from typing import Iterator, List, NamedTuple, Optional
 
 from .errors import CapExceeded, EmptyMember, Frozen, InvalidArrangement, NotACover
@@ -293,70 +294,94 @@ def hclasses_of_spec(spec) -> HPartition:
 
 def _line_covers(n: int) -> Iterator[tuple]:
     """Every cover of the line by n distinct open intervals with ends on
-    slots 0..m+1 that use each interior slot, as (its labelled class set,
-    its members as (lo, hi) slots, None for slots 0 and m+1).
+    slots 0..m+1 that use each interior slot, as its cells' classes in
+    order: cell 0 the gap left of slot 1, cell 2s - 1 slot s and cell 2s
+    the gap right of it.
 
-    The walk goes left to right.  Some members start at slot 0.  At each
-    interior slot s some members end, at most one from each start group
-    (so no two members are equal), some start, and one of the two happens.
-    Point s gets the mask of the members still open across it and the gap
-    right of it those plus the new ones; an empty cell cuts the walk.  It
-    may stop at m = s once all n have started and no two open ones share a
-    start.  Members are numbered in (start, end) order, member i of n being
-    bit n-1-i: a start group takes the next indices, the lowest ends first.
+    The walk goes left to right, depth first.  Some members start at slot
+    0.  At each interior slot s some members end, at most one from each
+    start group (so no two members are equal), some start, and one of the
+    two happens.  Point s gets the mask of the members still open across it
+    and the gap right of it those plus the new ones; an empty cell cuts the
+    walk.  It may stop at m = s once all n have started and no two open
+    ones share a start.  Members are numbered in (start, end) order, member
+    i of n being bit n-1-i: a start group takes the next indices, the lowest
+    ends first.
     """
-    def walk(s, groups, made, labels, spans):
+    stack = []
+    for k in range(n, 0, -1):  # k members start at slot 0, k = 1 walked first
+        new = (1 << n) - (1 << n - k)
+        stack.append(((new,), k, (new,)))
+    while stack:
+        groups, made, labels = stack.pop()
         if made == n and all(not g & g - 1 for g in groups):
-            yield frozenset(labels), spans
-        s += 1
-        active = sum(groups)
+            yield labels
+        active, children = sum(groups), []
         for ends in product(*((0, 1 << g.bit_length() - 1) for g in groups)):
             across = active - sum(ends)
             if not across:
                 continue
-            ended = {n - e.bit_length() for e in ends if e}
-            closed = tuple((lo, s) if i in ended else (lo, hi)
-                           for i, (lo, hi) in enumerate(spans))
             still = tuple(g - e for g, e in zip(groups, ends) if g - e)
-            for k in range(0 if ended else 1, n - made + 1):
+            for k in range(0 if across < active else 1, n - made + 1):
                 new = (1 << n - made) - (1 << n - made - k)
-                yield from walk(s, still + (new,) if k else still, made + k,
-                                labels + (across, across | new),
-                                closed + ((s, None),) * k)
-
-    for k in range(1, n + 1):
-        new = (1 << n) - (1 << n - k)
-        yield from walk(0, (new,), k, (new,), ((None, None),) * k)
+                children.append((still + (new,) if k else still, made + k,
+                                 labels + (across, across | new)))
+        stack += reversed(children)  # the first child is walked first
 
 
-def _mirror(cover: tuple) -> tuple:
+def _member_cells(cells: tuple, n: int) -> list:
+    """Each member's (first cell, last cell) in a ``_line_covers`` cover: a
+    member starts at a gap that the point left of it lacks and ends at a gap
+    that the point right of it lacks, or runs to an end of the line."""
+    first, last = [0] * n, [len(cells) - 1] * n
+    for k in range(1, len(cells), 2):
+        point = cells[k]
+        started, ended = cells[k + 1] - point, cells[k - 1] - point
+        while started:  # the highest bit left is the lowest member left
+            i = n - started.bit_length()
+            first[i] = k + 1
+            started ^= 1 << n - 1 - i
+        while ended:
+            i = n - ended.bit_length()
+            last[i] = k - 1
+            ended ^= 1 << n - 1 - i
+    return list(zip(first, last))
+
+
+def _mirror(cells: tuple, ends: list) -> tuple:
     """The reflection x -> -x of a ``_line_covers`` cover, numbered as the
-    sweep numbers members: slot s goes to m+1-s, a member's ends swap
-    (None stays unbounded), the members are renumbered by (start, end) and
-    each class mask's bits move with them."""
-    labelled, spans = cover
-    n = len(spans)
-    top = 1 + max((s for span in spans for s in span if s is not None), default=0)
-    spans = [(None if hi is None else top - hi, None if lo is None else top - lo)
-             for lo, hi in spans]
-    order = sorted(range(n), key=lambda i: (spans[i][0] or 0, spans[i][1] or top))
-    # member order[j] becomes member j: bit n-1-order[j] moves to bit n-1-j
-    moves = [(1 << n - 1 - i, 1 << n - 1 - j) for j, i in enumerate(order)]
-    return (frozenset(sum(to for frm, to in moves if c & frm) for c in labelled),
-            tuple(spans[i] for i in order))
+    sweep numbers members, given its ``_member_cells``: a member from cell
+    first to cell last runs from cell top - last to cell top - first, the
+    members are renumbered by (start, end), and each cell gets the mask of
+    the members that have it."""
+    n, top = len(ends), len(cells) - 1
+    flips = [0] * (top + 2)  # each member's bit flips where it starts and after it ends
+    for j, (first, last) in enumerate(sorted((top - last, top - first)
+                                             for first, last in ends)):
+        flips[first] ^= 1 << n - 1 - j
+        flips[last + 1] ^= 1 << n - 1 - j
+    return tuple(accumulate(flips[:-1], xor))
 
 
 def _covers_up_to_mirror(n: int) -> Iterator[tuple]:
-    """The ``_line_covers`` covers whose labelled set is met for the first
-    time and is not the mirror of one met before; each one's mirror is
-    marked as seen.  A mirror is a member relabelling of the same type, so
-    every type keeps the first labelled set that the sweep gives it."""
+    """The ``_line_covers`` covers whose labelled class set is met for the
+    first time and is not the mirror of one met before, each as (that set,
+    its members as (lo, hi) slots, None for slots 0 and m+1); each one's
+    mirror is marked as seen.  A mirror is a member relabelling of the same
+    type, so every type keeps the first labelled set that the sweep gives
+    it."""
     seen = set()
-    for cover in _line_covers(n):
-        if cover[0] not in seen:
-            seen.add(cover[0])
-            seen.add(_mirror(cover)[0])
-            yield cover
+    for cells in _line_covers(n):
+        labelled = frozenset(cells)
+        if labelled not in seen:
+            ends = _member_cells(cells, n)
+            seen.add(labelled)
+            seen.add(frozenset(_mirror(cells, ends)))
+            # a member from cell 2s starts at slot s, one to cell 2s - 2 ends there
+            top = len(cells) - 1
+            yield labelled, tuple((None if first == 0 else first // 2,
+                                   None if last == top else last // 2 + 1)
+                                  for first, last in ends)
 
 
 def enumerate_interval_cover_types(domain, n: int,

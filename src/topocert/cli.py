@@ -298,22 +298,28 @@ def _command_of(argv) -> Optional[str]:
 @functools.cache
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     """The command-line parser for a command line that names ``command``,
-    built once per process.  Every command is a choice, so help and a wrong
-    choice read the same whatever ``command`` is, but only ``command`` gets
-    its flags."""
+    built once per process.  Only ``command`` is a choice, with its flags;
+    a command line that names none gets every command as a bare choice, so
+    that a wrong choice lists them.  Usage and help list every command
+    either way."""
     parser = _Parser(prog="topocert", allow_abbrev=False, description=(
         "Open-cover invariants and non-homeomorphism certificates."))
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (flags, formats, _) in _COMMANDS.items():
-        p = sub.add_parser(name, allow_abbrev=False)
-        if name != command:
-            continue
-        p.add_argument("--input", required=True)
-        for flag in flags:
-            p.add_argument("--" + flag.replace("_", "-"), **_FLAGS[flag])
-        p.add_argument("--format", dest="fmt", choices=formats, default=formats[0])
-        p.add_argument("--out")
+    if command is None:  # a missing command is reported by dest, "command"
+        sub = parser.add_subparsers(dest="command", required=True)
+        for name in _COMMANDS:
+            sub.add_parser(name, allow_abbrev=False)
+        return parser
+    # the metavar argparse writes for all ten choices
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(_COMMANDS) + "}")
+    flags, formats, _ = _COMMANDS[command]
+    p = sub.add_parser(command, allow_abbrev=False)
+    p.add_argument("--input", required=True)
+    for flag in flags:
+        p.add_argument("--" + flag.replace("_", "-"), **_FLAGS[flag])
+    p.add_argument("--format", dest="fmt", choices=formats, default=formats[0])
+    p.add_argument("--out")
     return parser
 
 

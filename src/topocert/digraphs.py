@@ -7,6 +7,13 @@ ambiguous color classes, minimizing the adjacency encoding.
 neighbour sets.  Disconnected graphs are canonicalized component by
 component, which keeps the search small for the antichain-heavy graphs this
 package produces.
+
+Every Hasse digraph has its edges from a lower to a higher index, so index
+order is topological: ``_dag_levels`` reads the levels and the weak
+connectivity off one pass in that order, for the canonicaliser and for
+``topological_order``.  Kahn's algorithm runs only on a digraph with a
+downward edge, which a graph file may give, and ``_weak_components`` only on
+one that the pass found split or could not read.
 """
 
 from __future__ import annotations
@@ -72,7 +79,7 @@ def relabel(g: DiGraph, perm: Sequence[int]) -> DiGraph:
 def topological_order(g: DiGraph) -> Optional[list]:
     """The vertices by longest-path level, ties in ascending order, or None
     if the graph has a directed cycle."""
-    levels = _dag_levels(g.out_sets, g.in_sets)
+    levels = _dag_levels(g.out_sets, g.in_sets)[0]
     return None if levels is None else sorted(range(g.n), key=levels.__getitem__)
 
 
@@ -101,7 +108,44 @@ def find_cycle(g: DiGraph) -> list:
     raise ValueError("graph is acyclic")
 
 
-def _dag_levels(out: list, inc: list) -> Optional[list]:
+def _dag_levels(out: Sequence, inc: Sequence) -> tuple:
+    """(the longest-path level of each vertex, whether the digraph is weakly
+    connected), from one pass in index order while every edge goes from a
+    lower to a higher index, as in every Hasse digraph.  A digraph with a
+    downward edge gets Kahn's levels instead, None on a directed cycle, and
+    None for its connectivity.
+
+    The pass gives each vertex the bitmask of the sources below it.  Every
+    vertex lies on a path from a source to a sink, so the digraph is weakly
+    connected when the sinks' masks, linked wherever two share a source,
+    reach every source."""
+    level, below, sources, sinks = [0] * len(inc), [0] * len(inc), 0, []
+    for v, ins in enumerate(inc):
+        if ins:
+            mask = up = 0
+            for u in ins:
+                if u > v:
+                    return _kahn_levels(out, inc), None
+                mask |= below[u]
+                if level[u] >= up:
+                    up = level[u] + 1
+            level[v] = up
+        else:
+            mask = 1 << v
+            sources |= mask
+        below[v] = mask
+        if not out[v]:
+            sinks.append(mask)
+    reach, grown = 0, sinks[-1] if sinks else 0
+    while grown != reach:
+        reach = grown
+        for mask in sinks:
+            if mask & reach:
+                grown |= mask
+    return level, reach == sources
+
+
+def _kahn_levels(out: Sequence, inc: Sequence) -> Optional[list]:
     """Longest-path level of each vertex by Kahn's algorithm, or None if
     the graph has a directed cycle."""
     indeg = [len(s) for s in inc]
@@ -155,9 +199,10 @@ def _refine(out: list, inc: list, colors: list, cells: list) -> tuple:
 
 
 def _twins(out: list, inc: list, u: int, v: int) -> bool:
-    """True when swapping u and v is provably an automorphism."""
-    return ((out[u] - {v}) == (out[v] - {u}) and (inc[u] - {v}) == (inc[v] - {u})
-            and (v in out[u]) == (u in out[v]))
+    """True when swapping u and v, two vertices of one cell, is provably an
+    automorphism.  They share an out-degree, so when their out-sets agree
+    apart from each other an edge between them runs both ways or neither."""
+    return (out[u] - {v}) == (out[v] - {u}) and (inc[u] - {v}) == (inc[v] - {u})
 
 
 def _encode_rows(out: list, pos: list) -> tuple:
@@ -238,15 +283,20 @@ def canonical_form(out: Sequence, inc: Sequence) -> tuple:
     """(canonical adjacency rows, the vertex order realizing them) of the
     digraph on 0..n-1 whose vertex v has out-neighbours ``out[v]`` and
     in-neighbours ``inc[v]``, both sets.  It neither caches nor checks a
-    cap, for a caller that never asks about the same graph twice."""
-    comps = _weak_components(out, inc)
-    if len(comps) == 1:
-        return _search_connected(out, inc, _dag_levels(out, inc))
+    cap, for a caller that never asks about the same graph twice.  The
+    level pass tells a weakly connected digraph, searched at once, from one
+    that is split into components."""
+    levels, connected = _dag_levels(out, inc)
+    if not connected:  # split, or not known after a downward edge
+        comps = _weak_components(out, inc)
+        connected = len(comps) == 1
+    if connected:
+        return _search_connected(out, inc, levels)
     pieces = []
     for comp in comps:
         pos = {v: i for i, v in enumerate(comp)}
         sub = [[{pos[w] for w in ws[v]} for v in comp] for ws in (out, inc)]
-        rows, order = _search_connected(*sub, _dag_levels(*sub))
+        rows, order = _search_connected(*sub, _dag_levels(*sub)[0])
         # components sort by (size, local encoding); min original vertex only
         # breaks ties between isomorphic components, deterministically
         pieces.append((len(comp), rows, comp[0], [comp[i] for i in order]))

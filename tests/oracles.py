@@ -22,7 +22,6 @@ from topocert import (
     TopocertError,
     canonical_key,
 )
-from topocert.digraphs import _dag_levels, _encode_rows, _twins, _weak_components
 from topocert.hasse import class_order
 from topocert.spaces import Cover, FiniteSpace
 
@@ -233,9 +232,64 @@ def brute_force_type_key(partition) -> tuple:
 # -- the canonicaliser as it was before refinement carried its cells ----------
 # Each refinement round signs every vertex and ranks every signature, and
 # each search node rebuilds the cells from rank colours.  ``digraphs`` must
-# give the same rows and the same order on every graph.  Only the
-# refinement and the search are this copy's own: levels, twins, rows and
-# weak components are read from ``digraphs``.
+# give the same rows and the same order on every graph.  Its levels (Kahn's
+# algorithm on every graph), twins, rows and weak components are this
+# copy's own too, as ``digraphs`` had them then.
+
+def kahn_levels(out: list, inc: list):
+    """Longest-path level of each vertex by Kahn's algorithm, or None if
+    the graph has a directed cycle."""
+    indeg = [len(s) for s in inc]
+    ready = [v for v, d in enumerate(indeg) if not d]
+    level = [0] * len(out)
+    while ready:
+        v = ready.pop()
+        up = level[v] + 1
+        for w in out[v]:
+            if level[w] < up:
+                level[w] = up
+            indeg[w] -= 1
+            if not indeg[w]:
+                ready.append(w)
+    return None if any(indeg) else level
+
+
+def twins(out: list, inc: list, u: int, v: int) -> bool:
+    """True when swapping u and v is provably an automorphism."""
+    return ((out[u] - {v}) == (out[v] - {u}) and (inc[u] - {v}) == (inc[v] - {u})
+            and (v in out[u]) == (u in out[v]))
+
+
+def encode_rows(out: list, pos: list) -> tuple:
+    """Adjacency rows with vertex v at position ``pos[v]``."""
+    n = len(out)
+    rows = [0] * n
+    for u, ws in enumerate(out):
+        for w in ws:
+            rows[pos[u]] |= 1 << (n - 1 - pos[w])
+    return tuple(rows)
+
+
+def weak_components(out: list, inc: list) -> list:
+    """The weak components, each sorted, by their least vertex."""
+    seen = [False] * len(out)
+    comps = []
+    for s in range(len(out)):
+        if seen[s]:
+            continue
+        comp, stack = [], [s]
+        seen[s] = True
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for ws in (out[v], inc[v]):
+                for w in ws:
+                    if not seen[w]:
+                        seen[w] = True
+                        stack.append(w)
+        comps.append(sorted(comp))
+    return comps
+
 
 def rank_normalized(keys: list) -> list:
     rank = {k: i for i, k in enumerate(sorted(set(keys)))}
@@ -261,7 +315,7 @@ def reference_search(out: list, inc: list) -> tuple:
     """(min rows, the order giving them, leaves reached) of a weakly
     connected digraph."""
     n = len(out)
-    levels = _dag_levels(out, inc)
+    levels = kahn_levels(out, inc)
     seed = [(len(out[v]), len(inc[v])) + (() if levels is None else (levels[v],))
             for v in range(n)]
     best, leaves = [None, None], [0]
@@ -273,13 +327,13 @@ def reference_search(out: list, inc: list) -> tuple:
         target = next((cell for cell in cells if len(cell) > 1), None)
         if target is None:
             leaves[0] += 1
-            rows = _encode_rows(out, colors)
+            rows = encode_rows(out, colors)
             if best[0] is None or rows < best[0]:
                 best[0], best[1] = rows, [cell[0] for cell in cells]
             return
         tried, c = [], colors[target[0]]
         for v in target:
-            if any(_twins(out, inc, v, u) for u in tried):
+            if any(twins(out, inc, v, u) for u in tried):
                 continue
             tried.append(v)
             split = [d + (d >= c) for d in colors]
@@ -293,7 +347,7 @@ def reference_search(out: list, inc: list) -> tuple:
 def reference_canonical_form(out, inc) -> tuple:
     """``digraphs.canonical_form`` on the reference search, with the
     leaves its searches reached: (rows, order, leaves)."""
-    comps = _weak_components(out, inc)
+    comps = weak_components(out, inc)
     if len(comps) == 1:
         rows, order, leaves = reference_search(out, inc)
         return rows, tuple(order), leaves
@@ -307,7 +361,7 @@ def reference_canonical_form(out, inc) -> tuple:
     pieces.sort(key=lambda p: p[:3])
     order = [v for p in pieces for v in p[3]]
     pos = sorted(range(len(out)), key=order.__getitem__)
-    return _encode_rows(out, pos), tuple(order), leaves
+    return encode_rows(out, pos), tuple(order), leaves
 
 
 def incidence_digraph(partition) -> tuple:

@@ -723,16 +723,25 @@ class TestSlotPool:
         # one sweep leaf per covering choice of the pool, with the same
         # labelled class set, counted with multiplicity; the two share no code
         for n in range(1, 6):
-            sweep = Counter(labelled for labelled, _ in arrangements._line_covers(n))
+            sweep = Counter(map(frozenset, arrangements._line_covers(n)))
             assert sweep == Counter(oracles.slot_pool_labelled_sets(n))
             assert (sum(sweep.values()), len(sweep)) == (
                 (1, 1), (4, 3), (42, 23), (644, 277), (12736, 4399))[n - 1]
 
     def test_each_sweep_cover_walks_to_its_labelled_set(self):
+        # a member's first and last cell give its ends, and the walk of the
+        # members so built meets the sweep's cells one by one
         for n in range(1, 5):
-            for labelled, spans in arrangements._line_covers(n):
+            for cells in arrangements._line_covers(n):
+                ends, top = arrangements._member_cells(cells, n), len(cells) - 1
+                assert cells == tuple(
+                    sum(1 << n - 1 - i for i, (first, last) in enumerate(ends)
+                        if first <= k <= last) for k in range(len(cells)))
+                spans = [(None if first == 0 else first // 2,
+                          None if last == top else last // 2 + 1)
+                         for first, last in ends]
                 spec = IntervalSpec(FullLine(), tuple(Interval(*s) for s in spans))
-                assert hclasses_of_intervals(spec).classes == class_order(labelled)
+                assert hclasses_of_intervals(spec).classes == class_order(cells)
 
     def test_cell_masks_agree_with_membership_at_one_point_per_cell(self):
         for m in range(9):
@@ -758,14 +767,17 @@ class TestMirror:
     # one labelled class set of each mirror pair
 
     def test_mirror_is_an_involution_within_the_sweep(self):
-        # as a (labelled set, spans) leaf, the mirror of every sweep cover is
-        # a sweep cover, and mirroring twice gives the cover back
+        # as a cell sequence, the mirror of every sweep cover is a sweep
+        # cover, and mirroring twice gives the cover back
+        def mirror(cells, n):
+            return arrangements._mirror(cells, arrangements._member_cells(cells, n))
+
         for n in range(1, 6):
             covers = set(arrangements._line_covers(n))
+            assert len(covers) == (1, 4, 42, 644, 12736)[n - 1]
             for cover in covers:
-                mirror = arrangements._mirror(cover)
-                assert mirror in covers
-                assert arrangements._mirror(mirror) == cover
+                assert mirror(cover, n) in covers
+                assert mirror(mirror(cover, n), n) == cover
 
     def test_kept_counts(self):
         for n, kept in zip(range(1, 6), (1, 2, 15, 174, 2695)):
@@ -773,8 +785,8 @@ class TestMirror:
 
     def test_kept_sets_have_every_type(self):
         for n in range(1, 5):
-            every = {brute_force_type_key(HPartition(n, class_order(labelled)))
-                     for labelled, _ in arrangements._line_covers(n)}
+            every = {brute_force_type_key(HPartition(n, class_order(cells)))
+                     for cells in arrangements._line_covers(n)}
             kept = {brute_force_type_key(HPartition(n, class_order(labelled)))
                     for labelled, _ in arrangements._covers_up_to_mirror(n)}
             assert kept == every
@@ -784,7 +796,7 @@ class TestMirror:
         # come out in the same order
         for n in range(1, 5):
             seen_sets, keys = set(), []
-            for labelled, _ in arrangements._line_covers(n):
+            for labelled in map(frozenset, arrangements._line_covers(n)):
                 if labelled not in seen_sets:
                     seen_sets.add(labelled)
                     key = canonical_key(HPartition(n, class_order(labelled)))
@@ -800,9 +812,9 @@ class TestMirror:
         sweep = arrangements._line_covers
 
         def recorded(n):
-            for cover in sweep(n):
-                every.add(cover[0])
-                yield cover
+            for cells in sweep(n):
+                every.add(frozenset(cells))
+                yield cells
 
         monkeypatch.setattr(arrangements, "_line_covers", recorded)
         kept = [labelled for labelled, _ in arrangements._covers_up_to_mirror(6)]

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 from fractions import Fraction as F
 from itertools import combinations, product
@@ -26,19 +27,26 @@ from topocert import (
 )
 
 from topocert import digraphs, hasse
-from topocert.arrangements import _covers_up_to_mirror
-from topocert.digraphs import _refine, _weak_components, canonical_form
+from topocert.arrangements import _covers_up_to_mirror, _line_covers
+from topocert.cli import run
+from topocert.digraphs import (_dag_levels, _refine, _weak_components, canonical_form,
+                               find_cycle)
+from topocert.errors import NotAcyclic
+from topocert.graphalgebra import block_decomposition
 from topocert.hasse import class_order
+from topocert.jsonio import load_input
 
 from oracles import (
     brute_force_isomorphic,
     class_sets,
+    kahn_levels,
     random_dag,
     random_digraph,
     random_partition,
     reference_canonical_form,
     reference_canonical_key,
     slot_pool_types,
+    weak_components,
 )
 
 
@@ -75,6 +83,85 @@ def test_topological_order_on_random_dags():
             u, v = rng.choice(sorted(g.edges))
             cyclic = DiGraph(n=g.n, edges=g.edges | {(v, u)})
             assert topological_order(cyclic) is None
+
+
+def upward_dag(rng, n: int, p: float) -> DiGraph:
+    """A random DAG whose every edge goes from a lower to a higher index."""
+    return DiGraph(n=n, edges=frozenset(
+        (i, j) for i, j in combinations(range(n), 2) if rng.random() < p))
+
+
+def line_hasse_digraphs(n: int) -> list:
+    """The distinct labelled Hasse digraphs of the line's n-member covers."""
+    return list(dict.fromkeys(hasse_digraph(HPartition(n, class_order(cells)))
+                              for cells in _line_covers(n)))
+
+
+class TestLevelPass:
+    """``_dag_levels`` reads the levels and weak connectivity of a digraph
+    whose edges all go up in one pass in index order, and leaves a digraph
+    with a downward edge to Kahn's algorithm."""
+
+    def test_upward_dags_and_their_relabellings(self):
+        rng = random.Random(31)
+        split = downward = 0
+        for _ in range(600):
+            g = upward_dag(rng, rng.randint(1, 12), rng.choice((0.05, 0.15, 0.35, 0.7)))
+            levels, connected = _dag_levels(g.out_sets, g.in_sets)
+            assert levels == kahn_levels(g.out_sets, g.in_sets)
+            assert connected == (len(weak_components(g.out_sets, g.in_sets)) == 1)
+            split += not connected
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = relabel(g, perm)
+            levels, connected = _dag_levels(h.out_sets, h.in_sets)
+            assert levels == kahn_levels(h.out_sets, h.in_sets)
+            if any(u > v for u, v in h.edges):
+                downward += 1
+                assert connected is None
+            else:
+                assert connected == (len(weak_components(h.out_sets, h.in_sets)) == 1)
+        assert split > 100 and downward > 300
+
+    def test_every_line_hasse_digraph_up_to_four_members(self):
+        for n in range(1, 5):
+            for g in line_hasse_digraphs(n):
+                assert all(u < v for u, v in g.edges)
+                levels, connected = _dag_levels(g.out_sets, g.in_sets)
+                assert levels == kahn_levels(g.out_sets, g.in_sets)
+                assert connected
+
+    def test_line_hasse_digraphs_need_neither_kahn_nor_components(self, monkeypatch):
+        calls = {"_kahn_levels": 0, "_weak_components": 0}
+        for name in calls:
+            def counted(*args, name=name, wrapped=getattr(digraphs, name)):
+                calls[name] += 1
+                return wrapped(*args)
+            monkeypatch.setattr(digraphs, name, counted)
+        graphs = [g for n in range(1, 6) for g in line_hasse_digraphs(n)]
+        for g in graphs:
+            canonical_form(g.out_sets, g.in_sets)
+            block_decomposition(g)
+            assert topological_order(g) is not None
+        assert len(graphs) > 1000
+        assert calls == {"_kahn_levels": 0, "_weak_components": 0}
+        # a split digraph still gets its components
+        g = DiGraph(n=4, edges=frozenset({(0, 1), (2, 3)}))
+        canonical_form(g.out_sets, g.in_sets)
+        assert calls == {"_kahn_levels": 0, "_weak_components": 1}
+
+    def test_a_cyclic_graph_file_ends_in_not_acyclic(self, fixtures, capsys):
+        # its edge 2 -> 0 goes down, so Kahn's algorithm finds no order
+        path = str(fixtures / "errors" / "cycle_3.json")
+        g = load_input(path).graph
+        assert _dag_levels(g.out_sets, g.in_sets) == (None, None)
+        with pytest.raises(NotAcyclic) as exc:
+            block_decomposition(g)
+        assert exc.value.fields["cycle"] == find_cycle(g) == [0, 1, 2]
+        assert run(["cstar", "--input", path]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == {
+            "kind": "NotAcyclic", "message": "digraph contains a cycle: [0, 1, 2]",
+            "cycle": [0, 1, 2]}
 
 
 class TestCanonicalCert:
