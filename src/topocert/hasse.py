@@ -24,8 +24,7 @@ from itertools import accumulate
 from operator import xor
 from typing import Iterable, NamedTuple, Sequence
 
-from .digraphs import (DEFAULT_VERTEX_CAP, DiGraph, _search_connected, canonical_form,
-                       check_vertices)
+from .digraphs import DEFAULT_VERTEX_CAP, DiGraph, canonical_form, check_vertices
 from .spaces import Cover
 
 
@@ -121,9 +120,7 @@ def canonical_key(partition: HPartition) -> HPartition:
     members, and the representative numbers the members in that order.  A
     digraph above the default vertex cap raises CapExceeded.  Its neighbour
     sets are read off the class masks, with no ``DiGraph``, and it is not
-    cached: each partition arrives here once.  When shared classes link all
-    members, the one weak component is searched at once, members at level 0
-    and classes at level 1; else ``canonical_form`` splits the digraph.
+    cached: each partition arrives here once.
     """
     n, classes = partition.member_count, partition.classes
     check_vertices(n + len(classes), DEFAULT_VERTEX_CAP)
@@ -134,17 +131,7 @@ def canonical_key(partition: HPartition) -> HPartition:
         for j in out[i]:
             inc[j].add(i)
     out += [frozenset()] * len(classes)
-    # the members linked to the largest class through shared classes
-    reach, grown = 0, classes[-1] if classes else 0
-    while grown != reach:
-        reach = grown
-        for c in classes:
-            if c & reach:
-                grown |= c
-    if reach == (1 << n) - 1 and 0 not in classes:
-        order = _search_connected(out, inc, [0] * n + [1] * len(classes))[1]
-    else:
-        order = canonical_form(out, inc)[1]
+    order = canonical_form(out, inc)[1]
     masks, bit = [0] * len(out), 1 << n
     for v in order:  # the members in canonical order take bits n-1, n-2, ...
         if v < n:

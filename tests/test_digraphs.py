@@ -144,6 +144,10 @@ class TestLevelPass:
             block_decomposition(g)
             assert topological_order(g) is not None
         assert len(graphs) > 1000
+        # every kept line set links all its members, so no incidence digraph
+        # canonical_key builds is split or has a downward edge
+        for n in range(1, 6):
+            list(enumerate_interval_cover_types(FullLine(), n))
         assert calls == {"_kahn_levels": 0, "_weak_components": 0}
         # a split digraph still gets its components
         g = DiGraph(n=4, edges=frozenset({(0, 1), (2, 3)}))
@@ -371,15 +375,15 @@ class TestReferenceCanonicaliser:
         assert cyclic > 500 and split > 300
 
     def test_every_line_incidence_digraph_up_to_five_members(self, monkeypatch):
-        # the digraphs canonical_key searches straight from its seed, with
-        # the order it takes from them
-        searched, search = [], digraphs._search_connected
+        # the incidence digraphs canonical_key hands to canonical_form, with
+        # the form it takes from them
+        searched, search = [], hasse.canonical_form
 
-        def recording(out, inc, levels):
-            searched.append((out, inc, search(out, inc, levels)))
+        def recording(out, inc):
+            searched.append((out, inc, search(out, inc)))
             return searched[-1][2]
 
-        monkeypatch.setattr(hasse, "_search_connected", recording)
+        monkeypatch.setattr(hasse, "canonical_form", recording)
         for n in range(1, 6):
             list(enumerate_interval_cover_types(FullLine(), n))
         assert len(searched) == 1 + 2 + 15 + 174 + 2695
