@@ -24,16 +24,16 @@ pair, and marks the other as seen.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import accumulate, combinations, product
 from operator import xor
 from typing import Iterator, List, NamedTuple, Optional
 
-from .errors import CapExceeded, EmptyMember, Frozen, InvalidArrangement, NotACover
+from .errors import DEFAULT_COVER_SIZE_CAP, CapExceeded, EmptyMember, Frozen
+from .errors import InvalidArrangement, NotACover
 from .hasse import HPartition, canonical_key, cell_classes, class_order
-
-DEFAULT_COVER_SIZE_CAP = 5
 
 
 class Segment(Frozen):
@@ -288,6 +288,98 @@ def hclasses_of_spec(spec) -> HPartition:
     if isinstance(spec, AxisAlignedSpec):
         return hclasses_axis2d(spec)
     return hclasses_of_intervals(spec)
+
+
+# -- reading domains and witness covers from their JSON form ------------------
+
+def parse_fraction(value) -> Fraction:
+    """A JSON integer that is not a boolean, or a string -?[0-9]+(/[0-9]+)?
+    of ASCII digits with a nonzero denominator, as ``str`` writes a
+    Fraction.  A numerator or denominator of more than
+    ``sys.get_int_max_str_digits()`` digits could not be printed, and is
+    refused by its length."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, str):
+        top, slash, bottom = value.partition("/")
+        digits = top.removeprefix("-")
+        if value.isascii() and digits.isdigit() and (not slash or bottom.isdigit()):
+            limit = sys.get_int_max_str_digits()  # 0 when there is none
+            if limit and max(len(digits), len(bottom)) > limit:
+                raise ValueError(f"rational {value!r} has a numerator or "
+                                 f"denominator of more than {limit} digits")
+            denominator = int(bottom) if slash else 1
+            if denominator:
+                return Fraction(int(top), denominator)
+    raise ValueError(f"not a rational: {value!r}")
+
+
+# the strings that leave each end of an interval member unbounded
+_UNBOUNDED = {"lo": ("-inf",), "hi": ("inf", "+inf")}
+
+
+def _parse_end(member: dict, key: str, parsed: dict) -> Optional[Fraction]:
+    """End ``key`` ("lo" or "hi") of an interval member; null means
+    unbounded, and so does "-inf" for lo and "inf" or "+inf" for hi.
+    ``parsed`` maps each rational string read before in the file to its
+    value.  Only strings are keys: ``true`` and ``1.0`` equal 1 and hash
+    alike, but are not rationals."""
+    value = member.get(key)
+    if isinstance(value, str):
+        end = parsed.get(value)
+        if end is not None:
+            return end
+    if value is None or value in _UNBOUNDED[key]:
+        return None
+    if value in ("-inf", "inf", "+inf"):
+        raise ValueError(f'"{key}" cannot be {value!r}: it is unbounded as '
+                         f'null or {" or ".join(map(repr, _UNBOUNDED[key]))}')
+    end = parse_fraction(value)
+    if isinstance(value, str):
+        parsed[value] = end
+    return end
+
+
+def load_domain(doc) -> object:
+    """The Segment, FullLine or Circle of a "domain" object."""
+    if not isinstance(doc, dict):
+        raise ValueError('"domain" must be a JSON object')
+    kind = doc.get("kind")
+    if kind == "segment":
+        return Segment(lo=parse_fraction(doc["lo"]), hi=parse_fraction(doc["hi"]))
+    if kind == "line":
+        return FullLine()
+    if kind == "circle":
+        return Circle(circumference=parse_fraction(doc["circumference"]))
+    raise ValueError(f"unknown domain kind {kind!r}")
+
+
+def _closed_lo(member: dict) -> bool:
+    value = member.get("closed_lo", False)
+    if not isinstance(value, bool):
+        raise ValueError(f'"closed_lo" must be a JSON boolean, not {value!r}')
+    return value
+
+
+def load_interval_members(domain, members_doc: list, key: str,
+                          parsed: dict) -> IntervalSpec:
+    """One interval cover from the member objects listed under ``key``;
+    ``parsed`` is the file's map of rational strings, as ``_parse_end``
+    reads it."""
+    if not all(isinstance(m, dict) for m in members_doc):
+        raise ValueError(f'each member in "{key}" must be a JSON object')
+    return IntervalSpec(domain, tuple(
+        Interval(lo=_parse_end(m, "lo", parsed), hi=_parse_end(m, "hi", parsed),
+                 closed_lo=_closed_lo(m))
+        for m in members_doc))
+
+
+def load_axis_members(members_doc) -> AxisAlignedSpec:
+    """One plane cover from its members, each a list of constraint objects."""
+    return AxisAlignedSpec(tuple(
+        tuple(Constraint(var=c["var"], op=c["op"], c=parse_fraction(c["c"]))
+              for c in conj)
+        for conj in members_doc))
 
 
 # -- exhaustive combinatorial types of interval covers ------------------------

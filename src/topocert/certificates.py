@@ -16,9 +16,8 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Tuple, Union
 
 from . import __version__ as _version
-from .arrangements import DEFAULT_COVER_SIZE_CAP, FullLine, Segment, hclasses_of_spec
 from .digraphs import DEFAULT_VERTEX_CAP
-from .errors import NotExhaustible
+from .errors import DEFAULT_COVER_SIZE_CAP, NotExhaustible
 from .fingerprints import (
     fingerprint_of,
     fingerprint_set,
@@ -26,7 +25,6 @@ from .fingerprints import (
     fingerprints_of_space,
 )
 from .jsonio import spec_json
-from .spaces import FiniteSpace
 
 
 class SpaceSide(NamedTuple):
@@ -89,6 +87,8 @@ class WitnessSide(NamedTuple):
                      cap_vertices: int):
         """(fingerprint set, family text) over the witness covers with ``n``
         members (all of them when ``n`` is None)."""
+        from .arrangements import hclasses_of_spec
+
         specs = self._sized(n)
         return (fingerprint_set(map(hclasses_of_spec, specs), level, n, cap_vertices),
                 f"{len(specs)} witness cover(s)")
@@ -98,6 +98,8 @@ class WitnessSide(NamedTuple):
         """JSON of the first witness cover whose fingerprint reports exactly
         ``detail``.  Covers are fingerprinted again, one at a time, and only
         until the match, so a search that finds nothing pays nothing here."""
+        from .arrangements import hclasses_of_spec
+
         for spec in self._sized(n):
             if fingerprint_of(hclasses_of_spec(spec), cap_vertices).to_json() == detail:
                 return spec_json(spec)

@@ -24,11 +24,6 @@ import sys
 from typing import Optional
 
 from . import __version__
-from .arrangements import (
-    DEFAULT_COVER_SIZE_CAP,
-    enumerate_interval_cover_types,
-    hclasses_of_spec,
-)
 from .certificates import (
     DomainSide,
     SpaceSide,
@@ -36,7 +31,7 @@ from .certificates import (
     nonhomeo_certificate,
 )
 from .digraphs import DEFAULT_VERTEX_CAP, check_vertices, to_dot
-from .errors import ParseError, TopocertError, TopologyError
+from .errors import DEFAULT_COVER_SIZE_CAP, ParseError, TopocertError, TopologyError
 from .fingerprints import LEVELS, sets_match
 # unused here; the benchmark's tracer and its tests expect this binding
 from .fingerprints import fingerprint_of  # noqa: F401
@@ -53,7 +48,6 @@ from .jsonio import (
     partition_json,
     space_json,
 )
-from .spaces import enumerate_covers
 
 _EXIT_NEGATIVE = 2
 _FLAGS = {
@@ -98,6 +92,8 @@ def _partition_of_input(path: str, loaded):
             raise ParseError(path, 'this command needs a "cover" in the space file')
         return hpartition_of_cover(loaded.cover)
     if loaded.kind == "covers":
+        from .arrangements import hclasses_of_spec
+
         if len(loaded.specs) != 1:
             raise ParseError(path, "this command needs exactly one cover")
         return hclasses_of_spec(loaded.specs[0])
@@ -213,12 +209,16 @@ def _certify(args):
 def _enumerate(args):
     loaded = _sized(args.input, load_input(args.input), args)
     if loaded.kind == "space":
+        from .spaces import enumerate_covers
+
         # sorted by size, then members, so the listing does not follow the walk
         covers = [cover_json(c)["members"] for c in sorted(
             enumerate_covers(loaded.space, args.n),
             key=lambda c: (len(c.members), c.members))]
         return {"covers": covers, "count": len(covers)}, 0
     if loaded.kind == "domain":
+        from .arrangements import enumerate_interval_cover_types
+
         # sorted, so the listing depends on the types and not on the stream
         types = [partition_json(p) for p in sorted(enumerate_interval_cover_types(
             loaded.domain, args.n, args.cap_cover))]

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and ``Frozen``.
+"""Exception types shared across the package, ``Frozen``, and the default
+cap on cover sizes, which ``CapExceeded`` enforces.
 
 Every error reports itself: ``report()`` is the CLI's JSON error object, with
 the error's kind (its class name), its message and its extra fields
@@ -116,6 +117,10 @@ class NotAcyclic(TopocertError):
     def __init__(self, cycle):
         cycle = list(cycle)
         super().__init__(f"digraph contains a cycle: {cycle}", cycle=cycle)
+
+
+# the largest cover size an enumeration or search takes unless told otherwise
+DEFAULT_COVER_SIZE_CAP = 5
 
 
 class CapExceeded(TopocertError):

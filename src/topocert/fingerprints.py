@@ -18,15 +18,10 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Optional, Union
 
-from .arrangements import (
-    DEFAULT_COVER_SIZE_CAP,
-    enumerate_interval_cover_types,
-)
 from .digraphs import DEFAULT_VERTEX_CAP, canonical_cert, check_vertices
-from .errors import LevelMismatch
+from .errors import DEFAULT_COVER_SIZE_CAP, LevelMismatch
 from .graphalgebra import KPair, block_decomposition
 from .hasse import HPartition, hasse_digraph, hpartition_of_cover
-from .spaces import Cover, FiniteSpace, enumerate_covers
 
 LEVELS = ("graph", "cstar", "ktheory")
 
@@ -77,15 +72,15 @@ def fingerprint_of(source: Union[Cover, HPartition],
     """
     if memo is None:
         memo = {}
-    if isinstance(source, Cover):
-        fp = memo.get(source.neighbourhoods)
-        if fp is None:
-            g = hasse_digraph(hpartition_of_cover(source))
-            fp = memo[source.neighbourhoods] = _fingerprint(g, cap_vertices, memo)
-        return fp
-    # its classes are its digraph's vertices: check them first
-    check_vertices(len(source.classes), cap_vertices)
-    return _fingerprint(hasse_digraph(source), cap_vertices, memo)
+    if isinstance(source, HPartition):
+        # its classes are its digraph's vertices: check them first
+        check_vertices(len(source.classes), cap_vertices)
+        return _fingerprint(hasse_digraph(source), cap_vertices, memo)
+    fp = memo.get(source.neighbourhoods)
+    if fp is None:
+        g = hasse_digraph(hpartition_of_cover(source))
+        fp = memo[source.neighbourhoods] = _fingerprint(g, cap_vertices, memo)
+    return fp
 
 
 def _fingerprint(g, cap_vertices: int, memo: dict) -> Fingerprint:
@@ -154,6 +149,8 @@ def fingerprints_of_space(space: FiniteSpace, n: Optional[int], level: str,
                           ) -> FingerprintSet:
     """Distinct fingerprints over all covers of ``space`` with exactly ``n``
     members (every size when ``n`` is None)."""
+    from .spaces import enumerate_covers
+
     return fingerprint_set(enumerate_covers(space, n), level, n, cap_vertices)
 
 
@@ -163,6 +160,8 @@ def fingerprints_of_domain(domain, n: int, level: str,
                            ) -> FingerprintSet:
     """Distinct fingerprints over all combinatorial types of n-interval
     covers of a segment or line domain."""
+    from .arrangements import enumerate_interval_cover_types
+
     return fingerprint_set(enumerate_interval_cover_types(domain, n, cap_cover),
                            level, n, cap_vertices)
 

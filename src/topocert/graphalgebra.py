@@ -19,7 +19,6 @@ from typing import NamedTuple
 from .digraphs import DEFAULT_VERTEX_CAP, DiGraph, find_cycle, topological_order
 from .digraphs import check_vertices
 from .errors import NotAcyclic
-from .snf import diagonal, smith_normal_form
 
 KTHEORY_VERTICES = "graph vertices for K-theory"
 TAILS_VERTICES = "graph vertices for maximal tails"
@@ -81,6 +80,8 @@ def k_theory(g: DiGraph, cap: int = DEFAULT_VERTEX_CAP) -> KPair:
     Smith normal form takes about cubic time, so a graph above ``cap``
     vertices raises CapExceeded.
     """
+    from .snf import diagonal, smith_normal_form
+
     check_vertices(g.n, cap, KTHEORY_VERTICES)
     regular = [v for v in range(g.n) if g.out_sets[v]]
     mat = [

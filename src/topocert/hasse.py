@@ -25,7 +25,6 @@ from operator import xor
 from typing import Iterable, NamedTuple, Sequence
 
 from .digraphs import DEFAULT_VERTEX_CAP, DiGraph, canonical_form, check_vertices
-from .spaces import Cover
 
 
 class HPartition(NamedTuple):

@@ -5,61 +5,24 @@ with a nonzero denominator, as it is written ("3/4", "-6").  An unbounded
 interval end is written as null, and read as null, "-inf" (lo) or "inf" or
 "+inf" (hi).  Points are JSON strings.  Loaders report a failure as a
 ParseError naming the file; a CapExceeded or a NotACover keeps its own kind.
+The readers of domains, interval covers and plane covers, rationals
+included, sit beside their types in ``arrangements``.
 """
 
 from __future__ import annotations
 
 import json
-import sys
-from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .arrangements import (
-    AxisAlignedSpec,
-    Circle,
-    Constraint,
-    FullLine,
-    Interval,
-    IntervalSpec,
-    Segment,
-)
 from .digraphs import DiGraph
 from .errors import CapExceeded, NotACover, ParseError, TopocertError, TopologyError
 from .hasse import HPartition, class_members
-from .spaces import Cover, FiniteSpace, make_cover, generate_topology, validate_topology
-
-
-def _digits(text: str) -> bool:
-    """Whether ``text`` is one or more ASCII digits, the one spelling of a
-    count and of each part of a rational."""
-    return text.isascii() and text.isdigit()
-
-
-def parse_fraction(value) -> Fraction:
-    """A JSON integer that is not a boolean, or a string -?[0-9]+(/[0-9]+)?
-    with a nonzero denominator, as ``str`` writes a Fraction.  A numerator
-    or denominator of more than ``sys.get_int_max_str_digits()`` digits
-    could not be printed, and is refused by its length."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    if isinstance(value, str):
-        top, slash, bottom = value.partition("/")
-        digits = top.removeprefix("-")
-        if _digits(digits) and (not slash or _digits(bottom)):
-            limit = sys.get_int_max_str_digits()  # 0 when there is none
-            if limit and max(len(digits), len(bottom)) > limit:
-                raise ValueError(f"rational {value!r} has a numerator or "
-                                 f"denominator of more than {limit} digits")
-            denominator = int(bottom) if slash else 1
-            if denominator:
-                return Fraction(int(top), denominator)
-    raise ValueError(f"not a rational: {value!r}")
 
 
 def parse_count(text: str) -> int:
     """A count on the command line: ASCII digits only, so that each value
     has one spelling."""
-    if not _digits(text):
+    if not (text.isascii() and text.isdigit()):
         raise ValueError(f"not a count: {text!r}")
     return int(text)
 
@@ -80,72 +43,6 @@ def _array(doc: dict, key: str, of_arrays: bool = True) -> list:
     if of_arrays and not all(isinstance(v, list) for v in value):
         raise ValueError(f'each item of "{key}" must be a JSON array')
     return value
-
-
-# the strings that leave each end of an interval member unbounded
-_UNBOUNDED = {"lo": ("-inf",), "hi": ("inf", "+inf")}
-
-
-def _parse_end(member: dict, key: str, parsed: dict) -> Optional[Fraction]:
-    """End ``key`` ("lo" or "hi") of an interval member; null means
-    unbounded, and so does "-inf" for lo and "inf" or "+inf" for hi.
-    ``parsed`` maps each rational string read before in the file to its
-    value.  Only strings are keys: ``true`` and ``1.0`` equal 1 and hash
-    alike, but are not rationals."""
-    value = member.get(key)
-    if isinstance(value, str):
-        end = parsed.get(value)
-        if end is not None:
-            return end
-    if value is None or value in _UNBOUNDED[key]:
-        return None
-    if value in ("-inf", "inf", "+inf"):
-        raise ValueError(f'"{key}" cannot be {value!r}: it is unbounded as '
-                         f'null or {" or ".join(map(repr, _UNBOUNDED[key]))}')
-    end = parse_fraction(value)
-    if isinstance(value, str):
-        parsed[value] = end
-    return end
-
-
-def _load_domain(doc) -> object:
-    if not isinstance(doc, dict):
-        raise ValueError('"domain" must be a JSON object')
-    kind = doc.get("kind")
-    if kind == "segment":
-        return Segment(lo=parse_fraction(doc["lo"]), hi=parse_fraction(doc["hi"]))
-    if kind == "line":
-        return FullLine()
-    if kind == "circle":
-        return Circle(circumference=parse_fraction(doc["circumference"]))
-    raise ValueError(f"unknown domain kind {kind!r}")
-
-
-def _closed_lo(member: dict) -> bool:
-    value = member.get("closed_lo", False)
-    if not isinstance(value, bool):
-        raise ValueError(f'"closed_lo" must be a JSON boolean, not {value!r}')
-    return value
-
-
-def _load_interval_members(domain, members_doc: list, key: str,
-                           parsed: dict) -> IntervalSpec:
-    """One interval cover from the member objects listed under ``key``;
-    ``parsed`` is the file's map of rational strings, as ``_parse_end``
-    reads it."""
-    if not all(isinstance(m, dict) for m in members_doc):
-        raise ValueError(f'each member in "{key}" must be a JSON object')
-    return IntervalSpec(domain, tuple(
-        Interval(lo=_parse_end(m, "lo", parsed), hi=_parse_end(m, "hi", parsed),
-                 closed_lo=_closed_lo(m))
-        for m in members_doc))
-
-
-def _load_axis_members(members_doc) -> AxisAlignedSpec:
-    return AxisAlignedSpec(tuple(
-        tuple(Constraint(var=c["var"], op=c["op"], c=parse_fraction(c["c"]))
-              for c in conj)
-        for conj in members_doc))
 
 
 def _looks_axis2d(members_doc) -> bool:
@@ -223,6 +120,8 @@ def _point_sets(doc: dict, key: str) -> list:
 
 
 def _space(doc) -> FiniteSpace:
+    from .spaces import generate_topology, validate_topology
+
     points = _array(doc, "points", of_arrays=False)
     if not all(isinstance(p, str) for p in points):
         raise ValueError('each item of "points" must be a JSON string')
@@ -236,28 +135,35 @@ def _space(doc) -> FiniteSpace:
 def _interpret(doc) -> LoadedInput:
     if not isinstance(doc, dict):
         raise ValueError("top-level JSON value must be an object")
+    # each family's module is loaded here, where the file shows its family
     if "points" in doc:
+        from .spaces import make_cover
+
         space = _space(doc)
         cover = None
         if "cover" in doc:
             cover = make_cover(space, [frozenset(m) for m in _point_sets(doc, "cover")])
         return LoadedInput("space", space=space, cover=cover)
     if "domain" in doc:
-        domain = _load_domain(doc["domain"])
+        from .arrangements import load_domain, load_interval_members
+
+        domain = load_domain(doc["domain"])
         parsed = {}
         if "members" in doc:
-            return LoadedInput("covers", specs=(_load_interval_members(
+            return LoadedInput("covers", specs=(load_interval_members(
                 domain, _array(doc, "members", of_arrays=False), "members",
                 parsed),))
         if "covers" in doc:
-            specs = tuple(_load_interval_members(domain, ms, "covers", parsed)
+            specs = tuple(load_interval_members(domain, ms, "covers", parsed)
                           for ms in _array(doc, "covers"))
             if not specs:
                 raise ValueError('"covers" must not be empty')
             return LoadedInput("covers", specs=specs)
         return LoadedInput("domain", domain=domain)
     if "members" in doc and _looks_axis2d(doc["members"]):
-        return LoadedInput("covers", specs=(_load_axis_members(doc["members"]),))
+        from .arrangements import load_axis_members
+
+        return LoadedInput("covers", specs=(load_axis_members(doc["members"]),))
     if "n" in doc and "edges" in doc:
         labels = None
         if doc.get("labels") is not None:
@@ -312,6 +218,8 @@ def interval_json(m: Interval) -> dict:
 
 
 def domain_json(domain) -> dict:
+    from .arrangements import FullLine, Segment
+
     if isinstance(domain, Segment):
         return {"kind": "segment", "lo": str(domain.lo), "hi": str(domain.hi)}
     if isinstance(domain, FullLine):
@@ -321,6 +229,8 @@ def domain_json(domain) -> dict:
 
 def spec_json(spec) -> dict:
     """One witness cover in its input-file form."""
+    from .arrangements import AxisAlignedSpec
+
     if isinstance(spec, AxisAlignedSpec):
         return {"members": [[{"var": c.var, "op": c.op, "c": str(c.c)} for c in conj]
                             for conj in spec.members]}

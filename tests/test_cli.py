@@ -10,9 +10,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from topocert import cli, hasse
+from topocert import arrangements, cli, hasse
+from topocert.arrangements import parse_fraction
 from topocert.cli import _COMMANDS, main, run
-from topocert.jsonio import parse_fraction
 from topocert.fingerprints import LEVELS
 
 from conftest import FIXTURES
@@ -196,12 +196,13 @@ class TestEnumerate:
 
     def test_domain_listing_does_not_depend_on_the_stream_order(
             self, capsys, monkeypatch):
-        stream = cli.enumerate_interval_cover_types
+        # the enumerate handler reads the stream from arrangements at call time
+        stream = arrangements.enumerate_interval_cover_types
         for domain in ("segment_domain.json", "line_domain.json"):
             kw = dict(command="enumerate", input=fx(domain), n=4)
-            monkeypatch.setattr(cli, "enumerate_interval_cover_types", stream)
+            monkeypatch.setattr(arrangements, "enumerate_interval_cover_types", stream)
             forward = run_cmd(capsys, **kw)
-            monkeypatch.setattr(cli, "enumerate_interval_cover_types",
+            monkeypatch.setattr(arrangements, "enumerate_interval_cover_types",
                                 lambda *a: reversed(list(stream(*a))))
             assert run_cmd(capsys, **kw) == forward
             assert forward[0] == 0 and json.loads(forward[1])["count"] == 114
