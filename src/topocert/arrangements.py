@@ -79,14 +79,23 @@ class Interval(NamedTuple):
     closed_lo: bool = False
 
 
+def _rank(values) -> tuple:
+    """The distinct ``values`` (ints or Fractions) sorted by floor(v * 2**64),
+    and by v only where two floors tie, and the rank of each, keyed by its
+    (numerator, denominator) in lowest terms, which hashes faster."""
+    distinct = {v.as_integer_ratio(): v for v in values}
+    cuts = sorted([((n << 64) // d, v, (n, d)) for (n, d), v in distinct.items()])
+    return tuple([v for _, v, _ in cuts]), {key: r for r, (_, _, key) in enumerate(cuts)}
+
+
 class IntervalSpec(Frozen):
     """Distinct nonempty open members of ``domain``, checked when the spec
     is built; whether they cover the domain shows in the walk.
 
-    The distinct finite ends, a segment's bounds among them, are sorted
-    once, exactly, and ranked 0 .. ``end_count`` - 1.  ``spans`` holds each
-    member as ``(lo, hi, closed_lo)`` with its finite ends replaced by
-    their ranks, so the member checks and the walk compare ints only.
+    ``ends`` holds the distinct finite ends, a segment's bounds among them,
+    ranked once by ``_rank``.  ``spans`` holds each member as ``(lo, hi,
+    closed_lo)`` with its finite ends replaced by their ranks, so the
+    member checks and the walk compare ints only.
     """
 
     def __init__(self, domain, members: tuple):
@@ -94,21 +103,12 @@ class IntervalSpec(Frozen):
         of Interval whose finite ends are ints or Fractions."""
         if not members:
             raise InvalidArrangement("a cover needs at least one member")
-        # (numerator, denominator) of a Fraction, in lowest terms, or of an
-        # int, n/1: it names a value exactly, and hashes faster
-        ends = {v.as_integer_ratio(): v
-                for m in members for v in (m.lo, m.hi) if v is not None}
-        if isinstance(domain, Segment):
-            for v in (domain.lo, domain.hi):
-                ends[v.as_integer_ratio()] = v
-        # sorted by floor(v * 2**64), and by v itself only where two floors
-        # tie: exact, with no Fraction comparison for ends 2**-64 apart
-        cuts = sorted([((n << 64) // d, v, (n, d)) for (n, d), v in ends.items()])
-        rank = {key: r for r, (_, _, key) in enumerate(cuts)}
+        ends, rank = _rank([v for m in members for v in (m.lo, m.hi) if v is not None]
+                           + ([domain.lo, domain.hi] if isinstance(domain, Segment) else []))
         spans = tuple([(None if lo is None else rank[lo.as_integer_ratio()],
                         None if hi is None else rank[hi.as_integer_ratio()], closed_lo)
                        for lo, hi, closed_lo in members])
-        _check_spans(domain, spans, cuts, rank)
+        _check_spans(domain, spans, ends, rank)
         if len(set(spans)) < len(spans):
             i, j = next((i, j) for i, j in combinations(range(len(spans)), 2)
                         if spans[i] == spans[j])
@@ -117,7 +117,7 @@ class IntervalSpec(Frozen):
         d["domain"] = domain
         d["members"] = members
         d["spans"] = spans
-        d["end_count"] = len(cuts)
+        d["ends"] = ends
 
 
 _AXIS_VARS = ("x", "y")
@@ -131,29 +131,44 @@ class Constraint(NamedTuple):
 
 class AxisAlignedSpec(Frozen):
     """Nonempty regions of the plane, each a conjunction of strict
-    constraints on x or y, checked when the spec is built."""
+    constraints on x or y, checked member by member when the spec is built.
+
+    ``ends`` holds the distinct x and the distinct y thresholds, each ranked
+    once by ``_rank``.  ``spans`` holds each region as its x and y ``(lo,
+    hi)`` ranks, the greatest ``>`` and the least ``<`` bound, None where
+    unbounded.  A region is empty when lo >= hi: the checks compare ints.
+    """
 
     def __init__(self, members: tuple):
         """``members`` is a tuple of tuples of Constraint."""
         if not members:
             raise InvalidArrangement("a cover needs at least one member")
+        ends, ranks = zip(*(_rank([con.c for conj in members for con in conj
+                                   if con.var == var]) for var in _AXIS_VARS))
+        spans = []
         for idx, conj in enumerate(members):
             if any(con.var not in _AXIS_VARS or con.op not in ("<", ">")
                    for con in conj):
                 raise InvalidArrangement(
                     f"member {idx}: constraints are strict <,> on x or y")
-            for var in _AXIS_VARS:
-                lows = [con.c for con in conj if con.var == var and con.op == ">"]
-                highs = [con.c for con in conj if con.var == var and con.op == "<"]
+            span = []
+            for var, rank in zip(_AXIS_VARS, ranks):
+                lows, highs = ([rank[con.c.as_integer_ratio()] for con in conj
+                                if con.var == var and con.op == op] for op in (">", "<"))
                 if lows and highs and max(lows) >= min(highs):
                     raise EmptyMember(idx)
-        self.__dict__["members"] = members
+                span.append((max(lows, default=None), min(highs, default=None)))
+            spans.append(tuple(span))
+        d = self.__dict__
+        d["members"] = members
+        d["spans"] = tuple(spans)
+        d["ends"] = ends
 
 
-def _check_spans(domain, spans: tuple, cuts: list, rank: dict) -> None:
+def _check_spans(domain, spans: tuple, ends: tuple, rank: dict) -> None:
     """The member checks of an ``IntervalSpec``, member by member, on the
-    ranks of its ends among ``cuts``; ``rank`` maps (numerator,
-    denominator) to a rank."""
+    ranks of its ``ends``; ``rank`` maps (numerator, denominator) to a
+    rank."""
     if isinstance(domain, Segment):
         start, stop = (rank[v.as_integer_ratio()] for v in (domain.lo, domain.hi))
         for idx, (lo, hi, closed_lo) in enumerate(spans):
@@ -175,9 +190,8 @@ def _check_spans(domain, spans: tuple, cuts: list, rank: dict) -> None:
                 raise EmptyMember(idx)
     elif isinstance(domain, Circle):
         # the ends of ranks low .. high lie in [0, circumference)
-        c = domain.circumference
-        low = bisect_left(cuts, (0, 0))
-        high = bisect_left(cuts, ((c.numerator << 64) // c.denominator, c)) - 1
+        low = bisect_left(ends, 0)
+        high = bisect_left(ends, domain.circumference) - 1
         for idx, (lo, hi, closed_lo) in enumerate(spans):
             if closed_lo:
                 raise InvalidArrangement(f"member {idx}: closed ends are not open in the circle")
@@ -193,13 +207,12 @@ def _check_spans(domain, spans: tuple, cuts: list, rank: dict) -> None:
         raise InvalidArrangement(f"unsupported domain {domain!r}")
 
 
-def _samples(cuts) -> List[Fraction]:
-    """One point in each cell of the line cut at ``cuts``, in cell order:
-    a point left of every cut, then each cut and the midpoint right of it,
-    and a point right of the last cut for its last gap; ``[0]`` when there
-    are no cuts.  Only an uncovered cell's name is read from it.
+def _samples(vs: tuple) -> List[Fraction]:
+    """One point in each cell of the line cut at the ranked ends ``vs``, in
+    cell order: a point left of every end, then each end and the midpoint
+    right of it, and a point right of the last end; ``[0]`` when there are
+    no ends.  Only an uncovered cell's name is read from it.
     """
-    vs = sorted(set(cuts))
     if not vs:
         return [Fraction(0)]
     out = [vs[0] - 1]
@@ -209,8 +222,15 @@ def _samples(cuts) -> List[Fraction]:
     return out
 
 
-def _ranks(cuts) -> dict:
-    return {v: i for i, v in enumerate(sorted(set(cuts)))}
+def _cells(lo: Optional[int], hi: Optional[int], closed_lo: bool, top: int) -> int:
+    """The bitmask of the cells 0 .. ``top`` that a span of end ranks has,
+    None for an unbounded end: end r is cell 2r + 1 and the gap left of it
+    cell 2r.  A wrapping arc, lo >= hi, runs past cell top - 1 and on from
+    cell 0."""
+    first = 0 if lo is None else 2 * lo + (1 if closed_lo else 2)
+    last = top if hi is None else 2 * hi
+    return ((1 << last + 1) - (1 << first) if first <= last
+            else (1 << top) - (1 << first) | (1 << last + 1) - 1)
 
 
 def hclasses_of_intervals(spec: IntervalSpec) -> HPartition:
@@ -218,19 +238,13 @@ def hclasses_of_intervals(spec: IntervalSpec) -> HPartition:
     distinct ends (a segment's bounds among them) cut the domain into.
 
     With k ends in order, cell 2i + 1 is end i, cell 2i is the gap left of
-    it and cell 2k is the last gap; each member becomes the bitmask of its
-    cells.  The segment [lo, hi) keeps cells 1 .. 2k - 2, the line all, and
-    the circle 0 .. 2k - 1, where cell 0 is the gap across the wrap point.
+    it and cell 2k is the last gap; each member's span becomes its
+    ``_cells``.  The segment [lo, hi) keeps cells 1 .. 2k - 2, the line all,
+    and the circle 0 .. 2k - 1, where cell 0 is the gap across the wrap.
     """
     domain = spec.domain
-    top = 2 * spec.end_count
-    masks = []
-    for lo, hi, closed_lo in spec.spans:
-        first = 0 if lo is None else 2 * lo + (1 if closed_lo else 2)
-        last = top if hi is None else 2 * hi
-        # a wrapping arc runs past cell 2k - 1 and on from cell 0
-        masks.append((1 << last + 1) - (1 << first) if first <= last
-                     else (1 << top) - (1 << first) | (1 << last + 1) - 1)
+    top = 2 * len(spec.ends)
+    masks = [_cells(lo, hi, closed_lo, top) for lo, hi, closed_lo in spec.spans]
     if isinstance(domain, Segment):
         cells = range(1, top - 1)
     else:
@@ -238,10 +252,7 @@ def hclasses_of_intervals(spec: IntervalSpec) -> HPartition:
     by_cell = cell_classes(masks, cells)
     if 0 in by_cell:
         cell = cells[by_cell.index(0)]
-        ends = [v for m in spec.members for v in (m.lo, m.hi) if v is not None]
-        if isinstance(domain, Segment):
-            ends += (domain.lo, domain.hi)
-        points = _samples(ends)
+        points = _samples(spec.ends)
         if isinstance(domain, Circle) and cell == 0:
             c = domain.circumference
             points[0] = ((points[-2] + points[1] + c) / 2) % c
@@ -256,29 +267,18 @@ def hclasses_axis2d(spec: AxisAlignedSpec) -> HPartition:
     """Density classes of an axis-aligned plane cover, one per cell of the
     grid the constraint thresholds cut the plane into.
 
-    Each axis is cut as in ``hclasses_of_intervals``: ``x < c`` keeps the
-    x-cells up to 2r for c of rank r, ``x > c`` those from 2r + 2, and a
-    cell (i, j) lies in a region when both of its axis masks have the bit.
+    Each axis is cut as the line is in ``hclasses_of_intervals``: a
+    region's span on it becomes its ``_cells`` there, and a cell (i, j) lies
+    in a region when both of its axis masks have the bit.
     """
-    cuts = {v: [con.c for conj in spec.members for con in conj if con.var == v]
-            for v in _AXIS_VARS}
-    axes = []
-    for v in _AXIS_VARS:
-        rank = _ranks(cuts[v])
-        masks = []
-        for conj in spec.members:
-            mask = (1 << 2 * len(rank) + 1) - 1
-            for con in conj:
-                if con.var == v:
-                    r = 2 * rank[con.c]
-                    mask &= (1 << r + 1) - 1 if con.op == "<" else -1 << r + 2
-            masks.append(mask)
-        axes.append(cell_classes(masks, range(2 * len(rank) + 1)))
-    xs, ys = axes
+    tops = [2 * len(ends) for ends in spec.ends]
+    xs, ys = (cell_classes([_cells(*span[axis], False, top) for span in spec.spans],
+                           range(top + 1)) for axis, top in enumerate(tops))
     by_cell = [hx & hy for hx in xs for hy in ys]  # x-major
     if 0 in by_cell:
         i, j = divmod(by_cell.index(0), len(ys))
-        raise NotACover(f"point ({_samples(cuts['x'])[i]}, {_samples(cuts['y'])[j]})")
+        x_ends, y_ends = spec.ends
+        raise NotACover(f"point ({_samples(x_ends)[i]}, {_samples(y_ends)[j]})")
     n = len(spec.members)
     return HPartition(n, class_order(by_cell), f"plane cover(n={n})")
 

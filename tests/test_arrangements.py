@@ -306,22 +306,42 @@ def rational_with(rng, den: int, lo, hi) -> F:
 
 
 def expected_ranks(spec) -> tuple:
-    """The number of distinct finite ends and segment bounds, and each
-    member with its ends replaced by their indices among them in order,
-    found by sorting Fractions."""
+    """The distinct finite ends and segment bounds in order, and each
+    member with its ends replaced by their indices among them, found by
+    sorting Fractions."""
     values = {v for m in spec.members for v in (m.lo, m.hi) if v is not None}
     if isinstance(spec.domain, Segment):
         values |= {spec.domain.lo, spec.domain.hi}
-    index = {v: i for i, v in enumerate(sorted(values))}
+    ends = tuple(sorted(values))
+    index = {v: i for i, v in enumerate(ends)}
     index[None] = None
-    return len(values), tuple((index[m.lo], index[m.hi], m.closed_lo)
-                              for m in spec.members)
+    return ends, tuple((index[m.lo], index[m.hi], m.closed_lo)
+                       for m in spec.members)
+
+
+def expected_plane_ranks(spec) -> tuple:
+    """The distinct x and the distinct y thresholds in order, and each
+    region as its x and y (lo, hi) indices among them: the greatest ">"
+    threshold and the least "<" one, None where there is none, found by
+    sorting Fractions."""
+    ends = tuple(tuple(sorted({con.c for conj in spec.members for con in conj
+                               if con.var == var})) for var in ("x", "y"))
+    spans = []
+    for conj in spec.members:
+        span = []
+        for var, axis in zip(("x", "y"), ends):
+            lows = [con.c for con in conj if con.var == var and con.op == ">"]
+            highs = [con.c for con in conj if con.var == var and con.op == "<"]
+            span.append((axis.index(max(lows)) if lows else None,
+                         axis.index(min(highs)) if highs else None))
+        spans.append(tuple(span))
+    return ends, tuple(spans)
 
 
 def assert_walk_matches_oracle(spec):
     """The ranks are the order of the ends, and the walk's classes are the
     sampled ones, or it names a point no member contains."""
-    assert (spec.end_count, spec.spans) == expected_ranks(spec)
+    assert (spec.ends, spec.spans) == expected_ranks(spec)
     try:
         part = hclasses_of_intervals(spec)
     except NotACover as exc:
@@ -417,7 +437,7 @@ class TestRankedEnds:
         path = tmp_path / "cover.json"
         path.write_text(json.dumps(adversarial_line_cover()))
         spec, = load_input(str(path)).specs
-        assert len(spec.members) == 200 and spec.end_count == 398
+        assert len(spec.members) == 200 and len(spec.ends) == 398
         assert all(len(str(v.denominator)) >= 300
                    for m in spec.members for v in (m.lo, m.hi) if v is not None)
         assert assert_walk_matches_oracle(spec)
@@ -533,7 +553,38 @@ class TestPlaneClasses:
             except (NotACover, EmptyMember):
                 continue
             count += 1
+            assert (spec.ends, spec.spans) == expected_plane_ranks(spec)
             assert set(class_sets(part)) == sampled_plane_classes(spec)
+
+    def test_thresholds_whose_floors_tie_are_ranked_exactly(self):
+        # thresholds 10**-40 apart, far closer than 2**-64, share
+        # floor(v * 2**64) in pairs, so the rank sort falls back to
+        # comparing them; each cover has a strip between two such x
+        # thresholds, and the whole plane, and is walked
+        rng = random.Random(34)
+        dens = coprime_denominators(40, 30)
+        covers = 0
+        while covers < 40:
+            pool = {var: [rational_with(rng, den, -2, 2)
+                          for den in rng.sample(dens, rng.randint(1, 3))]
+                    for var in ("x", "y")}
+            for var in pool:
+                pool[var] += [v + TINY for v in pool[var]]
+            # up to four constraints a region, some on one axis and side
+            members = [tuple(Constraint(var, rng.choice("<>"), rng.choice(pool[var]))
+                             for var in rng.choices("xy", k=rng.randint(0, 4)))
+                       for _ in range(rng.randint(1, 5))]
+            v = pool["x"][0]
+            members += [(Constraint("x", ">", v), Constraint("x", "<", v + TINY)), ()]
+            try:
+                spec = AxisAlignedSpec(tuple(members))
+            except EmptyMember:
+                continue
+            assert (spec.ends, spec.spans) == expected_plane_ranks(spec)
+            assert math.floor(v * 2 ** 64) == math.floor((v + TINY) * 2 ** 64)
+            part = hclasses_axis2d(spec)
+            assert set(class_sets(part)) == sampled_plane_classes(spec)
+            covers += 1
 
     def test_not_a_cover_names_an_uncovered_point(self):
         rng = random.Random(8)

@@ -199,6 +199,15 @@ _REPEATED_END_CALLS = (
                    "one_then_float", "one_string_then_float")]
     + ["hclasses --input fixtures/errors/equal_ends_spelled_apart.json"]
 )
+# plane covers: an empty region; the first bad region wins, whether it is
+# empty (EmptyMember) or has a bad var or op (InvalidArrangement), all exit
+# 3; a cover that leaves a point uncovered (NotACover, exit 5); and a region
+# spelled two ways, as x<1 and as x<1, x<2, which is accepted (exit 0)
+_PLANE_CALLS = [
+    f"hclasses --input fixtures/errors/plane_{cover}.json"
+    for cover in ("empty_member", "empty_then_bad_var", "bad_op_then_empty",
+                  "uncovered_point", "repeated_region")
+]
 
 CALLS = (
     _README_CERTIFY
@@ -227,6 +236,7 @@ CALLS = (
     + _SPELLING_CALLS
     + _POINT_ITEM_CALLS
     + _REPEATED_END_CALLS
+    + _PLANE_CALLS
 )
 
 

@@ -46,7 +46,7 @@ RECORDS = [
     (Interval(F(0), F(1)), "lo"),
     (IntervalSpec(FullLine(), (Interval(None, None),)), "members"),
     (IntervalSpec(Segment(F(0), F(1)), (Interval(F(0), F(1), True),)), "spans"),
-    (IntervalSpec(Segment(F(0), F(1)), (Interval(F(0), F(1), True),)), "end_count"),
+    (IntervalSpec(Segment(F(0), F(1)), (Interval(F(0), F(1), True),)), "ends"),
     (Constraint("x", "<", F(1)), "c"),
     (AxisAlignedSpec(((Constraint("x", "<", F(1)),),)), "members"),
     (SpaceSide("a", SPACE), "space"),
