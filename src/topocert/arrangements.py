@@ -27,13 +27,12 @@ from __future__ import annotations
 import sys
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import accumulate, combinations, product
-from operator import xor
+from itertools import combinations, product
 from typing import Iterator, List, NamedTuple, Optional
 
 from .errors import DEFAULT_COVER_SIZE_CAP, CapExceeded, EmptyMember, Frozen
 from .errors import InvalidArrangement, NotACover
-from .hasse import HPartition, canonical_key, cell_classes, class_order
+from .hasse import HPartition, canonical_key, cell_classes, class_members, class_order
 
 
 class Segment(Frozen):
@@ -428,15 +427,10 @@ def _member_cells(cells: tuple, n: int) -> list:
     first, last = [0] * n, [len(cells) - 1] * n
     for k in range(1, len(cells), 2):
         point = cells[k]
-        started, ended = cells[k + 1] - point, cells[k - 1] - point
-        while started:  # the highest bit left is the lowest member left
-            i = n - started.bit_length()
+        for i in class_members(cells[k + 1] - point, n):
             first[i] = k + 1
-            started ^= 1 << n - 1 - i
-        while ended:
-            i = n - ended.bit_length()
+        for i in class_members(cells[k - 1] - point, n):
             last[i] = k - 1
-            ended ^= 1 << n - 1 - i
     return list(zip(first, last))
 
 
@@ -444,15 +438,12 @@ def _mirror(cells: tuple, ends: list) -> tuple:
     """The reflection x -> -x of a ``_line_covers`` cover, numbered as the
     sweep numbers members, given its ``_member_cells``: a member from cell
     first to cell last runs from cell top - last to cell top - first, the
-    members are renumbered by (start, end), and each cell gets the mask of
+    members are renumbered by (start, end), and each cell gets the class of
     the members that have it."""
-    n, top = len(ends), len(cells) - 1
-    flips = [0] * (top + 2)  # each member's bit flips where it starts and after it ends
-    for j, (first, last) in enumerate(sorted((top - last, top - first)
-                                             for first, last in ends)):
-        flips[first] ^= 1 << n - 1 - j
-        flips[last + 1] ^= 1 << n - 1 - j
-    return tuple(accumulate(flips[:-1], xor))
+    top = len(cells) - 1
+    return tuple(cell_classes([(2 << last) - (1 << first) for first, last in
+                               sorted((top - last, top - first) for first, last in ends)],
+                              range(top + 1)))
 
 
 def _covers_up_to_mirror(n: int) -> Iterator[tuple]:

@@ -67,28 +67,26 @@ def fingerprint_of(source: Union[Cover, HPartition],
     ``DiGraph`` compares on ``(n, edges)``), and for a cover also its
     ``neighbourhoods``, which fix that class.  The caller owns the memo for
     one fingerprint set; results are the same with or without it.  A cover's
-    partition and Hasse digraph are built only on a neighbourhood miss, and
-    a digraph is canonicalised and decomposed only on its own miss.
+    partition is built only on a neighbourhood miss.  Its classes, the
+    digraph's vertices, meet the cap before the digraph is built, and a
+    digraph is canonicalised and decomposed only on its own miss.
     """
     if memo is None:
         memo = {}
-    if isinstance(source, HPartition):
-        # its classes are its digraph's vertices: check them first
-        check_vertices(len(source.classes), cap_vertices)
-        return _fingerprint(hasse_digraph(source), cap_vertices, memo)
-    fp = memo.get(source.neighbourhoods)
-    if fp is None:
-        g = hasse_digraph(hpartition_of_cover(source))
-        fp = memo[source.neighbourhoods] = _fingerprint(g, cap_vertices, memo)
-    return fp
-
-
-def _fingerprint(g, cap_vertices: int, memo: dict) -> Fingerprint:
-    """The fingerprint of the labelled digraph ``g``, computed on a miss."""
+    partition = source
+    if not isinstance(source, HPartition):
+        fp = memo.get(source.neighbourhoods)
+        if fp is not None:
+            return fp
+        partition = hpartition_of_cover(source)
+    check_vertices(len(partition.classes), cap_vertices)
+    g = hasse_digraph(partition)
     fp = memo.get(g)
     if fp is None:
         fp = memo[g] = Fingerprint(graph_cert=canonical_cert(g, cap=cap_vertices),
                                    blocks=block_decomposition(g))
+    if partition is not source:  # a cover
+        memo[source.neighbourhoods] = fp
     return fp
 
 

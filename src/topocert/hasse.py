@@ -9,8 +9,8 @@ A class is an integer bitmask of members: member i of n is bit n-1-i, so
 member 0 is the leading digit.  ``cell_classes`` is the one encoder, of the
 cells of ``arrangements`` and the points of ``hpartition_of_cover``;
 ``class_order`` is the one order, by size and then by descending mask, which
-is the order of sorted member indices; ``class_members`` is the one decoder,
-for output.  ``hasse_edges`` finds the cover pairs.
+is the order of sorted member indices; ``class_members`` is the one decoder.
+``hasse_edges`` finds the cover pairs.
 
 The class poset is the T0 quotient of the topology the members generate:
 points share a class when they have the same smallest neighbourhood in it,

@@ -55,6 +55,17 @@ class TestSegmentVsCircle:
         assert cert.witness_fingerprint["graph"]["vertices"] == 8
         assert verify_certificate(cert, SEGMENT, circle_side())
 
+    def test_replay_refuses_an_unknown_witness_side(self):
+        cert = nonhomeo_certificate(SEGMENT, circle_side(), (4, 4), "graph")
+        assert not verify_certificate(cert._replace(witness_side="nobody"),
+                                      SEGMENT, circle_side())
+
+    def test_replay_refuses_a_side_that_is_not_exhaustive(self):
+        # a side under the exhaustive side's name that enumerates nothing
+        cert = nonhomeo_certificate(SEGMENT, circle_side(), (4, 4), "graph")
+        stand_in = WitnessSide(name="segment", covers=circle_side().covers)
+        assert not verify_certificate(cert, stand_in, circle_side())
+
     def test_exhaustive_side_recorded(self):
         cert = nonhomeo_certificate(SEGMENT, circle_side(), (4, 4), "graph")
         assert cert.exhaustive_side["name"] == "segment"

@@ -284,6 +284,16 @@ class TestIsIsomorphic:
         assert not ok
         assert not brute_force_isomorphic(cyc, pth)
 
+    def test_a_witness_that_maps_an_edge_off_raises(self, monkeypatch):
+        # equal canonical rows with orders that do not line the graphs up:
+        # the witness check is all that stands between them and (True, ...)
+        g = path(3)
+        orders = iter([(0, 1, 2), (2, 1, 0)])
+        monkeypatch.setattr(digraphs, "_canonical_order_key",
+                            lambda _: ((1, 2, 0), next(orders)))
+        with pytest.raises(AssertionError, match="invalid witness"):
+            is_isomorphic(g, g)
+
     def test_agrees_with_brute_force_on_random_pairs(self):
         rng = random.Random(42)
         for trial in range(500):

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from topocert import (
+    CapExceeded,
     DiGraph,
     Fingerprint,
     FullLine,
@@ -18,6 +19,7 @@ from topocert import (
     enumerate_covers,
     enumerate_interval_cover_types,
     fingerprint_of,
+    fingerprint_set,
     fingerprints_of_domain,
     fingerprints_of_space,
     generate_topology,
@@ -98,6 +100,17 @@ class TestFingerprintOf:
         fp = fingerprint_of(antichain, cap_vertices=300)
         assert fp.to_json()["graph"]["vertices"] == 300
         assert fp.blocks == (1,) * 300
+
+    def test_a_cover_over_the_cap_is_refused_before_its_hasse_digraph(self, monkeypatch):
+        # the first cover the walk meets has 4 classes, over a cap of 2
+        calls = []
+        original = fingerprints.hasse_digraph
+        monkeypatch.setattr(fingerprints, "hasse_digraph",
+                            lambda p: calls.append(p) or original(p))
+        with pytest.raises(CapExceeded):
+            fingerprint_set(enumerate_covers(chain_space(4)), "graph", None,
+                            cap_vertices=2)
+        assert calls == []
 
     def test_block_picture_agrees_with_k_theory_and_prim_space(self, block_picture_sources):
         # a fingerprint writes its K-pair and spectrum from the block count;

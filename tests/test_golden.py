@@ -58,6 +58,11 @@ _ERROR_CALLS = (
     # a far larger exponent is refused by its spelling, as fast
     + ["pg --input fixtures/errors/exponent_far_past_digit_limit.json"]  # exit 3
     + ["hclasses --input fixtures/errors/uncovered_point.json"]  # NotACover, exit 5
+    # an empty "covers" list, an unbounded segment end, a closed end on the
+    # line and on the circle, and an unbounded arc end: ParseError, exit 3
+    + [f"hclasses --input fixtures/errors/{cover}.json"
+       for cover in ("covers_empty", "segment_unbounded_end", "line_closed_end",
+                     "circle_closed_end", "circle_unbounded_end")]
     + ["enumerate --input fixtures/errors/circle_domain.json --n 2",  # exit 1
        "certify --input fixtures/segment_cover_first.json"
        " --input-b fixtures/circle_cover.json",  # NotExhaustible, exit 1
@@ -66,6 +71,7 @@ _ERROR_CALLS = (
        "certify --input fixtures/chain_3.json --input-b fixtures/chain_4.json"
        " --n 2 --n-range 3..4",  # certify has no --n, exit 1
        "pg --input fixtures/line_witness_covers.json --n 0",  # the same, exit 1
+       "pg --input fixtures/line_domain.json --n 0",  # the same, exit 1
        "graph --input fixtures/errors/edges_object.json",  # ParseError, exit 3
        "pg --input fixtures/segment_gap.json",  # NotACover, exit 5
        "validate --input fixtures/errors/no_such_file.json"]  # ParseError, exit 3
@@ -89,6 +95,9 @@ _SIDE_CALLS = [
     " --input-b fixtures/line_domain.json --n-range 1..3",  # exit 2
     "certify --input fixtures/circle_cover.json"
     " --input-b fixtures/three_point_model.json --n-range 4..4",
+    # a segment cover as the witness, with a closed left end
+    "certify --input fixtures/segment_cover_first.json"
+    " --input-b fixtures/sierpinski.json --n-range 4..4",
     # exit 2 at once: no size past a space's nonempty opens is searched
     "certify --input fixtures/chain_3.json"
     " --input-b fixtures/chain_3.json --n-range 1..100000000000",
