@@ -11,9 +11,9 @@ package produces.
 Every Hasse digraph has its edges from a lower to a higher index, so index
 order is topological: ``_dag_levels`` reads the levels and the weak
 connectivity off one pass in that order, for the canonicaliser and for
-``topological_order``.  Kahn's algorithm runs only on a digraph with a
-downward edge, which a graph file may give, and ``_weak_components`` only on
-one that the pass found split or could not read.
+``topological_order``.  A graph file may give a downward edge; then one
+depth-first walk finds an order for the pass, or the cycle that
+``find_cycle`` reports.  ``_weak_components`` runs on a split or cyclic one.
 """
 
 from __future__ import annotations
@@ -86,54 +86,68 @@ def topological_order(g: DiGraph) -> Optional[list]:
 def find_cycle(g: DiGraph) -> list:
     """Some directed cycle, as a vertex list; assumes one exists.  The first
     edge back into the depth-first path, successors taken in ascending order."""
-    color = [0] * g.n  # 0 fresh, 1 on the path, 2 done
-    for root in range(g.n):
+    cycle = _depth_first(g.out_sets)[1]
+    if cycle is None:
+        raise ValueError("graph is acyclic")
+    return cycle
+
+
+def _depth_first(out: Sequence) -> tuple:
+    """(a topological order, None), or (None, a directed cycle): one
+    depth-first walk, roots and successors in ascending order, that stops at
+    the first edge back into its path.  The order is the reversed finish order."""
+    color, finished = [0] * len(out), []  # 0 fresh, 1 on the path, 2 done
+    for root in range(len(out)):
         if color[root]:
             continue
         color[root] = 1
-        path = [root]
-        pending = [iter(sorted(g.out_sets[root]))]
-        while pending:
-            for w in pending[-1]:
+        path = [(root, iter(sorted(out[root])))]  # (vertex, successors left)
+        while path:
+            for w in path[-1][1]:
                 if color[w] == 1:
-                    return path[path.index(w):]
+                    on = [v for v, _ in path]
+                    return None, on[on.index(w):]
                 if color[w] == 0:
                     color[w] = 1
-                    path.append(w)
-                    pending.append(iter(sorted(g.out_sets[w])))
+                    path.append((w, iter(sorted(out[w]))))
                     break
             else:
-                color[path.pop()] = 2
-                pending.pop()
-    raise ValueError("graph is acyclic")
+                finished.append(path.pop()[0])
+                color[finished[-1]] = 2
+    return finished[::-1], None
 
 
 def _dag_levels(out: Sequence, inc: Sequence) -> tuple:
     """(the longest-path level of each vertex, whether the digraph is weakly
-    connected), from one pass in index order while every edge goes from a
-    lower to a higher index, as in every Hasse digraph.  A digraph with a
-    downward edge gets Kahn's levels instead, None on a directed cycle, and
-    None for its connectivity.
+    connected), or (None, None) on a directed cycle: one pass in index order,
+    which reads both while every edge goes up, as in every Hasse digraph, and
+    at a downward edge the same pass once more, in the depth-first walk's order."""
+    levels = _level_pass(out, inc, range(len(inc)))
+    if levels is None:  # a downward edge, or a cycle
+        order = _depth_first(out)[0]
+        levels = (None, None) if order is None else _level_pass(out, inc, order)
+    return levels
 
-    The pass gives each vertex the bitmask of the sources below it.  Every
-    vertex lies on a path from a source to a sink, so the digraph is weakly
-    connected when the sinks' masks, linked wherever two share a source,
-    reach every source."""
-    level, below, sources, sinks = [0] * len(inc), [0] * len(inc), 0, []
-    for v, ins in enumerate(inc):
-        if ins:
-            mask = up = 0
-            for u in ins:
-                if u > v:
-                    return _kahn_levels(out, inc), None
-                mask |= below[u]
-                if level[u] >= up:
-                    up = level[u] + 1
-            level[v] = up
-        else:
+
+def _level_pass(out: Sequence, inc: Sequence, order: Sequence) -> Optional[tuple]:
+    """``_dag_levels``' pass in ``order``; None at an in-neighbour not passed
+    yet.  Each vertex gets the bitmask of the sources below it.  Every vertex
+    is on a path from a source to a sink, so the digraph is weakly connected
+    when the sinks' masks, linked where two share a source, reach them all."""
+    level, below, sources, sinks = [-1] * len(inc), [0] * len(inc), 0, []
+    for v in order:
+        mask = up = 0
+        for u in inc[v]:
+            at = level[u]
+            if at < 0:
+                return None
+            mask |= below[u]
+            if at >= up:
+                up = at + 1
+        if not mask:
             mask = 1 << v
             sources |= mask
-        below[v] = mask
+        level[v], below[v] = up, mask
         if not out[v]:
             sinks.append(mask)
     reach, grown = 0, sinks[-1] if sinks else 0
@@ -143,24 +157,6 @@ def _dag_levels(out: Sequence, inc: Sequence) -> tuple:
             if mask & reach:
                 grown |= mask
     return level, reach == sources
-
-
-def _kahn_levels(out: Sequence, inc: Sequence) -> Optional[list]:
-    """Longest-path level of each vertex by Kahn's algorithm, or None if
-    the graph has a directed cycle."""
-    indeg = [len(s) for s in inc]
-    ready = [v for v, d in enumerate(indeg) if not d]
-    level = [0] * len(out)
-    while ready:
-        v = ready.pop()
-        up = level[v] + 1
-        for w in out[v]:
-            if level[w] < up:
-                level[w] = up
-            indeg[w] -= 1
-            if not indeg[w]:
-                ready.append(w)
-    return None if any(indeg) else level
 
 
 def _refine(out: list, inc: list, colors: list, cells: list) -> tuple:
@@ -287,7 +283,7 @@ def canonical_form(out: Sequence, inc: Sequence) -> tuple:
     level pass tells a weakly connected digraph, searched at once, from one
     that is split into components."""
     levels, connected = _dag_levels(out, inc)
-    if not connected:  # split, or not known after a downward edge
+    if not connected:  # split, or cyclic
         comps = _weak_components(out, inc)
         connected = len(comps) == 1
     if connected:

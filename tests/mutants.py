@@ -81,11 +81,19 @@ MUTANTS = (
     Mutant("digraphs", "if relabel(g1, [mapping[v] for v in range(g1.n)]) != g2:",
            "if False:",
            "is_isomorphic returns its witness unchecked"),
+    Mutant("digraphs", "    return finished[::-1], None", "    return finished, None",
+           "the depth-first walk returns its finish order unreversed"),
+    Mutant("digraphs", "            if at < 0:\n                return None\n", "",
+           "the level pass reads an in-neighbour it has not passed yet"),
     Mutant("fingerprints", "    check_vertices(len(partition.classes), cap_vertices)\n"
                            "    g = hasse_digraph(partition)\n",
            "    g = hasse_digraph(partition)\n"
            "    check_vertices(len(partition.classes), cap_vertices)\n",
            "fingerprint_of checks the cap after the Hasse digraph is built"),
+    # the replay
+    Mutant("certificates", "replay._replace(version=cert.version) == cert",
+           "replay.witness_fingerprint == cert.witness_fingerprint",
+           "verify_certificate compares only the witness fingerprint"),
 )
 
 

@@ -18,7 +18,7 @@ from topocert import (
     validate_topology,
     verify_certificate,
 )
-from topocert.jsonio import load_input
+from topocert.jsonio import dumps, load_input
 
 from conftest import FIXTURES
 
@@ -65,6 +65,36 @@ class TestSegmentVsCircle:
         cert = nonhomeo_certificate(SEGMENT, circle_side(), (4, 4), "graph")
         stand_in = WitnessSide(name="segment", covers=circle_side().covers)
         assert not verify_certificate(cert, stand_in, circle_side())
+
+    def test_replay_refuses_a_dropped_listing_fingerprint(self):
+        cert = nonhomeo_certificate(SEGMENT, circle_side(), (4, 4), "graph")
+        listing = cert.listings["segment"]
+        short = dict(listing, fingerprints=listing["fingerprints"][1:])
+        assert not verify_certificate(
+            cert._replace(listings={**cert.listings, "segment": short}),
+            SEGMENT, circle_side())
+
+    def test_replay_refuses_a_missing_witness_cover(self):
+        cert = nonhomeo_certificate(SEGMENT, circle_side(), (4, 4), "graph")
+        assert not verify_certificate(cert._replace(witness_cover=None),
+                                      SEGMENT, circle_side())
+
+    def test_replay_refuses_a_wrong_fingerprint_count(self):
+        cert = nonhomeo_certificate(SEGMENT, circle_side(), (4, 4), "graph")
+        side = cert.exhaustive_side
+        wrong = dict(side, fingerprint_count=side["fingerprint_count"] + 1)
+        assert not verify_certificate(cert._replace(exhaustive_side=wrong),
+                                      SEGMENT, circle_side())
+
+    def test_replay_reads_the_certificate_back_from_json(self):
+        cert = nonhomeo_certificate(SEGMENT, circle_side(), (4, 4), "graph")
+        read = certificates.Certificate(**json.loads(dumps(cert.to_json())))
+        assert verify_certificate(read, SEGMENT, circle_side())
+
+    def test_replay_ignores_the_version(self):
+        cert = nonhomeo_certificate(SEGMENT, circle_side(), (4, 4), "graph")
+        assert verify_certificate(cert._replace(version="0.0.0"),
+                                  SEGMENT, circle_side())
 
     def test_exhaustive_side_recorded(self):
         cert = nonhomeo_certificate(SEGMENT, circle_side(), (4, 4), "graph")
@@ -167,6 +197,8 @@ class TestSearchBehavior:
         assert cert.witness_side == "chain"
         assert cert.n == 2
         assert verify_certificate(cert, triv, chain)
+        # the replay takes the witness side first, whatever the order given
+        assert verify_certificate(cert, chain, triv)
 
     def test_certificate_json_is_self_contained(self):
         cert = nonhomeo_certificate(SEGMENT, circle_side(), (4, 4), "graph")

@@ -99,8 +99,8 @@ def line_hasse_digraphs(n: int) -> list:
 
 class TestLevelPass:
     """``_dag_levels`` reads the levels and weak connectivity of a digraph
-    whose edges all go up in one pass in index order, and leaves a digraph
-    with a downward edge to Kahn's algorithm."""
+    whose edges all go up in one pass in index order, and passes a digraph
+    with a downward edge once more, in the depth-first walk's order."""
 
     def test_upward_dags_and_their_relabellings(self):
         rng = random.Random(31)
@@ -116,12 +116,34 @@ class TestLevelPass:
             h = relabel(g, perm)
             levels, connected = _dag_levels(h.out_sets, h.in_sets)
             assert levels == kahn_levels(h.out_sets, h.in_sets)
-            if any(u > v for u, v in h.edges):
-                downward += 1
-                assert connected is None
-            else:
-                assert connected == (len(weak_components(h.out_sets, h.in_sets)) == 1)
+            assert connected == (len(weak_components(h.out_sets, h.in_sets)) == 1)
+            downward += any(u > v for u, v in h.edges)
         assert split > 100 and downward > 300
+
+    def test_the_walk_orders_random_dags(self):
+        rng = random.Random(36)
+        for _ in range(400):
+            g = random_dag(rng, rng.randint(1, 12), rng.choice((0.1, 0.3, 0.6)))
+            order, cycle = digraphs._depth_first(g.out_sets)
+            assert cycle is None and sorted(order) == list(range(g.n))
+            pos = {v: i for i, v in enumerate(order)}
+            assert all(pos[u] < pos[v] for u, v in g.edges)
+            assert _dag_levels(g.out_sets, g.in_sets)[0] == kahn_levels(g.out_sets,
+                                                                         g.in_sets)
+
+    def test_the_walk_closes_a_cycle_of_real_edges(self):
+        rng = random.Random(37)
+        cyclic = 0
+        for _ in range(400):
+            g = random_digraph(rng, rng.randint(2, 10), rng.choice((0.15, 0.3, 0.5)))
+            if kahn_levels(g.out_sets, g.in_sets) is not None:
+                continue
+            cyclic += 1
+            cycle = find_cycle(g)
+            assert len(set(cycle)) == len(cycle) >= 2
+            assert all((u, v) in g.edges for u, v in zip(cycle, cycle[1:] + cycle[:1]))
+            assert _dag_levels(g.out_sets, g.in_sets) == (None, None)
+        assert cyclic > 200
 
     def test_every_line_hasse_digraph_up_to_four_members(self):
         for n in range(1, 5):
@@ -131,8 +153,8 @@ class TestLevelPass:
                 assert levels == kahn_levels(g.out_sets, g.in_sets)
                 assert connected
 
-    def test_line_hasse_digraphs_need_neither_kahn_nor_components(self, monkeypatch):
-        calls = {"_kahn_levels": 0, "_weak_components": 0}
+    def test_line_hasse_digraphs_need_neither_walk_nor_components(self, monkeypatch):
+        calls = {"_depth_first": 0, "_weak_components": 0}
         for name in calls:
             def counted(*args, name=name, wrapped=getattr(digraphs, name)):
                 calls[name] += 1
@@ -148,14 +170,18 @@ class TestLevelPass:
         # canonical_key builds is split or has a downward edge
         for n in range(1, 6):
             list(enumerate_interval_cover_types(FullLine(), n))
-        assert calls == {"_kahn_levels": 0, "_weak_components": 0}
+        assert calls == {"_depth_first": 0, "_weak_components": 0}
         # a split digraph still gets its components
         g = DiGraph(n=4, edges=frozenset({(0, 1), (2, 3)}))
         canonical_form(g.out_sets, g.in_sets)
-        assert calls == {"_kahn_levels": 0, "_weak_components": 1}
+        assert calls == {"_depth_first": 0, "_weak_components": 1}
+        # a downward edge takes the walk, and its pass finds the digraph connected
+        g = DiGraph(n=3, edges=frozenset({(2, 1), (1, 0)}))
+        canonical_form(g.out_sets, g.in_sets)
+        assert calls == {"_depth_first": 1, "_weak_components": 1}
 
     def test_a_cyclic_graph_file_ends_in_not_acyclic(self, fixtures, capsys):
-        # its edge 2 -> 0 goes down, so Kahn's algorithm finds no order
+        # its edge 2 -> 0 goes down, so the walk runs, and finds the cycle
         path = str(fixtures / "errors" / "cycle_3.json")
         g = load_input(path).graph
         assert _dag_levels(g.out_sets, g.in_sets) == (None, None)

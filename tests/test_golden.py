@@ -126,6 +126,12 @@ _GENERAL_ALGEBRA_CALLS = [
     "ktheory --input fixtures/errors/cycle_3.json",
 ] + [f"{command} --input fixtures/antichain_3.json"
      for command in ("cstar", "ktheory", "prim")]
+# an acyclic graph file whose every edge goes down, so no order by index is
+# topological: the diamond 3 -> {1, 2} -> 0, without labels
+_DOWNWARD_DAG_CALLS = [
+    f"{command} --input fixtures/downward_dag.json"
+    for command in ("cstar", "prim", "ktheory", "graph --format dot")
+]
 # a finite-space cover whose members are listed out of the space's order,
 # whose classes have several members and whose Hasse digraph has edges
 _SPACE_COVER_CALLS = [
@@ -238,6 +244,7 @@ CALLS = (
     + _ALGEBRA_LEVEL_CALLS
     + _SPACE_COVER_CALLS
     + _GENERAL_ALGEBRA_CALLS
+    + _DOWNWARD_DAG_CALLS
     + _FRONT_DOOR_CALLS
     + _LABELLED_GRAPH_CALLS
     + _CAP_AND_SIZE_CALLS
