@@ -16,8 +16,8 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Tuple, Union
 
 from . import __version__ as _version
-from .digraphs import DEFAULT_VERTEX_CAP
-from .errors import DEFAULT_COVER_SIZE_CAP, NotExhaustible
+from .errors import DEFAULT_COVER_SIZE_CAP, DEFAULT_VERTEX_CAP, LEVELS
+from .errors import CapExceeded, NotExhaustible
 from .fingerprints import (
     fingerprint_of,
     fingerprint_set,
@@ -183,13 +183,24 @@ def nonhomeo_certificate(side_a: Side, side_b: Side, n_range: Tuple[int, int],
     return None
 
 
+def _is_count(value) -> bool:
+    return type(value) is int and value > 0
+
+
 def verify_certificate(cert: Certificate, side_a: Side, side_b: Side) -> bool:
     """True when the search, replayed at the certificate's size, level and
     caps with the witness side first, so in the direction that found the
-    witness, gives back all of the certificate but its version."""
+    witness, gives back all of the certificate but its version.  A size,
+    level or caps the search does not take, or a replay that a cap or a
+    side refuses, gives False."""
+    caps = cert.caps if isinstance(cert.caps, dict) else {}
+    if not (_is_count(cert.n) and cert.level in LEVELS
+            and set(caps) == {"cap_cover", "cap_vertices"}
+            and all(map(_is_count, caps.values()))):
+        return False
     sides = (side_a, side_b) if side_a.name == cert.witness_side else (side_b, side_a)
     try:
-        replay = nonhomeo_certificate(*sides, (cert.n, cert.n), cert.level, **cert.caps)
-    except NotExhaustible:
+        replay = nonhomeo_certificate(*sides, (cert.n, cert.n), cert.level, **caps)
+    except (CapExceeded, NotExhaustible):
         return False
     return replay is not None and replay._replace(version=cert.version) == cert

@@ -13,6 +13,10 @@ and ends with the error's ``exit_code``:
   2  negative result (invalid topology / sets differ / nothing certifiable)
   3  ParseError   4 CapExceeded   5 NotACover
   1  any other error
+
+A call loads only what it runs: this module imports ``errors`` alone, and
+each handler imports the layers it uses, so ``--version``, ``--help`` and a
+refused command line compile no graph, fingerprint or certificate code.
 """
 
 from __future__ import annotations
@@ -24,30 +28,27 @@ import sys
 from typing import Optional
 
 from . import __version__
-from .certificates import (
-    DomainSide,
-    SpaceSide,
-    WitnessSide,
-    nonhomeo_certificate,
-)
-from .digraphs import DEFAULT_VERTEX_CAP, check_vertices, to_dot
-from .errors import DEFAULT_COVER_SIZE_CAP, ParseError, TopocertError, TopologyError
-from .fingerprints import LEVELS, sets_match
-# unused here; the benchmark's tracer and its tests expect this binding
-from .fingerprints import fingerprint_of  # noqa: F401
-from .graphalgebra import block_decomposition, k_theory, prim_space
-from .graphalgebra import KTHEORY_VERTICES, TAILS_VERTICES
-from .hasse import class_members, hasse_digraph, hpartition_of_cover
-from .jsonio import (
-    cover_json,
-    dumps,
-    graph_json,
-    load_input,
-    load_space,
-    parse_count,
-    partition_json,
-    space_json,
-)
+from .errors import DEFAULT_COVER_SIZE_CAP, DEFAULT_VERTEX_CAP, LEVELS
+from .errors import ParseError, TopocertError, TopologyError
+
+
+def __getattr__(name: str):
+    # the benchmark's tests read ``cli.fingerprint_of``: it is the
+    # fingerprints module's binding when it is read
+    if name == "fingerprint_of":
+        from .fingerprints import fingerprint_of
+
+        return fingerprint_of
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def parse_count(text: str) -> int:
+    """A count on the command line: ASCII digits only, so that each value
+    has one spelling."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a count: {text!r}")
+    return int(text)
+
 
 _EXIT_NEGATIVE = 2
 _FLAGS = {
@@ -80,6 +81,8 @@ def _emit(args, text: str) -> None:
 
 
 def _emit_error(exc: Exception) -> int:
+    from .jsonio import dumps
+
     if not isinstance(exc, TopocertError):
         exc = TopocertError(str(exc))
     sys.stderr.write(dumps({"error": exc.report()}))
@@ -88,6 +91,8 @@ def _emit_error(exc: Exception) -> int:
 
 def _partition_of_input(path: str, loaded):
     if loaded.kind == "space":
+        from .hasse import hpartition_of_cover
+
         if loaded.cover is None:
             raise ParseError(path, 'this command needs a "cover" in the space file')
         return hpartition_of_cover(loaded.cover)
@@ -104,11 +109,16 @@ def _graph_of_input(args, capped: Optional[str] = None):
     """(graph, vertex labels) of the input: a graph file's own labels, if it
     has them, or the member indices of each class of a cover.  A cover over
     the vertex cap that ``capped`` names is refused before its graph is built."""
+    from .digraphs import check_vertices
+    from .jsonio import load_input
+
     loaded = load_input(args.input)
     if loaded.kind == "graph":
         # a graph file's n is not bounded by its size
         check_vertices(loaded.graph.n, args.cap_vertices, "graph input vertices")
         return loaded.graph, loaded.vertex_labels
+    from .hasse import class_members, hasse_digraph
+
     partition = _partition_of_input(args.input, loaded)
     if capped is not None:
         check_vertices(len(partition.classes), args.cap_vertices, capped)
@@ -118,6 +128,8 @@ def _graph_of_input(args, capped: Optional[str] = None):
 
 
 def _side_of_input(name: str, path: str, loaded):
+    from .certificates import DomainSide, SpaceSide, WitnessSide
+
     if loaded.kind == "space":
         return SpaceSide(name=name, space=loaded.space)
     if loaded.kind == "domain":
@@ -143,6 +155,8 @@ def _fingerprints_of_file(path: str, loaded, args):
 
 
 def _validate(args):
+    from .jsonio import load_space, space_json
+
     try:
         return {"valid": True, **space_json(load_space(args.input))}, 0
     except TopologyError as exc:
@@ -150,35 +164,51 @@ def _validate(args):
 
 
 def _hclasses(args):
+    from .jsonio import load_input, partition_json
+
     loaded = load_input(args.input)
     return partition_json(_partition_of_input(args.input, loaded)), 0
 
 
 def _graph(args):
+    from .digraphs import to_dot
+    from .jsonio import graph_json
+
     g, labels = _graph_of_input(args)
     return (to_dot(g, labels) if args.fmt == "dot" else graph_json(g, labels)), 0
 
 
 def _cstar(args):
+    from .graphalgebra import block_decomposition
+
     return {"blocks": list(block_decomposition(_graph_of_input(args)[0]))}, 0
 
 
 def _ktheory(args):
+    from .graphalgebra import KTHEORY_VERTICES, k_theory
+
     g, _ = _graph_of_input(args, KTHEORY_VERTICES)
     return k_theory(g, args.cap_vertices).to_json(), 0
 
 
 def _prim(args):
+    from .graphalgebra import TAILS_VERTICES, prim_space
+
     g, _ = _graph_of_input(args, TAILS_VERTICES)
     return prim_space(g, args.cap_vertices).to_json(), 0
 
 
 def _pg(args):
+    from .jsonio import load_input
+
     fs, ex = _fingerprints_of_file(args.input, load_input(args.input), args)
     return {**fs.to_json(), "exhaustive": ex}, 0
 
 
 def _compare(args):
+    from .fingerprints import sets_match
+    from .jsonio import load_input
+
     loaded_a, loaded_b = load_input(args.input), load_input(args.input_b)
     fs_a, ex_a = _fingerprints_of_file(args.input, loaded_a, args)
     fs_b, ex_b = _fingerprints_of_file(args.input_b, loaded_b, args)
@@ -188,6 +218,9 @@ def _compare(args):
 
 
 def _certify(args):
+    from .certificates import nonhomeo_certificate
+    from .jsonio import load_input
+
     loaded_a, loaded_b = load_input(args.input), load_input(args.input_b)
     n_range = 1, args.cap_cover
     if args.n_range is not None:
@@ -207,6 +240,8 @@ def _certify(args):
 
 
 def _enumerate(args):
+    from .jsonio import cover_json, load_input, partition_json
+
     loaded = _sized(args.input, load_input(args.input), args)
     if loaded.kind == "space":
         from .spaces import enumerate_covers
@@ -264,6 +299,8 @@ def run(argv=None) -> int:
 
 
 def _render(args, doc: dict) -> str:
+    from .jsonio import dumps
+
     return _text_render(doc) if args.fmt == "text" else dumps(doc)
 
 

@@ -21,9 +21,8 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
-from .errors import CapExceeded, Frozen
+from .errors import DEFAULT_VERTEX_CAP, CapExceeded, Frozen
 
-DEFAULT_VERTEX_CAP = 40
 # Defensive bound on backtracking leaves; far above anything the test corpus
 # or the poset graphs in scope can reach.
 _SEARCH_LEAF_CAP = 500_000

@@ -1,5 +1,7 @@
-"""Exception types shared across the package, ``Frozen``, and the default
-cap on cover sizes, which ``CapExceeded`` enforces.
+"""Exception types shared across the package, ``Frozen``, the default caps
+on cover sizes and on digraph vertices, which ``CapExceeded`` enforces, and
+the fingerprint comparison levels.  The command-line parser reads the caps
+and the levels, so they sit here, in the one module every call loads.
 
 Every error reports itself: ``report()`` is the CLI's JSON error object, with
 the error's kind (its class name), its message and its extra fields
@@ -121,6 +123,11 @@ class NotAcyclic(TopocertError):
 
 # the largest cover size an enumeration or search takes unless told otherwise
 DEFAULT_COVER_SIZE_CAP = 5
+# the most vertices a digraph may have before canonical forms, K-theory or
+# tails are refused, unless told otherwise
+DEFAULT_VERTEX_CAP = 40
+# the fingerprint comparison levels, finest first (see ``fingerprints``)
+LEVELS = ("graph", "cstar", "ktheory")
 
 
 class CapExceeded(TopocertError):

@@ -18,12 +18,10 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Optional, Union
 
-from .digraphs import DEFAULT_VERTEX_CAP, canonical_cert, check_vertices
-from .errors import DEFAULT_COVER_SIZE_CAP, LevelMismatch
+from .digraphs import canonical_cert, check_vertices
+from .errors import DEFAULT_COVER_SIZE_CAP, DEFAULT_VERTEX_CAP, LEVELS, LevelMismatch
 from .graphalgebra import KPair, block_decomposition
 from .hasse import HPartition, hasse_digraph, hpartition_of_cover
-
-LEVELS = ("graph", "cstar", "ktheory")
 
 
 class Fingerprint(NamedTuple):

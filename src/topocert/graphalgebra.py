@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .digraphs import DEFAULT_VERTEX_CAP, DiGraph, find_cycle, topological_order
-from .digraphs import check_vertices
-from .errors import NotAcyclic
+from .digraphs import DiGraph, check_vertices, find_cycle, topological_order
+from .errors import DEFAULT_VERTEX_CAP, NotAcyclic
 
 KTHEORY_VERTICES = "graph vertices for K-theory"
 TAILS_VERTICES = "graph vertices for maximal tails"

@@ -24,7 +24,8 @@ from itertools import accumulate
 from operator import xor
 from typing import Iterable, NamedTuple, Sequence
 
-from .digraphs import DEFAULT_VERTEX_CAP, DiGraph, canonical_form, check_vertices
+from .digraphs import DiGraph, canonical_form, check_vertices
+from .errors import DEFAULT_VERTEX_CAP
 
 
 class HPartition(NamedTuple):

@@ -6,7 +6,9 @@ interval end is written as null, and read as null, "-inf" (lo) or "inf" or
 "+inf" (hi).  Points are JSON strings.  Loaders report a failure as a
 ParseError naming the file; a CapExceeded or a NotACover keeps its own kind.
 The readers of domains, interval covers and plane covers, rationals
-included, sit beside their types in ``arrangements``.
+included, sit beside their types in ``arrangements``.  Like each family's
+module, ``digraphs`` and ``hasse`` load only where a graph file or a
+partition needs them.
 """
 
 from __future__ import annotations
@@ -14,17 +16,7 @@ from __future__ import annotations
 import json
 from typing import NamedTuple, Optional
 
-from .digraphs import DiGraph
 from .errors import CapExceeded, NotACover, ParseError, TopocertError, TopologyError
-from .hasse import HPartition, class_members
-
-
-def parse_count(text: str) -> int:
-    """A count on the command line: ASCII digits only, so that each value
-    has one spelling."""
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"not a count: {text!r}")
-    return int(text)
 
 
 def _integer(value) -> int:
@@ -165,6 +157,8 @@ def _interpret(doc) -> LoadedInput:
 
         return LoadedInput("covers", specs=(load_axis_members(doc["members"]),))
     if "n" in doc and "edges" in doc:
+        from .digraphs import DiGraph
+
         labels = None
         if doc.get("labels") is not None:
             labels = tuple(frozenset(map(_integer, l)) for l in _array(doc, "labels"))
@@ -193,6 +187,8 @@ def cover_json(cover: Cover) -> dict:
 
 
 def partition_json(p: HPartition) -> dict:
+    from .hasse import class_members
+
     return {
         "members": p.member_count,
         "classes": [list(class_members(c, p.member_count)) for c in p.classes],

@@ -94,6 +94,9 @@ MUTANTS = (
     Mutant("certificates", "replay._replace(version=cert.version) == cert",
            "replay.witness_fingerprint == cert.witness_fingerprint",
            "verify_certificate compares only the witness fingerprint"),
+    Mutant("certificates", "if not (_is_count(cert.n) and cert.level in LEVELS",
+           "if False and (_is_count(cert.n) and cert.level in LEVELS",
+           "verify_certificate replays a certificate whose fields it has not checked"),
 )
 
 

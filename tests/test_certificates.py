@@ -96,6 +96,29 @@ class TestSegmentVsCircle:
         assert verify_certificate(cert._replace(version="0.0.0"),
                                   SEGMENT, circle_side())
 
+    # a size, level or caps the search does not take, each spelled as the
+    # certificate could carry it after a JSON round trip
+    @pytest.mark.parametrize("field, value", [
+        ("caps", {"cap": 5}),
+        ("n", "4"),
+        ("n", 0),
+        ("level", "nope"),
+        ("caps", {"cap_cover": 0, "cap_vertices": 40}),
+        ("n", True),
+    ], ids=["caps key", "n string", "n zero", "level", "cap zero", "n bool"])
+    def test_replay_refuses_a_malformed_field(self, field, value):
+        cert = nonhomeo_certificate(SEGMENT, circle_side(), (4, 4), "graph")
+        assert not verify_certificate(cert._replace(**{field: value}),
+                                      SEGMENT, circle_side())
+
+    @pytest.mark.parametrize("caps", [{"cap_cover": 3, "cap_vertices": 40},
+                                      {"cap_cover": 5, "cap_vertices": 1}])
+    def test_replay_refuses_caps_its_search_exceeds(self, caps):
+        cert = nonhomeo_certificate(SEGMENT, circle_side(), (4, 4), "graph")
+        with pytest.raises(CapExceeded):
+            nonhomeo_certificate(SEGMENT, circle_side(), (4, 4), "graph", **caps)
+        assert not verify_certificate(cert._replace(caps=caps), SEGMENT, circle_side())
+
     def test_exhaustive_side_recorded(self):
         cert = nonhomeo_certificate(SEGMENT, circle_side(), (4, 4), "graph")
         assert cert.exhaustive_side["name"] == "segment"

@@ -146,6 +146,14 @@ _FRONT_DOOR_CALLS = [
     "validate --input fixtures/chain_3.json --n 7 --level cstar",
     "pg --input fixtures/chain_4.json --cap-cover 0",
 ]
+# argparse's own refusals, whose messages name the count parser and list the
+# levels, all exit 1; and the no-op call, exit 0
+_PARSER_CALLS = [
+    "pg --input fixtures/chain_4.json --n x",
+    "pg --input fixtures/chain_4.json --level nope",
+    "cstar --input fixtures/downward_dag.json --cap-vertices x",
+    "--version",
+]
 # a graph file that carries one label per vertex, and one whose labels are
 # too few (ParseError, exit 3)
 _LABELLED_GRAPH_CALLS = [
@@ -246,6 +254,7 @@ CALLS = (
     + _GENERAL_ALGEBRA_CALLS
     + _DOWNWARD_DAG_CALLS
     + _FRONT_DOOR_CALLS
+    + _PARSER_CALLS
     + _LABELLED_GRAPH_CALLS
     + _CAP_AND_SIZE_CALLS
     + _OVER_CAP_COVER_CALLS

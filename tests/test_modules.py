@@ -1,7 +1,7 @@
 """Module boundaries inside the package: a module uses another module's
 public names only, so a private helper can change without a second caller
-noticing; and a call loads only the modules its input needs, while the
-package keeps every public name."""
+noticing; and a call loads only the modules its command runs and its input
+needs, while the package keeps every public name."""
 
 import ast
 import importlib
@@ -134,28 +134,36 @@ def test_the_load_check_reads_module_level_and_function_imports():
         "arrangements: snf", "arrangements: snf in fingerprints", "arrangements: snf in k_theory"]
 
 
-GENERIC = {"topocert"} | {f"topocert.{m}" for m in (
-    "certificates", "cli", "digraphs", "errors", "fingerprints", "graphalgebra",
-    "hasse", "jsonio")}
+# the layers a fingerprinting call loads besides its input's families
+GENERIC = "certificates cli digraphs errors fingerprints graphalgebra hasse jsonio"
 
-# a command line; its exit code; the family modules it loads; whether it loads
-# fractions
+# a command line; its exit code; exactly the topocert modules it loads, but
+# the package itself; whether it loads fractions
 LOADS = [
-    (["--version"], 0, (), False),
-    (["--help"], 0, (), False),
-    (["pg", "--n", "x"], 1, (), False),
-    (["pg", "--input", "chain_4.json", "--n", "2"], 0, ("spaces",), False),
-    (["validate", "--input", "chain_4.json"], 0, ("spaces",), False),
-    (["enumerate", "--input", "chain_4.json", "--n", "2"], 0, ("spaces",), False),
-    (["pg", "--input", "line_domain.json", "--n", "2"], 0, ("arrangements",), True),
-    (["enumerate", "--input", "line_domain.json", "--n", "2"], 0, ("arrangements",), True),
-    (["hclasses", "--input", "plane_cover.json"], 0, ("arrangements",), True),
-    (["pg", "--input", "line_witness_covers.json"], 0, ("arrangements",), True),
+    (["--version"], 0, "cli errors", False),
+    (["--help"], 0, "cli errors", False),
+    (["pg", "--n", "x"], 1, "cli errors jsonio", False),
+    (["pg", "--input", "chain_4.json", "--n", "2"], 0, f"{GENERIC} spaces", False),
+    (["validate", "--input", "chain_4.json"], 0, "cli errors jsonio spaces", False),
+    (["enumerate", "--input", "chain_4.json", "--n", "2"], 0, "cli errors jsonio spaces",
+     False),
+    (["pg", "--input", "line_domain.json", "--n", "2"], 0, f"{GENERIC} arrangements", True),
+    (["enumerate", "--input", "line_domain.json", "--n", "2"], 0,
+     "arrangements cli digraphs errors hasse jsonio", True),
+    (["hclasses", "--input", "plane_cover.json"], 0,
+     "arrangements cli digraphs errors hasse jsonio", True),
+    (["hclasses", "--input", "chain_3_cover.json"], 0,
+     "cli digraphs errors hasse jsonio spaces", False),
+    (["graph", "--input", "downward_dag.json"], 0, "cli digraphs errors jsonio", False),
+    (["cstar", "--input", "downward_dag.json"], 0,
+     "cli digraphs errors graphalgebra jsonio", False),
+    (["pg", "--input", "line_witness_covers.json"], 0, f"{GENERIC} arrangements", True),
     (["certify", "--input", "line_witness_covers.json", "--input-b",
-      "three_point_model.json"], 2, ("arrangements", "spaces"), True),
+      "three_point_model.json"], 2, f"{GENERIC} arrangements spaces", True),
     (["compare", "--input", "line_witness_covers.json", "--input-b",
-      "three_point_model.json", "--n", "2"], 2, ("arrangements", "spaces"), True),
-    (["ktheory", "--input", "antichain_3.json"], 0, ("snf",), False),
+      "three_point_model.json", "--n", "2"], 2, f"{GENERIC} arrangements spaces", True),
+    (["ktheory", "--input", "antichain_3.json"], 0,
+     "cli digraphs errors graphalgebra jsonio snf", False),
 ]
 
 # runs one command line in this fresh interpreter and prints what it loaded
@@ -172,14 +180,44 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "top
 """
 
 
-@pytest.mark.parametrize("argv, code, families, fractions", LOADS,
+@pytest.mark.parametrize("argv, code, modules, fractions", LOADS,
                          ids=[" ".join(row[0]) for row in LOADS])
-def test_a_call_loads_only_its_inputs_families(argv, code, families, fractions):
+def test_a_call_loads_only_its_inputs_families(argv, code, modules, fractions):
     argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in argv]
     out = subprocess.run([sys.executable, "-c", LOAD_PROBE, json.dumps(argv)],
                          capture_output=True, text=True, timeout=60, check=True).stdout
-    assert json.loads(out) == [code, sorted(GENERIC | {f"topocert.{m}" for m in families}),
-                               fractions]
+    assert json.loads(out) == [code, sorted({"topocert"} | {f"topocert.{m}" for m in
+                                                            modules.split()}), fractions]
+
+
+def eager_imports(source: str) -> set:
+    """The topocert modules, and ``__version__``, that ``source`` imports
+    when it loads, outside any function."""
+    known = {path.stem for path in SRC.glob("*.py")} | {"__version__"}
+    return {m for function, m in imports(source) if function is None and m in known}
+
+
+def test_cli_imports_only_errors_and_the_version_when_it_loads():
+    assert eager_imports((SRC / "cli.py").read_text()) == {"errors", "__version__"}
+    source = ("from . import __version__\n"
+              "import argparse\n"
+              "from .errors import ParseError\n"
+              "if True:\n"
+              "    from .jsonio import dumps\n"
+              "import topocert.hasse\n"
+              "def _pg(args):\n"
+              "    from .fingerprints import sets_match\n")
+    assert eager_imports(source) == {"__version__", "errors", "jsonio", "hasse"}
+
+
+def test_importing_the_cli_loads_errors_only_and_still_reads_fingerprint_of():
+    probe = ("import sys, topocert.cli as cli\n"
+             "loaded = sorted(m for m in sys.modules if 'topocert' in m)\n"
+             "import topocert.fingerprints as fps\n"
+             "print(loaded, cli.fingerprint_of is fps.fingerprint_of)")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         timeout=60, check=True).stdout
+    assert out == "['topocert', 'topocert.cli', 'topocert.errors'] True\n"
 
 
 # -- the package namespace ------------------------------------------------------
